@@ -23,6 +23,7 @@ from .energy import (
 from .geometry import (
     INFINITY,
     POINT_AT_INFINITY,
+    NumericalError,
     ConeDipoleMap,
     RadialProfile,
     SpherePoint,

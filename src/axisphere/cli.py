@@ -14,8 +14,10 @@ dipole-tradeoff    Does removing a piece of the vertical defect and paying
 sigma              Minimal connection of a point-charge configuration file.
 
 All commands are deterministic given their parameters; CSV output uses 12
-significant digits and re-runs are bit-identical.  Exit codes: 0 success,
-2 input error, 3 optimizer non-convergence.
+significant digits and re-runs are bit-identical; JSON output is strict,
+with non-finite values written as null.  Exit codes: 0 success, 2 input
+error, 3 optimizer non-convergence, 4 numerical failure (a quadrature too
+coarse to resolve, a failed LP, or a bound chain contradicting itself).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .energy import (
     meridian_from_profile,
     minimize_meridian_energy,
 )
-from .geometry import geometric_grid, u0_profile, u_eps_profile
+from .geometry import NumericalError, geometric_grid, u0_profile, u_eps_profile
 from .variational import (
     ConeConstraint,
     I_functional,
@@ -58,6 +60,7 @@ __all__ = ["main", "ExperimentSpec", "InputError"]
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_NUMERICAL = 4
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -94,12 +97,24 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _json_safe(value: Any) -> Any:
+    """Non-finite floats become None (null), which strict JSON admits."""
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_rows(rows: list[dict], summary: dict, spec: ExperimentSpec) -> None:
     if spec.out is None:
         return
     if spec.fmt == "json":
         with open(spec.out, "w") as fh:
-            json.dump({"rows": rows, "summary": summary}, fh, indent=1, default=float)
+            json.dump(_json_safe({"rows": rows, "summary": summary}), fh, indent=1,
+                      default=float, allow_nan=False)
             fh.write("\n")
         return
     with open(spec.out, "w", newline="") as fh:
@@ -627,6 +642,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     _write_rows(rows, summary, spec)
     print(f"{spec.command}: {len(rows)} rows")
     for key, value in summary.items():

@@ -24,6 +24,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
+from .geometry import NumericalError
+
 __all__ = [
     "SingularityConfig",
     "ConnectionResult",
@@ -169,7 +171,7 @@ def kantorovich_dual(cfg: SingularityConfig) -> float:
     bounds = [(0.0, 0.0)] + [(None, None)] * (m - 1)
     res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs")
     if res.status != 0:
-        raise RuntimeError(f"Kantorovich LP failed (status {res.status}): {res.message}")
+        raise NumericalError(f"Kantorovich LP failed (status {res.status}): {res.message}")
     return float(-res.fun)
 
 

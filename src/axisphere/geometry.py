@@ -32,6 +32,7 @@ __all__ = [
     "RadialProfile",
     "ConeDipoleMap",
     "DegreeResult",
+    "NumericalError",
     "UnderResolvedQuadratureError",
     "is_at_infinity",
     "stereo_project",
@@ -54,7 +55,11 @@ POINT_AT_INFINITY: tuple[float, float] = (math.inf, math.inf)
 _UNIT_NORM_TOL = 1e-12
 
 
-class UnderResolvedQuadratureError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A numerical route failed or contradicted an independent one."""
+
+
+class UnderResolvedQuadratureError(NumericalError):
     """Raised when a degree quadrature is too far from an integer."""
 
 

@@ -18,9 +18,10 @@ alone forces
 the logarithmic gap that grows without bound as alpha -> 0.
 
 The numerical route discretizes I in log-radius (where the arc family is a
-linear combination of e^{+-n x}) and runs an accelerated projected descent,
-projecting each monotone segment by pool-adjacent-violators isotonic
-regression with re-pinned endpoints.
+linear combination of e^{+-n x}).  On each monotone segment the discrete I
+is a strictly convex quadratic under chain constraints, which an exact
+active-set method solves with one tridiagonal solve per pivot; the active
+constraints at the optimum are the discrete plateau.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression
+from scipy.linalg import solve_banded
+
+from .geometry import NumericalError
 
 __all__ = [
     "ClosedFormProfile",
@@ -277,7 +280,7 @@ def g0_construct(c: ConeConstraint, n: int) -> PiecewiseMinimizer:
 
 
 # ---------------------------------------------------------------------------
-# Discretized functional (log-radius cells) and projected descent
+# Discretized functional (log-radius cells) and the active-set solve
 # ---------------------------------------------------------------------------
 
 def I_functional(r: np.ndarray, g: np.ndarray, n: int,
@@ -311,40 +314,23 @@ def weighted_gap(r: np.ndarray, g: np.ndarray, n: int) -> float:
     return 4.0 * math.pi * float(np.sum(cells))
 
 
-def _segment_objective_grad(dx: np.ndarray, g: np.ndarray, n: int, sign: float):
-    """Objective and gradient of the fixed-sign quadratic
-    sum ((sign * dg/dx) - n gbar)^2 dx on one monotone segment."""
-    dg = np.diff(g)
-    gm = (g[:-1] + g[1:]) / 2.0
-    e = sign * dg / dx - n * gm
-    obj = float(np.sum(e * e * dx))
-    coef = 2.0 * e
-    grad = np.zeros_like(g)
-    grad[:-1] += coef * (-sign - n * dx / 2.0)
-    grad[1:] += coef * (sign - n * dx / 2.0)
-    return obj, grad
-
-
-def _project_segment(g: np.ndarray, lo_val: float, hi_val: float, decreasing: bool) -> np.ndarray:
-    """Euclidean projection onto {monotone segment, pinned endpoints}.
-
-    Interior nodes are projected by pool-adjacent-violators and clipped into
-    the pinned range (bounded isotonic regression equals the clipped
-    unbounded one); the endpoints are re-pinned exactly.
-    """
-    out = g.copy()
-    if g.size <= 2:
-        out[0], out[-1] = lo_val, hi_val
-        return out
-    interior = isotonic_regression(g[1:-1], increasing=not decreasing).x
-    lo, hi = (min(lo_val, hi_val), max(lo_val, hi_val))
-    out[1:-1] = np.clip(interior, lo, hi)
-    out[0], out[-1] = lo_val, hi_val
-    return out
+# KKT tolerance of the active-set solve, relative to its rounding level; the
+# residual it reaches is ~1e-15
+_KKT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class MinimizeIResult:
+    """Result of :func:`minimize_I_numerical`.
+
+    ``iterations`` counts active-set pivots (constraints added to or dropped
+    from the working set) on the busier of the two segments; ``residual`` is
+    the KKT residual, the larger of the reduced-gradient norm and the most
+    negative multiplier, relative to G / min dx, the segment's larger pin G
+    times the scale of its largest Hessian entry (the rounding level of the
+    solves).
+    """
+
     r: np.ndarray
     g: np.ndarray
     objective: float
@@ -353,141 +339,121 @@ class MinimizeIResult:
     residual: float
 
 
-def _solve_segment_multigrid(
-    r_lo: float,
-    r_hi: float,
-    lo_val: float,
-    hi_val: float,
-    n: int,
-    n_nodes: int,
-    max_iter: int,
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray, float, bool, int, float]:
-    """Solve a segment through a coarse-to-fine grid pyramid.
-
-    Each level warm-starts from the interpolated coarser solution, which
-    keeps the accelerated-descent iteration counts flat in the grid size.
-    """
-    counts = [n_nodes]
-    while counts[-1] > 33:
-        counts.append(counts[-1] // 2 + 1)
-    counts.reverse()
-    g_prev = None
-    x_prev = None
-    total_it = 0
-    for count in counts:
-        r_nodes = np.geomspace(r_lo, r_hi, count)
-        x_nodes = np.log(r_nodes)
-        g_init = None if g_prev is None else np.interp(x_nodes, x_prev, g_prev)
-        g, obj, conv, it, res = _solve_segment(
-            r_nodes, lo_val, hi_val, n, decreasing=lo_val >= hi_val,
-            max_iter=max_iter, tol=tol, g_init=g_init)
-        total_it += it
-        g_prev, x_prev = g, x_nodes
-    return r_nodes, g, obj, conv, total_it, res
-
-
-def _segment_objective(dx: np.ndarray, g: np.ndarray, n: int, sign: float) -> float:
-    dg = np.diff(g)
-    gm = (g[:-1] + g[1:]) / 2.0
-    e = sign * dg / dx - n * gm
-    return float(np.sum(e * e * dx))
-
-
-def _solve_segment(
-    r_nodes: np.ndarray,
-    lo_val: float,
-    hi_val: float,
-    n: int,
-    decreasing: bool,
-    max_iter: int,
-    tol: float,
-    armijo: float = 1e-4,
-    g_init: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, bool, int, float]:
-    """Accelerated projected descent on one monotone segment.
-
-    Backtracking line search with the given Armijo constant; Nesterov
-    momentum with restart on objective increase keeps iteration counts
-    practical on fine grids.  Stops when the relative objective decrease
-    falls below ``tol`` (with a short patience window) or at ``max_iter``.
-    """
+def _segment_quadratic(r_nodes: np.ndarray, n: int, sign: float):
+    """Cell widths dx and coefficients p, q of the segment objective
+    sum dx_i (p_i g_i + q_i g_{i+1})^2, which is the discrete I of a profile
+    that is monotone in the direction of ``sign`` (-1 decreasing)."""
     dx = np.diff(np.log(r_nodes))
+    return dx, -sign / dx - n / 2.0, sign / dx - n / 2.0
+
+
+def _solve_segment(r_nodes: np.ndarray, lo_val: float, hi_val: float,
+                   n: int) -> tuple[np.ndarray, float, bool, int, float]:
+    """Exact minimizer of the segment objective under the chain constraints
+    sign (g_{i+1} - g_i) >= 0, with g pinned to lo_val and hi_val at the ends.
+
+    Primal active-set method from the profile linear in log radius.  The
+    working set fuses adjacent nodes into blocks, so each equality subproblem
+    is tridiagonal in the block values and costs one banded solve.  A step to
+    its solution stops at the first constraints it would break, which join the
+    working set; at a subproblem optimum the most negative multiplier (below
+    -_KKT_TOL relative to the residual scale of :class:`MinimizeIResult`)
+    leaves it.  Returns the profile, objective, convergence flag (KKT
+    residual at most _KKT_TOL within 4 m pivots), pivot count and KKT
+    residual.
+    """
     m = r_nodes.size
-    x_log = np.log(r_nodes)
-    if g_init is None:
-        # feasible start: linear interpolation in log radius
-        g = lo_val + (hi_val - lo_val) * (x_log - x_log[0]) / (x_log[-1] - x_log[0])
-    else:
-        g = g_init.copy()
-    g = _project_segment(g, lo_val, hi_val, decreasing)
-    sign = -1.0 if decreasing else 1.0
+    sign = -1.0 if lo_val > hi_val else 1.0
+    dx, p, q = _segment_quadratic(r_nodes, n, sign)
+    x = np.log(r_nodes)
+    g = lo_val + (hi_val - lo_val) * (x - x[0]) / (x[-1] - x[0])
+    # a flat segment's cone holds only the constant: every constraint active
+    active = np.full(m - 1, lo_val == hi_val)
+    wpp, wqq, wpq = dx * p * p, dx * q * q, dx * p * q
+    scale = max(abs(lo_val), abs(hi_val)) / dx.min()
+    max_pivots = 4 * m
+    pivots, residual = 0, 0.0 if active.all() else math.inf
+    while pivots <= max_pivots and not active.all():
+        # equality subproblem: block values v with v[0] = lo_val, v[-1] = hi_val
+        block = np.concatenate(([0], np.cumsum(~active)))
+        k = block[-1] + 1
+        diag = (np.bincount(block[:-1], wpp, k) + np.bincount(block[1:], wqq, k)
+                + np.bincount(block[:-1][active], 2.0 * wpq[active], k))
+        off = wpq[~active]  # coupling of blocks j and j + 1
+        v = np.empty(k)
+        v[0], v[-1] = lo_val, hi_val
+        if k > 2:
+            band = np.zeros((3, k - 2))
+            band[0, 1:] = band[2, :-1] = off[1:-1]
+            band[1] = diag[1:-1]
+            rhs = np.zeros(k - 2)
+            rhs[0] -= off[0] * lo_val
+            rhs[-1] -= off[-1] * hi_val
+            v[1:-1] = solve_banded((1, 1), band, rhs, check_finite=False)
+        target = v[block]
 
-    obj, grad = _segment_objective_grad(dx, g, n, sign)
-    if m <= 2:
-        return g, obj, True, 0, 0.0
-
-    # a segment this far below its natural scale (n * peak value)^2 * length
-    # is numerically conformal; treat it as converged
-    obj_floor = 1e-8 * (n * max(abs(lo_val), abs(hi_val))) ** 2 * (x_log[-1] - x_log[0])
-
-    y = g.copy()
-    theta = 1.0
-    step = 1.0 / (4.0 / np.min(dx) ** 2 + n * n)  # ~1/L for the quadratic
-    stalled = 0
-    residual = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        obj_y, grad_y = _segment_objective_grad(dx, y, n, sign)
-        t = step
-        while True:
-            cand = _project_segment(y - t * grad_y, lo_val, hi_val, decreasing)
-            obj_c = _segment_objective(dx, cand, n, sign)
-            d = cand - y
-            if obj_c <= obj_y + armijo * float(grad_y @ d) or t < 1e-18:
-                break
-            t /= 2.0
-        step = min(t * 1.3, 1e6)
-
-        if obj_c <= obj:
-            theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-            momentum = (theta - 1.0) / theta_new
-            y = cand + momentum * (cand - g)
-            y = _project_segment(y, lo_val, hi_val, decreasing)
-            theta = theta_new
-            residual = (obj - obj_c) / max(obj_c, 1e-300)
-            g, obj = cand, obj_c
-        else:  # momentum overshoot: restart from the best point
-            y = g.copy()
-            theta = 1.0
-            residual = math.inf
+        slack, new_slack = sign * (g[1:] - g[:-1]), sign * (target[1:] - target[:-1])
+        blocking = ~active & (new_slack < 0.0)
+        if blocking.any():
+            frac = np.maximum(slack[blocking], 0.0) / (slack[blocking] - new_slack[blocking])
+            t = frac.min()
+            g = g + t * (target - g)
+            active[np.flatnonzero(blocking)[frac == t]] = True
+            pivots += 1
             continue
 
-        if obj <= obj_floor:
-            return g, obj, True, it, 0.0
-        if residual < tol:
-            stalled += 1
-            if stalled >= 3:
-                return g, obj, True, it, residual
-        else:
-            stalled = 0
-    return g, obj, False, it, residual
+        g = target
+        lam, reduced = _multipliers(dx, p, q, g, active, block, sign)
+        worst = float(lam.min()) if lam.size else 0.0
+        residual = max(float(np.max(np.abs(reduced), initial=0.0)), -worst, 0.0) / scale
+        if worst >= -_KKT_TOL * scale:
+            break
+        active[np.flatnonzero(active)[np.argmin(lam)]] = False
+        pivots += 1
+    e = p * g[:-1] + q * g[1:]
+    converged = pivots <= max_pivots and residual <= _KKT_TOL
+    return g, float(np.sum(dx * e * e)), converged, pivots, float(residual)
 
 
-def minimize_I_numerical(
-    c: ConeConstraint,
-    n: int,
-    nodes: int = 256,
-    max_iter: int = 100_000,
-    tol: float = 1e-10,
-) -> MinimizeIResult:
+def _segment_gradient(dx: np.ndarray, p: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the segment objective sum dx_i (p_i g_i + q_i g_{i+1})^2."""
+    e = 2.0 * dx * (p * g[:-1] + q * g[1:])
+    grad = np.zeros(g.size)
+    grad[:-1] += p * e
+    grad[1:] += q * e
+    return grad
+
+
+def _multipliers(dx: np.ndarray, p: np.ndarray, q: np.ndarray, g: np.ndarray,
+                 active: np.ndarray, block: np.ndarray,
+                 sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Multipliers of the active constraints and the reduced gradient of
+    the free blocks, at a block-constant profile g.
+
+    With the Lagrangian F - sum lam_i sign (g_{i+1} - g_i), stationarity
+    gives lam_i = -sign (sum of dF/dg over the block up to node i), summed
+    from the block's left end, whose left constraint is inactive; in the
+    block holding pinned node 0 the sum runs from the right end instead.
+    """
+    cs = np.cumsum(_segment_gradient(dx, p, q, g))
+    starts = np.flatnonzero(np.concatenate(([True], ~active)))
+    ends = np.append(starts[1:] - 1, g.size - 1)
+    before = np.concatenate(([0.0], cs))[starts]
+    lam = -sign * (cs[:-1] - before[block[:-1]])
+    first = block[:-1] == 0
+    lam[first] = sign * (cs[ends[0]] - cs[:-1][first])
+    reduced = cs[ends[1:-1]] - before[1:-1]
+    return lam[active], reduced
+
+
+def minimize_I_numerical(c: ConeConstraint, n: int, nodes: int = 256) -> MinimizeIResult:
     """Minimize the discretized I over the discretized cone.
 
     The two monotone segments decouple (all three pin values are endpoints),
-    so each is solved independently on its own log-spaced grid and the
-    sampled profiles are joined at s_tilde.  The reported objective is the
-    discrete I on the joined grid, comparable to the explicit minimizer
-    sampled on the same nodes.
+    so each is solved exactly and independently on its own log-spaced grid
+    and the sampled profiles are joined at s_tilde.  The reported objective
+    is the discrete I on the joined grid, comparable to the explicit
+    minimizer sampled on the same nodes; no closed-form radius is used.
     """
     if nodes < 64:
         raise ValueError("need at least 64 nodes")
@@ -501,21 +467,18 @@ def minimize_I_numerical(
         n1 = min(n1, nodes + 1 - 9)
         n2 = nodes + 1 - n1
 
-    r1, g1, obj1, conv1, it1, res1 = _solve_segment_multigrid(
-        s, st, b, a, n, n1, max_iter, tol)
-    if n2 > 0:
-        r2, g2, obj2, conv2, it2, res2 = _solve_segment_multigrid(
-            st, 1.0, a, alpha, n, n2 + 1, max_iter, tol)
-        r_all = np.concatenate([r1, r2[1:]])
-        g_all = np.concatenate([g1, g2[1:]])
-        return MinimizeIResult(
-            r=r_all, g=g_all, objective=obj1 + obj2,
-            converged=conv1 and conv2, iterations=max(it1, it2),
-            residual=max(res1 if math.isfinite(res1) else 0.0,
-                         res2 if math.isfinite(res2) else 0.0),
-        )
-    return MinimizeIResult(r=r1, g=g1, objective=obj1, converged=conv1,
-                           iterations=it1, residual=res1 if math.isfinite(res1) else 0.0)
+    r1 = np.geomspace(s, st, n1)
+    g1, obj1, conv1, it1, res1 = _solve_segment(r1, b, a, n)
+    if n2 == 0:
+        return MinimizeIResult(r=r1, g=g1, objective=obj1, converged=conv1,
+                               iterations=it1, residual=res1)
+    r2 = np.geomspace(st, 1.0, n2 + 1)
+    g2, obj2, conv2, it2, res2 = _solve_segment(r2, a, alpha, n)
+    return MinimizeIResult(
+        r=np.concatenate([r1, r2[1:]]), g=np.concatenate([g1, g2[1:]]),
+        objective=obj1 + obj2, converged=conv1 and conv2,
+        iterations=max(it1, it2), residual=max(res1, res2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +540,7 @@ def gap_lower_bound(c: ConeConstraint, n: int, check_nodes: int = 16385) -> GapB
     rhs = 8.0 * math.pi * n * a * a / (1.0 + a * a)
 
     if gap < math.pi * I_disc - 1e-8 or math.pi * I_disc < log_bound - 1e-8:
-        raise RuntimeError("bound chain violated; inconsistent discretization")
+        raise NumericalError("bound chain violated; inconsistent discretization")
 
     ratio = t0 / tau0
     ratio_bound = (4.0 * b * (s / a) ** n * alpha * a ** (n - 2)) ** (1.0 / n)

@@ -1,9 +1,13 @@
 import json
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from axisphere import cli
 from axisphere.cli import main
+from axisphere.geometry import UnderResolvedQuadratureError
 
 
 def run(args):
@@ -62,7 +66,7 @@ class TestRelaxationCheck:
         data = json.loads(out.read_text())
         assert data["summary"]["fitted_exponents"]["2"] == pytest.approx(4.0, abs=0.2)
         limit = 8 * math.pi + 8 * math.pi * 0.0625 / 1.0625
-        rows = [r for r in data["rows"] if not math.isnan(r["eps"])]
+        rows = [r for r in data["rows"] if r["eps"] is not None]
         assert rows[0]["limit"] == pytest.approx(limit, rel=1e-12)
         deficits = [r["deficit"] for r in rows]
         assert all(d > 0 for d in deficits)
@@ -185,3 +189,77 @@ class TestSigma:
 
     def test_missing_spec_exit_2(self):
         assert run(["sigma"]) == 2
+
+
+def strict_load(path):
+    """Parse a JSON file, rejecting the non-standard NaN/Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def ten_pair_config(path):
+    rng = np.random.default_rng(5)
+    path.write_text(json.dumps({
+        "multiplicity": 1,
+        "positives": rng.uniform(-1, 1, (10, 3)).tolist(),
+        "negatives": rng.uniform(-1, 1, (10, 3)).tolist(),
+    }))
+    return path
+
+
+class TestStrictJson:
+    # each command with a row column that holds a non-finite value, if any
+    @pytest.mark.parametrize("args, null_column", [
+        (["t0-energy", "--n", "2", "--r-nodes", "257", "--z-nodes", "9"], None),
+        (["relaxation-check", "--n", "2", "--eps", "0.2,0.1", "--nodes", "2049"], "eps"),
+        (["proposition-sweep", "--alpha", "0.25", "--a-frac", "1", "--c0", "20",
+          "--s-tilde", "2s", "--nodes", "128"], "t0"),
+        (["dipole-tradeoff", "--n", "2", "--alpha", "0.05", "--delta", "0.3",
+          "--rbox-factors", "1", "--nodes-r", "17", "--nodes-z", "17",
+          "--maxiter", "200"], None),
+        (["sigma"], "bruteforce"),
+    ])
+    def test_output_parses_strictly(self, tmp_path, args, null_column):
+        out = tmp_path / "out.json"
+        if args == ["sigma"]:
+            args = ["sigma", "--spec", str(ten_pair_config(tmp_path / "charges.json"))]
+        assert run(args + ["--format", "json", "--out", str(out)]) in (0, 3)
+        data = strict_load(out)
+        assert data["rows"] and "summary" in data
+        if null_column is not None:
+            assert any(row[null_column] is None for row in data["rows"])
+
+    def test_csv_keeps_nan(self, tmp_path):
+        out = tmp_path / "prop.csv"
+        assert run(["proposition-sweep", "--alpha", "0.25", "--a-frac", "1", "--c0", "20",
+                    "--s-tilde", "2s", "--nodes", "128", "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["t0"] == "nan"
+
+
+class TestNumericalExit:
+    """Numerical failures end with exit code 4 and a one-line message."""
+
+    def assert_exit_4(self, args, capsys):
+        assert run(args) == cli.EXIT_NUMERICAL == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical error:")
+
+    def test_bound_chain_violation(self, monkeypatch, capsys):
+        monkeypatch.setattr("axisphere.variational.weighted_gap", lambda r, g, n: 0.0)
+        self.assert_exit_4(["proposition-sweep", "--alpha", "0.05", "--a-frac", "1",
+                            "--c0", "1", "--s-tilde", "2s", "--nodes", "64"], capsys)
+
+    def test_kantorovich_lp_failure(self, tmp_path, monkeypatch, capsys):
+        failed = SimpleNamespace(status=2, message="infeasible", fun=0.0)
+        monkeypatch.setattr("axisphere.connection.linprog", lambda *a, **k: failed)
+        cfg = tmp_path / "charges.json"
+        cfg.write_text(json.dumps({"positives": [[0, 0, -1]], "negatives": [[0, 0, 1]]}))
+        self.assert_exit_4(["sigma", "--spec", str(cfg)], capsys)
+
+    def test_under_resolved_quadrature(self, monkeypatch, capsys):
+        def under_resolved(*args, **kwargs):
+            raise UnderResolvedQuadratureError("degree quadrature residual 0.3")
+        monkeypatch.setattr(cli, "dirichlet_energy_radial", under_resolved)
+        self.assert_exit_4(["t0-energy", "--r-nodes", "257", "--z-nodes", "9"], capsys)

@@ -6,7 +6,8 @@ import pytest
 from axisphere.variational import (
     ConeConstraint,
     I_functional,
-    _segment_objective_grad,
+    _segment_gradient,
+    _segment_quadratic,
     compute_t0,
     compute_tau0,
     eta_profile,
@@ -262,21 +263,23 @@ class TestIFunctional:
             assert I_functional(grid, mix, 2) <= bound + 1e-10
 
     def test_gradient_matches_finite_differences(self):
+        # the assembled segment quadratic is the discrete I of a monotone
+        # profile, and its gradient matches central differences of I
         rng = np.random.default_rng(53)
         grid = np.geomspace(0.05, 0.3, 65)
-        dx = np.diff(np.log(grid))
+        dx, p, q = _segment_quadratic(grid, 2, -1.0)
         for _ in range(20):
             down = np.sort(rng.uniform(0.0, 1.0, 63))
             g = np.concatenate(([0.5], 0.5 - 0.48 * down, [0.02]))
-            _, grad = _segment_objective_grad(dx, g, 2, -1.0)
+            quadratic = float(np.sum(dx * (p * g[:-1] + q * g[1:]) ** 2))
+            assert quadratic == pytest.approx(I_functional(grid, g, 2), rel=1e-12)
+            grad = _segment_gradient(dx, p, q, g)
             for idx in rng.integers(1, 64, size=4):
                 h = 1e-7
                 gp, gm = g.copy(), g.copy()
                 gp[idx] += h
                 gm[idx] -= h
-                op, _ = _segment_objective_grad(dx, gp, 2, -1.0)
-                om, _ = _segment_objective_grad(dx, gm, 2, -1.0)
-                fd = (op - om) / (2 * h)
+                fd = (I_functional(grid, gp, 2) - I_functional(grid, gm, 2)) / (2 * h)
                 assert fd == pytest.approx(grad[idx], rel=1e-6, abs=1e-9)
 
 
@@ -313,6 +316,75 @@ class TestNumericalMinimizer:
         c = ConeConstraint(s=0.05, s_tilde=0.2, a=0.025, alpha=0.05)
         with pytest.raises(ValueError):
             minimize_I_numerical(c, 2, nodes=32)
+
+
+def segment_certificate(r, g, n):
+    """KKT check of one monotone segment, independent of the solver's own:
+    the multipliers of the tight chain constraints come from a dense
+    least-squares solve of interior stationarity, grad_j = sign (lam_{j-1} -
+    lam_j).  Returns the stationarity residual and the smallest multiplier,
+    both relative to max |g| / min dx (the solver's residual scale)."""
+    sign = -1.0 if g[0] > g[-1] else 1.0
+    dx, p, q = _segment_quadratic(r, n, sign)
+    grad = _segment_gradient(dx, p, q, g)[1:-1]
+    tight = np.flatnonzero(np.diff(g) == 0.0)
+    jac = np.zeros((g.size - 2, tight.size))
+    for col, i in enumerate(tight):
+        if i >= 1:
+            jac[i - 1, col] = -sign
+        if i + 1 <= g.size - 2:
+            jac[i, col] = sign
+    lam = np.linalg.lstsq(jac, grad, rcond=None)[0] if tight.size else np.zeros(0)
+    scale = np.max(np.abs(g)) / np.min(dx)
+    residual = np.max(np.abs(jac @ lam - grad)) / scale
+    return residual, (lam.min() / scale if lam.size else 0.0)
+
+
+class TestActiveSetCertificate:
+    TOL = 1e-10
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(71)
+        for nodes in (64, 256, 512):
+            for n in (1, 2, 3):
+                for _ in range(3):
+                    yield random_cone(rng), n, nodes
+
+    def test_kkt_certificate(self):
+        for c, n, nodes in self.cases():
+            res = minimize_I_numerical(c, n, nodes=nodes)
+            assert res.converged and res.residual <= self.TOL
+            k = int(np.argmin(np.abs(res.r - c.s_tilde)))
+            assert res.r[k] == c.s_tilde
+            assert (res.g[0], res.g[k], res.g[-1]) == (c.b, c.a, c.alpha)
+            assert np.all(np.diff(res.g[:k + 1]) <= 0.0)
+            assert np.all(np.diff(res.g[k:]) >= 0.0)
+            for lo, hi in ((0, k + 1), (k, res.r.size)):
+                residual, lam_min = segment_certificate(res.r[lo:hi], res.g[lo:hi], n)
+                assert residual <= 1e-8, (c, n, nodes)
+                assert lam_min >= -self.TOL, (c, n, nodes)
+
+    def test_not_above_sampled_explicit_minimizer(self):
+        # the sampled explicit minimizer is feasible for the discrete cone
+        for c, n, nodes in self.cases():
+            res = minimize_I_numerical(c, n, nodes=nodes)
+            ref = I_functional(res.r, g0_construct(c, n).sample(res.r), n)
+            assert res.objective <= ref * (1 + 1e-12)
+
+    def test_independent_of_closed_forms(self, monkeypatch):
+        c = ConeConstraint(s=0.05, s_tilde=0.2, a=0.025, alpha=0.05)
+        before = minimize_I_numerical(c, 2, nodes=256)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("closed form used by the numerical route")
+        for name in ("g0_construct", "compute_t0", "compute_tau0",
+                     "eta_profile", "zeta_profile"):
+            monkeypatch.setattr(f"axisphere.variational.{name}", forbidden)
+        after = minimize_I_numerical(c, 2, nodes=256)
+        assert np.array_equal(after.g, before.g) and np.array_equal(after.r, before.r)
+        assert after.objective == before.objective
+        assert after.iterations == before.iterations
 
 
 class TestGapBound:
