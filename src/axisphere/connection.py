@@ -6,8 +6,12 @@ shortest total length over pairings
     min over permutations sigma of  sum_i |P_i - N_{sigma(i)}|,
 
 an assignment problem.  Its linear-programming dual is the Kantorovich form:
-maximize sum xi(P_i) - sum xi(N_i) over 1-Lipschitz potentials xi, which on
-finite supports needs only the pairwise constraints |xi(x) - xi(y)| <= |x-y|.
+maximize sum xi(P_i) - sum xi(N_j) over 1-Lipschitz potentials xi.  On finite
+supports it needs only the k^2 bipartite constraints xi(P_i) - xi(N_j) <=
+|P_i - N_j|: this is the dual of the transport LP, and its optimum equals the
+all-pairs Lipschitz form because any bipartite-feasible potential extends to
+the 1-Lipschitz xi(x) = min_j (xi(N_j) + |x - N_j|) (McShane), which does not
+lower the objective.
 The current mass is multiplicity * length, and the relaxed Dirichlet energy
 adds 4 pi times the mass to the Dirichlet term.
 """
@@ -23,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import csr_array
 
 from .geometry import NumericalError
 
@@ -36,6 +41,9 @@ __all__ = [
 ]
 
 _BRUTEFORCE_MAX = 9
+# HiGHS's smallest feasibility tolerances; at the default 1e-7 a near-tie of
+# 1e-8 between two pairings moved the dual value by 2e-8.
+_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclass(frozen=True)
@@ -60,10 +68,11 @@ class SingularityConfig:
                 f"unbalanced charges: {pos.shape[0]} positives, {neg.shape[0]} negatives"
             )
         for name, pts in (("positives", pos), ("negatives", neg)):
-            for i in range(pts.shape[0]):
-                for j in range(i + 1, pts.shape[0]):
-                    if np.all(pts[i] == pts[j]):
-                        raise ValueError(f"duplicate point in {name}: {pts[i]}")
+            if not np.all(np.isfinite(pts)):
+                raise ValueError(f"non-finite coordinate in {name}")
+            unique, counts = np.unique(pts, axis=0, return_counts=True)
+            if np.any(counts > 1):
+                raise ValueError(f"duplicate point in {name}: {unique[np.argmax(counts > 1)]}")
         if int(self.multiplicity) < 1:
             raise ValueError("multiplicity must be a positive integer")
         object.__setattr__(self, "positives", pos)
@@ -143,33 +152,29 @@ def min_connection_assignment(cfg: SingularityConfig) -> ConnectionResult:
 
 
 def kantorovich_dual(cfg: SingularityConfig) -> float:
-    """Dual value: max sum xi(P_i) - sum xi(N_i) over potentials xi with
-    |xi(x) - xi(y)| <= |x - y| on every pair of charge locations.
+    """Dual value: max sum xi(P_i) - sum xi(N_j) over potentials xi with
+    xi(P_i) - xi(N_j) <= |P_i - N_j| for every positive-negative pair.
 
-    Equals the primal minimal-connection length on finite supports.  The LP
-    is always feasible (xi = 0); an infeasible status indicates a bug.
+    The k^2 bipartite rows, two nonzeros each, form the dual of the transport
+    LP; by McShane extension their optimum equals the all-pairs form
+    |xi(x) - xi(y)| <= |x - y| over every pair of charge locations.  Equals
+    the primal minimal-connection length on finite supports.  The LP is always
+    feasible (xi = 0); a non-zero status indicates a bug.
     """
     k = cfg.k
     if k == 0:
         return 0.0
-    points = np.vstack([cfg.positives, cfg.negatives])
-    m = points.shape[0]
+    # variables: xi(P_0..P_{k-1}), then xi(N_0..N_{k-1}); row i*k + j is pair (i, j)
+    pos, neg = np.divmod(np.arange(k * k), k)
+    rows = np.repeat(np.arange(k * k), 2)
+    cols = np.column_stack([pos, k + neg]).ravel()
+    data = np.tile([1.0, -1.0], k * k)
+    A_ub = csr_array((data, (rows, cols)), shape=(k * k, 2 * k))
     c = np.concatenate([-np.ones(k), np.ones(k)])  # minimize -> maximize
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    rows = []
-    rhs = []
-    for i, j in pairs:
-        d = float(np.linalg.norm(points[i] - points[j]))
-        row = np.zeros(m)
-        row[i], row[j] = 1.0, -1.0
-        rows.append(row.copy())
-        rhs.append(d)
-        row[i], row[j] = -1.0, 1.0
-        rows.append(row)
-        rhs.append(d)
     # xi is defined up to an additive constant; pin the first potential.
-    bounds = [(0.0, 0.0)] + [(None, None)] * (m - 1)
-    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs")
+    bounds = [(0.0, 0.0)] + [(None, None)] * (2 * k - 1)
+    res = linprog(c, A_ub=A_ub, b_ub=cfg.distance_matrix().ravel(), bounds=bounds,
+                  method="highs", options=_LP_OPTIONS)
     if res.status != 0:
         raise NumericalError(f"Kantorovich LP failed (status {res.status}): {res.message}")
     return float(-res.fun)

@@ -190,6 +190,15 @@ class TestSigma:
     def test_missing_spec_exit_2(self):
         assert run(["sigma"]) == 2
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_exit_2(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "charges.json"
+        cfg.write_text(json.dumps({"positives": [[0, 0, bad]], "negatives": [[0, 0, 1]]}))
+        assert run(["sigma", "--spec", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: cannot load charge configuration: "
+                       "non-finite coordinate in positives"]
+
 
 def strict_load(path):
     """Parse a JSON file, rejecting the non-standard NaN/Infinity tokens."""

@@ -1,7 +1,11 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from axisphere.connection import (
     ConnectionResult,
@@ -47,6 +51,72 @@ class TestConfig:
     def test_coincident_opposite_pair_allowed(self):
         cfg = SingularityConfig(positives=[[0.5, 0, 0]], negatives=[[0.5, 0, 0]])
         assert min_connection_bruteforce(cfg).length == 0.0
+
+    def test_signed_zero_duplicate_rejected(self):
+        with pytest.raises(ValueError, match="duplicate point in negatives"):
+            SingularityConfig(
+                positives=[[0, 0, 0], [1, 0, 0]],
+                negatives=[[0, 1, 1], [-0.0, 1, 1]],
+            )
+
+    def test_duplicate_message_names_point(self):
+        with pytest.raises(ValueError) as info:
+            SingularityConfig(
+                positives=[[3, 0, 0], [0.25, -2, 7], [1, 1, 1], [0.25, -2, 7]],
+                negatives=[[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]],
+            )
+        message = str(info.value)
+        assert message.startswith("duplicate point in positives:")
+        assert str(np.array([0.25, -2.0, 7.0])) in message
+
+    def test_duplicate_check_matches_pairwise_reference(self):
+        # coarse integer grids make repeated points common
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            k = int(rng.integers(0, 6))
+            pos = rng.integers(-1, 2, (k, 3)).astype(float)
+            neg = rng.integers(-1, 2, (k, 3)).astype(float)
+            repeated = any(
+                np.all(pts[i] == pts[j])
+                for pts in (pos, neg) for i in range(k) for j in range(i + 1, k)
+            )
+            if repeated:
+                with pytest.raises(ValueError, match="duplicate point"):
+                    SingularityConfig(positives=pos, negatives=neg)
+            else:
+                assert SingularityConfig(positives=pos, negatives=neg).k == k
+
+    def test_coincident_opposite_pairs_among_many_allowed(self):
+        pts = [[0, 0, 0], [1, 2, 3], [-1, 0.5, 2]]
+        cfg = SingularityConfig(positives=pts, negatives=pts[::-1])
+        assert cfg.k == 3
+        assert min_connection_assignment(cfg).length == pytest.approx(
+            min_connection_bruteforce(cfg).length, abs=1e-14
+        )
+
+    def test_single_and_empty(self):
+        one = SingularityConfig(positives=[[0, 0, 0]], negatives=[[0, 0, 2]])
+        assert one.k == 1
+        assert kantorovich_dual(one) == pytest.approx(2.0, abs=1e-9)
+        empty = SingularityConfig(positives=np.empty((0, 3)), negatives=np.empty((0, 3)))
+        assert empty.k == 0
+        assert kantorovich_dual(empty) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["positives", "negatives"])
+    def test_non_finite_rejected(self, bad, name):
+        points = {"positives": [[0, 0, 0], [1, 0, 0]], "negatives": [[0, 1, 0], [1, 1, 0]]}
+        points[name][1][2] = bad
+        with pytest.raises(ValueError, match=f"non-finite coordinate in {name}"):
+            SingularityConfig(**points)
+
+    def test_nan_rows_not_merged(self):
+        # two NaN rows must fail as non-finite, never pass or fail as a duplicate
+        with pytest.raises(ValueError, match="non-finite"):
+            SingularityConfig(
+                positives=[[math.nan, 0, 0], [math.nan, 0, 0]],
+                negatives=[[0, 1, 0], [1, 1, 0]],
+            )
 
     def test_json_round_trip(self):
         text = SQUARE.to_json()
@@ -147,6 +217,24 @@ class TestKantorovichDual:
             dual = kantorovich_dual(cfg)
             assert dual == pytest.approx(primal, abs=1e-9)
 
+    def test_near_tie_within_lp_tolerance(self):
+        # the pairings differ by 2e-8, below HiGHS's default feasibility tolerance
+        positives = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0.5]])
+        negatives = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 1e-8]])
+        for perm in itertools.permutations(range(3)):
+            cfg = SingularityConfig(positives=positives[list(perm)], negatives=negatives)
+            assert kantorovich_dual(cfg) == pytest.approx(0.5 - 1e-8, abs=1e-9)
+
+    def test_large_k_matches_assignment(self):
+        # k = 200: the all-pairs dense form would need over 0.5 GB here
+        rng = np.random.default_rng(2024)
+        cfg = random_config(rng, 200)
+        t0 = time.perf_counter()
+        dual = kantorovich_dual(cfg)
+        elapsed = time.perf_counter() - t0
+        assert dual == pytest.approx(min_connection_assignment(cfg).length, abs=1e-9)
+        assert elapsed < 10.0
+
 
 class TestInvariances:
     def test_relabeling(self):
@@ -183,6 +271,60 @@ class TestInvariances:
             assert min_connection_assignment(scaled).length == pytest.approx(
                 lam * base, rel=1e-12
             )
+
+
+coords = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
+point = st.tuples(coords, coords, coords)
+
+
+def distinct(pts):
+    return len(np.unique(pts, axis=0)) == len(pts)
+
+
+@st.composite
+def configs(draw, max_k=9):
+    k = draw(st.integers(min_value=1, max_value=max_k))
+    positives = draw(st.lists(point, min_size=k, max_size=k, unique=True))
+    negatives = draw(st.lists(point, min_size=k, max_size=k, unique=True))
+    return SingularityConfig(positives=positives, negatives=negatives)
+
+
+class TestProperties:
+    """Properties of the three minimal-connection routes for k <= 9."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(configs())
+    def test_three_routes_agree(self, cfg):
+        brute = min_connection_bruteforce(cfg).length
+        assert min_connection_assignment(cfg).length == pytest.approx(brute, abs=1e-9)
+        assert kantorovich_dual(cfg) == pytest.approx(brute, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(configs(), point, st.randoms(use_true_random=False))
+    def test_dual_translation_and_relabeling(self, cfg, shift, random):
+        base = kantorovich_dual(cfg)
+        v = np.array(shift)
+        # rounding may merge two points of a class (1e-300 + 1 == 1); skip those draws
+        assume(all(distinct(pts + v) for pts in (cfg.positives, cfg.negatives)))
+        moved = SingularityConfig(positives=cfg.positives + v, negatives=cfg.negatives + v)
+        assert kantorovich_dual(moved) == pytest.approx(base, abs=1e-9)
+        pos_perm = random.sample(range(cfg.k), cfg.k)
+        neg_perm = random.sample(range(cfg.k), cfg.k)
+        relabeled = SingularityConfig(
+            positives=cfg.positives[pos_perm], negatives=cfg.negatives[neg_perm]
+        )
+        assert kantorovich_dual(relabeled) == pytest.approx(base, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(configs(), st.floats(min_value=0.01, max_value=100.0))
+    def test_dual_dilation(self, cfg, lam):
+        base = kantorovich_dual(cfg)
+        # underflow may merge two tiny coordinates of a class; skip those draws
+        assume(all(distinct(pts * lam) for pts in (cfg.positives, cfg.negatives)))
+        scaled = SingularityConfig(positives=cfg.positives * lam, negatives=cfg.negatives * lam)
+        # each value is exact up to the routes' 1e-9, at its own scale: the LP
+        # tolerance is absolute, so a near-tie may resolve at one scale only
+        assert kantorovich_dual(scaled) == pytest.approx(lam * base, abs=1e-9 * (1 + lam))
 
 
 class TestRelaxedEnergy:
