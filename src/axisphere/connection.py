@@ -46,14 +46,26 @@ _BRUTEFORCE_MAX = 9
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
+def _point_rows(points, name: str) -> np.ndarray:
+    """``points`` as a ``(k, 3)`` array; an empty class has k = 0, and any
+    other shape raises ValueError rather than being re-cut into rows."""
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        return pts.reshape(0, 3)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"{name} must be a list of [x, y, z] rows, got shape {pts.shape}")
+    return pts
+
+
 @dataclass(frozen=True)
 class SingularityConfig:
     """Signed, integer-weighted point charges in R^3.
 
-    ``positives`` and ``negatives`` must be balanced (equal counts; total
-    degree zero) and each sign class must consist of distinct points.  A
-    positive may coincide with a negative (a removable pair).  All charges
-    carry the same absolute degree ``multiplicity``.
+    ``positives`` and ``negatives`` are ``(k, 3)`` arrays of points and
+    must be balanced (equal counts; total degree zero), and each sign class
+    must consist of distinct points.  A positive may coincide with a
+    negative (a removable pair).  All charges carry the same absolute
+    degree ``multiplicity``.
     """
 
     positives: np.ndarray
@@ -61,8 +73,8 @@ class SingularityConfig:
     multiplicity: int = 1
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.positives, dtype=float).reshape(-1, 3)
-        neg = np.asarray(self.negatives, dtype=float).reshape(-1, 3)
+        pos = _point_rows(self.positives, "positives")
+        neg = _point_rows(self.negatives, "negatives")
         if pos.shape[0] != neg.shape[0]:
             raise ValueError(
                 f"unbalanced charges: {pos.shape[0]} positives, {neg.shape[0]} negatives"
@@ -89,10 +101,14 @@ class SingularityConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SingularityConfig":
+        """Load ``{"multiplicity", "positives", "negatives"}``; each class is
+        a list of ``[x, y, z]`` rows, and an empty or missing class has none."""
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError("charge configuration must be a JSON object")
         return cls(
-            positives=np.array(d.get("positives", []), dtype=float).reshape(-1, 3),
-            negatives=np.array(d.get("negatives", []), dtype=float).reshape(-1, 3),
+            positives=d.get("positives", []),
+            negatives=d.get("negatives", []),
             multiplicity=int(d.get("multiplicity", 1)),
         )
 

@@ -187,6 +187,12 @@ class TestSigma:
         cfg.write_text("{not json")
         assert run(["sigma", "--spec", str(cfg)]) == 2
 
+    def test_malformed_rows_exit_2(self, tmp_path):
+        cfg = tmp_path / "charges.json"
+        cfg.write_text(json.dumps({"positives": [[0, 0, 0, 1, 1, 1]],
+                                   "negatives": [[0, 0, 1], [1, 0, 0]]}))
+        assert run(["sigma", "--spec", str(cfg)]) == 2
+
     def test_missing_spec_exit_2(self):
         assert run(["sigma"]) == 2
 

@@ -131,6 +131,26 @@ class TestConfig:
         assert cfg.multiplicity == 2
         assert cfg.k == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"positives": [[0,0,0,1,1,1]], "negatives": [[0,0,1],[1,0,0]]}',
+        '{"positives": [0,0,1], "negatives": [[0,0,1]]}',
+        '{"positives": [[0,0,1],[1,2]], "negatives": [[0,0,1],[1,0,0]]}',
+        '[[0,0,1]]',
+    ])
+    def test_json_malformed_rows_rejected(self, text):
+        with pytest.raises(ValueError):
+            SingularityConfig.from_json(text)
+
+    def test_rows_not_recut(self):
+        with pytest.raises(ValueError, match=r"\(1, 6\)"):
+            SingularityConfig(positives=[[0, 0, 0, 1, 1, 1]], negatives=[[0, 0, 1], [1, 0, 0]])
+
+    @pytest.mark.parametrize("text", ['{"positives": [], "negatives": []}', '{}'])
+    def test_json_empty_or_missing_class(self, text):
+        cfg = SingularityConfig.from_json(text)
+        assert cfg.k == 0
+        assert cfg.positives.shape == cfg.negatives.shape == (0, 3)
+
 
 class TestBruteForce:
     def test_single_axis_pair(self):

@@ -3,16 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from axisphere.energy import (
     EnergyReport,
     MeridianField,
+    _MeridianSystem,
     area_radial,
     conformality_gap,
     detect_defect_intervals,
     dirichlet_energy_radial,
     energy_3d,
+    meridian_cell_energy,
+    meridian_cell_energy_grad,
     meridian_from_profile,
+    minimize_meridian_energy,
     monotone_area_bound,
     psi_gain,
     slice_energies,
@@ -292,3 +297,131 @@ class TestPsiGain:
         fld = meridian_from_profile(profile, np.linspace(-1, 1, 5), defects=[(-1.0, 1.0)])
         with pytest.raises(ValueError):
             psi_gain(fld, 0.123, 0.25)
+
+
+def box_mask(shape):
+    fixed = np.zeros(shape, dtype=bool)
+    fixed[0, :] = fixed[-1, :] = fixed[:, 0] = fixed[:, -1] = True
+    return fixed
+
+
+class TestMeridianKernel:
+    """The fused energy/gradient/curvature pass and the sparse Hessian of
+    the relaxation, against the reference cell functions."""
+
+    @staticmethod
+    def field(rng, low, high):
+        r = np.geomspace(1e-2, 1.0, 9)
+        z = np.linspace(-0.5, 0.5, 7)
+        return r, z, rng.uniform(low, high, (r.size, z.size))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fused_matches_reference(self, n):
+        rng = np.random.default_rng(n)
+        r, z, phi = self.field(rng, 0.0, math.pi)
+        energy, grad, cos2 = _MeridianSystem(r, z, box_mask(phi.shape), n).evaluate(phi)
+        assert energy == pytest.approx(meridian_cell_energy(r, z, phi, n), rel=1e-13)
+        ref = meridian_cell_energy_grad(r, z, phi, n)
+        assert np.max(np.abs(grad - ref)) <= 1e-13 * np.max(np.abs(ref))
+        phi_m = (phi[:-1, :-1] + phi[1:, :-1] + phi[:-1, 1:] + phi[1:, 1:]) / 4.0
+        assert np.allclose(cos2, np.cos(2.0 * phi_m), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_gradient_central_differences(self, n):
+        rng = np.random.default_rng(10 + n)
+        r, z, phi = self.field(rng, 0.0, math.pi)
+        grad = meridian_cell_energy_grad(r, z, phi, n)
+        h = 1e-6
+        for i, j in zip(rng.integers(0, r.size, 12), rng.integers(0, z.size, 12)):
+            up, down = phi.copy(), phi.copy()
+            up[i, j] += h
+            down[i, j] -= h
+            fd = (meridian_cell_energy(r, z, up, n) - meridian_cell_energy(r, z, down, n)) / (2 * h)
+            assert fd == pytest.approx(grad[i, j], abs=1e-7 * np.max(np.abs(grad)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_hessian_vector_products(self, n):
+        # phi_m on both sides of pi/4: the curvature term changes sign
+        rng = np.random.default_rng(20 + n)
+        r, z, phi = self.field(rng, math.pi / 4 - 0.5, math.pi / 4 + 0.5)
+        fixed = box_mask(phi.shape)
+        system = _MeridianSystem(r, z, fixed, n)
+        _, _, cos2 = system.evaluate(phi)
+        assert np.any(cos2 > 0.1) and np.any(cos2 < -0.1)
+        hess = system.hessian(cos2)
+        h = 1e-5
+        for _ in range(4):
+            v = rng.normal(size=phi.shape)
+            v[fixed] = 0.0
+            g_up = system.evaluate(phi + h * v)[1]
+            g_down = system.evaluate(phi - h * v)[1]
+            fd = ((g_up - g_down) / (2 * h))[~fixed]
+            hv = hess @ v[~fixed]
+            assert np.max(np.abs(hv - fd)) <= 1e-7 * np.max(np.abs(hv))
+        # clipping the curvature at 0 leaves a positive definite matrix, and
+        # active nodes keep only their kinetic diagonal
+        assert np.min(np.linalg.eigvalsh(system.hessian(cos2, convex=True).toarray())) > 0.0
+        active = rng.random(system.kinetic_diag.size) < 0.3
+        masked = system.hessian(cos2, active=active).toarray()
+        assert np.array_equal(np.diag(masked)[active], system.kinetic_diag[active])
+        off = masked - np.diag(np.diag(masked))
+        assert not off[active].any() and not off[:, active].any()
+        keep = ~active
+        assert np.array_equal(masked[np.ix_(keep, keep)], hess.toarray()[np.ix_(keep, keep)])
+
+
+def dipole_box(rng, n, nodes, jitter=0.1):
+    """The dipole-tradeoff box [0, r_box] x [-delta, delta]: the background
+    profile pinned on the outer edge and the z ends, the axis flipped to pi,
+    and the interior started from the background plus seeded noise."""
+    alpha, delta = (0.25, 0.35) if n == 1 else (0.05, 0.35)
+    r = np.geomspace(1e-3 * delta, delta, nodes)
+    z = np.linspace(-delta, delta, nodes)
+    phi = np.tile(2.0 * np.arctan(alpha * r ** n)[:, None], (1, nodes))
+    fixed = box_mask(phi.shape)
+    phi[0, 1:-1] = math.pi
+    phi[~fixed] = np.clip(phi[~fixed] + rng.normal(0.0, jitter, int(np.sum(~fixed))),
+                          0.0, math.pi)
+    return r, z, phi, fixed
+
+
+class TestMeridianRelaxation:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("nodes", [17, 33])
+    def test_certificate(self, n, nodes):
+        rng = np.random.default_rng([n, nodes])
+        r, z, phi0, fixed = dipole_box(rng, n, nodes)
+        # near the reference's own gtol: at 1e-5 the flat directions of the
+        # n = 2 box leave up to 2e-9 of relative energy on the table
+        gtol = 1e-8
+        res = minimize_meridian_energy(r, z, phi0, fixed, n, gtol=gtol)
+        free = ~fixed
+        x = res.phi[free]
+        g = meridian_cell_energy_grad(r, z, res.phi, n)[free]
+        g[((x <= 0.0) & (g > 0.0)) | ((x >= math.pi) & (g < 0.0))] = 0.0
+        assert res.converged
+        assert np.max(np.abs(g)) <= gtol
+        assert res.grad_norm == pytest.approx(np.max(np.abs(g)), rel=1e-9, abs=1e-15)
+        assert np.all(res.phi >= 0.0) and np.all(res.phi <= math.pi)
+        assert np.array_equal(res.phi[fixed], phi0[fixed])
+        assert res.energy == pytest.approx(meridian_cell_energy(r, z, res.phi, n), rel=1e-13)
+        assert res.energy <= meridian_cell_energy(r, z, phi0, n)
+
+        work = phi0.copy()
+
+        def fun(v):
+            work[free] = v
+            return (meridian_cell_energy(r, z, work, n),
+                    meridian_cell_energy_grad(r, z, work, n)[free])
+
+        ref = minimize(fun, phi0[free], jac=True, method="L-BFGS-B",
+                       bounds=[(0.0, math.pi)] * int(np.sum(free)),
+                       options={"maxiter": 20000, "maxcor": 20, "ftol": 1e-15, "gtol": 1e-9})
+        assert res.energy <= ref.fun + 1e-9 * abs(ref.fun)
+
+    def test_iteration_limit_reported(self):
+        r, z, phi0, fixed = dipole_box(np.random.default_rng(0), 2, 17)
+        res = minimize_meridian_energy(r, z, phi0, fixed, 2, maxiter=1)
+        assert res.iterations == 1
+        assert not res.converged
+        assert res.grad_norm > 1e-5
