@@ -17,6 +17,10 @@ Quadrature follows the piecewise-linear interpolant of the stored nodes:
 derivative terms are integrated exactly per cell, the angular term by the
 trapezoid rule, and the area term by the exact per-cell increment
 |cos(phi_i) - cos(phi_{i+1})| (no smoothing across sign changes of phi').
+The discrete E - A is the integral above plus the angular term's trapezoid
+error, so it is not bounded below by 0: a conformal profile's is O(dr^2) and
+of either sign.  The 3-D functionals take all of a field's slices and its
+z-derivative part in one pass over blocks of r-rows, with the same cell rules.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "psi_gain",
     "z_derivative_energy",
     "slice_energies",
+    "slice_areas",
     "meridian_from_profile",
     "detect_defect_intervals",
     "meridian_cell_energy",
@@ -117,11 +122,26 @@ def _clamped_cells(
     return nodes, values
 
 
-def _angular_density(phi: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """sin^2(phi)/r at nodes; 0 at r = 0 (axis nodes map to a pole)."""
-    out = np.zeros_like(phi)
-    np.divide(np.sin(phi) ** 2, r, out=out, where=r > 0.0)
-    return out
+def _radial_cells(
+    profile: RadialProfile, interval: tuple[float, float] | None
+) -> tuple[float, np.ndarray]:
+    """Kinetic plus angular cell sums over ``interval`` (the Dirichlet
+    energy over pi), and the nodal values they were taken over."""
+    r, phi = _clamped_cells(profile.grid, profile.phi, interval)
+    dr = np.diff(r)
+    if np.any(dr == 0.0):
+        # collapse duplicated cut nodes
+        idx = np.concatenate(([True], dr > 0.0))
+        r, phi = r[idx], phi[idx]
+        dr = np.diff(r)
+        if dr.size == 0:
+            return 0.0, phi
+    slope = np.diff(phi) / dr
+    kinetic = np.sum(slope ** 2 * (r[1:] ** 2 - r[:-1] ** 2)) / 2.0
+    dens = np.zeros_like(phi)  # sin^2(phi)/r, 0 at r = 0 (the axis maps to a pole)
+    np.divide(np.sin(phi) ** 2, r, out=dens, where=r > 0.0)
+    angular = profile.n ** 2 * np.sum((dens[:-1] + dens[1:]) / 2.0 * dr)
+    return kinetic + angular, phi
 
 
 def dirichlet_energy_radial(
@@ -132,21 +152,7 @@ def dirichlet_energy_radial(
     Equals half the squared-gradient integral of the generated map over the
     annulus.  Invariant under grid dilation r -> lambda r.
     """
-    r, phi = _clamped_cells(profile.grid, profile.phi, interval)
-    dr = np.diff(r)
-    if np.any(dr == 0.0):
-        keep = dr > 0.0
-        # collapse duplicated cut nodes
-        idx = np.concatenate(([True], keep))
-        r, phi = r[idx], phi[idx]
-        dr = np.diff(r)
-        if dr.size == 0:
-            return 0.0
-    slope = np.diff(phi) / dr
-    kinetic = np.sum(slope ** 2 * (r[1:] ** 2 - r[:-1] ** 2)) / 2.0
-    dens = _angular_density(phi, r)
-    angular = profile.n ** 2 * np.sum((dens[:-1] + dens[1:]) / 2.0 * dr)
-    return math.pi * float(kinetic + angular)
+    return math.pi * float(_radial_cells(profile, interval)[0])
 
 
 def area_radial(
@@ -189,25 +195,13 @@ def conformality_gap(
     Expanding the square, the three terms are integrated with the same cell
     rules as the energy and area functionals (derivative term exact, angular
     term trapezoid, cross term exact per cell), so the result agrees with
-    dirichlet_energy_radial - area_radial to rounding.  Zero exactly on
-    conformal profiles f = c r^{+-n}.
+    dirichlet_energy_radial - area_radial to rounding.  The integral is zero
+    exactly on conformal profiles f = c r^{+-n}; the discrete value keeps the
+    angular term's trapezoid error, O(dr^2) and of either sign.
     """
-    r, phi = _clamped_cells(profile.grid, profile.phi, interval)
-    dr = np.diff(r)
-    keep = dr > 0.0
-    if not np.all(keep):
-        idx = np.concatenate(([True], keep))
-        r, phi = r[idx], phi[idx]
-        dr = np.diff(r)
-        if dr.size == 0:
-            return 0.0
-    n = profile.n
-    slope = np.diff(phi) / dr
-    kinetic = np.sum(slope ** 2 * (r[1:] ** 2 - r[:-1] ** 2)) / 2.0
-    dens = _angular_density(phi, r)
-    angular = n ** 2 * np.sum((dens[:-1] + dens[1:]) / 2.0 * dr)
-    cross = 2.0 * n * np.sum(np.abs(np.diff(np.cos(phi))))
-    return math.pi * float(kinetic + angular - cross)
+    energy, phi = _radial_cells(profile, interval)
+    cross = 2.0 * profile.n * np.sum(np.abs(np.diff(np.cos(phi))))
+    return math.pi * float(energy - cross)
 
 
 @dataclass(frozen=True)
@@ -237,9 +231,10 @@ class MeridianField:
             raise ValueError("grids must be strictly increasing")
         if phi.shape != (r.size, z.size):
             raise ValueError(f"phi must have shape {(r.size, z.size)}, got {phi.shape}")
-        if np.any(np.isnan(phi)):
+        lo, hi = phi.min(), phi.max()  # a NaN propagates into both
+        if math.isnan(lo) or math.isnan(hi):
             raise ValueError("phi contains NaN")
-        if np.any(phi < -1e-12) or np.any(phi > math.pi + 1e-12):
+        if lo < -1e-12 or hi > math.pi + 1e-12:
             raise ValueError("phi values must lie in [0, pi]")
         if int(self.n) < 1:
             raise ValueError("winding number n must be >= 1")
@@ -327,7 +322,8 @@ def meridian_from_profile(
 ) -> MeridianField:
     """z-independent field built by extruding a radial profile."""
     z_grid = np.asarray(z_grid, dtype=float)
-    phi = np.tile(profile.phi[:, None], (1, z_grid.size))
+    # a read-only view; the field's clip makes the one copy
+    phi = np.broadcast_to(profile.phi[:, None], (profile.phi.size, z_grid.size))
     return MeridianField(r_grid=profile.grid, z_grid=z_grid, phi=phi,
                          n=profile.n, defects=tuple(defects))
 
@@ -350,37 +346,66 @@ def detect_defect_intervals(field: MeridianField, threshold: float = math.pi / 2
     return tuple((a, b) for a, b in intervals if b > a)
 
 
+# r-cells per block of the 3-D quadrature: a block's temporaries (0.27 MB
+# each at 65 z-nodes) stay in a 2 MB L2 cache; 256 to 1024 time alike there.
+_ROW_BLOCK = 512
+
+
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    w = np.zeros_like(x)
+    w[:-1] += np.diff(x) / 2.0
+    w[1:] += np.diff(x) / 2.0
+    return w
+
+
+def _field_cells(field: MeridianField) -> tuple[np.ndarray, np.ndarray, float]:
+    """Slice energies, slice areas and the z-derivative part, in one pass
+    over blocks of r-rows with the radial cell rules: per r-cell the exact
+    kinetic term and area increment |cos phi_{i+1} - cos phi_i|, per node
+    (trapezoid weights t_i in r) the angular term n^2 sin^2(phi_i) t_i / r_i
+    (0 at r = 0) and the z-part r_i t_i sum_j (phi_{i,j+1} - phi_{i,j})^2 / dz_j.
+
+    Blocks share their seam row: a block's node terms stop before its last
+    row, which the next block takes.  Temporaries are of block size.
+    """
+    r, phi, n = field.r_grid, field.phi, field.n
+    t_r = _trapezoid_weights(r)
+    w_kin = (r[1:] ** 2 - r[:-1] ** 2) / (2.0 * np.diff(r) ** 2)
+    w_ang = np.zeros_like(r)
+    np.divide(n ** 2 * t_r, r, out=w_ang, where=r > 0.0)
+    w_z, inv_dz = r * t_r, 1.0 / np.diff(field.z_grid)
+    kin, ang, area = (np.zeros(phi.shape[1]) for _ in range(3))
+    e_z = 0.0
+    last = r.size - 1
+    for lo in range(0, last, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, last)
+        top = last + 1 if hi == last else hi  # end of the block's node rows
+        block, nodes = phi[lo:hi + 1], phi[lo:top]
+        d = block[1:] - block[:-1]
+        kin += w_kin[lo:hi] @ np.multiply(d, d, out=d)
+        c = np.cos(block)
+        area += np.abs(np.subtract(c[1:], c[:-1], out=d), out=d).sum(axis=0)
+        s = np.sin(nodes, out=c[:top - lo])
+        ang += w_ang[lo:top] @ np.multiply(s, s, out=s)
+        d_z = nodes[:, 1:] - nodes[:, :-1]
+        e_z += float(w_z[lo:top] @ (np.multiply(d_z, d_z, out=d_z) @ inv_dz))
+    return math.pi * (kin + ang), 2.0 * math.pi * n * area, math.pi * e_z
+
+
 def slice_energies(field: MeridianField) -> np.ndarray:
     """Per-z-node slice Dirichlet energies, by the radial cell rule."""
-    r = field.r_grid
-    phi = field.phi
-    dr = np.diff(r)[:, None]
-    slope = np.diff(phi, axis=0) / dr
-    kin = np.sum(slope ** 2 * (r[1:, None] ** 2 - r[:-1, None] ** 2), axis=0) / 2.0
-    dens = np.zeros_like(phi)
-    np.divide(np.sin(phi) ** 2, r[:, None], out=dens, where=r[:, None] > 0.0)
-    ang = field.n ** 2 * np.sum((dens[:-1, :] + dens[1:, :]) / 2.0 * dr, axis=0)
-    return math.pi * (kin + ang)
+    return _field_cells(field)[0]
 
 
 def slice_areas(field: MeridianField) -> np.ndarray:
     """Per-z-node slice areas with multiplicity (exact per-cell increments)."""
-    return (2.0 * math.pi * field.n
-            * np.sum(np.abs(np.diff(np.cos(field.phi), axis=0)), axis=0))
+    return _field_cells(field)[1]
 
 
 def z_derivative_energy(field: MeridianField) -> float:
     """The z-derivative part pi * Int Int phi_z^2 r dr dz (cells in z,
     trapezoid weights in r)."""
-    r, z, phi = field.r_grid, field.z_grid, field.phi
-    dz = np.diff(z)[None, :]
-    slope_z = np.diff(phi, axis=1) / dz
-    col = np.sum(slope_z ** 2 * dz, axis=1)
-    w_r = np.zeros_like(r)
-    dr = np.diff(r)
-    w_r[:-1] += dr / 2.0
-    w_r[1:] += dr / 2.0
-    return math.pi * float(np.sum(col * r * w_r))
+    return _field_cells(field)[2]
 
 
 def energy_3d(field: MeridianField) -> EnergyReport:
@@ -390,16 +415,13 @@ def energy_3d(field: MeridianField) -> EnergyReport:
     pi (phi_r^2 + phi_z^2 + n^2 sin^2 phi / r^2) r over the cylinder
     (trapezoid weights in z over the radial cell rule, plus the z-derivative
     part); A integrates the slice areas over z; the mass term is
-    4 pi n * (total defect length); total = E + mass_term.
+    4 pi n * (total defect length); total = E + mass_term.  All three
+    parts come from one blocked pass over the field.
     """
-    z = field.z_grid
-    dz = np.diff(z)
-    w_z = np.zeros_like(z)
-    w_z[:-1] += dz / 2.0
-    w_z[1:] += dz / 2.0
-    E_slices = float(np.sum(slice_energies(field) * w_z))
-    E = E_slices + z_derivative_energy(field)
-    A = float(np.sum(slice_areas(field) * w_z))
+    energies, areas, e_z = _field_cells(field)
+    w_z = _trapezoid_weights(field.z_grid)
+    E = float(energies @ w_z) + e_z
+    A = float(areas @ w_z)
     mass_term = _FOUR_PI * field.n * field.defect_length()
     return EnergyReport.assemble(E=E, A=A, mass_term=mass_term)
 

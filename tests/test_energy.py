@@ -1,11 +1,15 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from axisphere.energy import (
+    _ROW_BLOCK,
     EnergyReport,
     MeridianField,
     _MeridianSystem,
@@ -20,6 +24,7 @@ from axisphere.energy import (
     minimize_meridian_energy,
     monotone_area_bound,
     psi_gain,
+    slice_areas,
     slice_energies,
     z_derivative_energy,
 )
@@ -255,6 +260,169 @@ class TestMeridianField:
         assert np.array_equal(back.phi, fld.phi)
         assert back.defects == fld.defects
         assert back.n == fld.n
+
+
+def trapezoid(x):
+    w = np.zeros_like(x)
+    w[:-1] += np.diff(x) / 2.0
+    w[1:] += np.diff(x) / 2.0
+    return w
+
+
+def separate_sweeps(fld):
+    """The field functionals as three whole-field sweeps: the reference the
+    blocked kernel is checked against."""
+    r, z, phi, n = fld.r_grid, fld.z_grid, fld.phi, fld.n
+    dr = np.diff(r)[:, None]
+    slope = np.diff(phi, axis=0) / dr
+    kin = np.sum(slope ** 2 * (r[1:, None] ** 2 - r[:-1, None] ** 2), axis=0) / 2.0
+    dens = np.zeros_like(phi)
+    np.divide(np.sin(phi) ** 2, r[:, None], out=dens, where=r[:, None] > 0.0)
+    ang = n ** 2 * np.sum((dens[:-1, :] + dens[1:, :]) / 2.0 * dr, axis=0)
+    energies = math.pi * (kin + ang)
+    areas = 2.0 * math.pi * n * np.sum(np.abs(np.diff(np.cos(phi), axis=0)), axis=0)
+    dz = np.diff(z)[None, :]
+    col = np.sum((np.diff(phi, axis=1) / dz) ** 2 * dz, axis=1)
+    e_z = math.pi * float(np.sum(col * r * trapezoid(r)))
+    w_z = trapezoid(z)
+    return energies, areas, e_z, float(np.sum(energies * w_z)) + e_z, float(np.sum(areas * w_z))
+
+
+class TestFieldKernel:
+    """The blocked pass of the 3-D functionals against whole-field sweeps,
+    at row counts on both sides of the block seams."""
+
+    B = _ROW_BLOCK
+
+    @pytest.mark.parametrize("z_nodes", [2, 17])
+    @pytest.mark.parametrize("r_nodes", [2, 3, B, B + 1, B + 2, 2 * B + 1, 3 * B + 7])
+    def test_matches_separate_sweeps(self, r_nodes, z_nodes):
+        rng = np.random.default_rng(1000 * r_nodes + z_nodes)
+        r = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 1.0, r_nodes - 1)))) / r_nodes
+        z = np.cumsum(rng.uniform(0.05, 1.0, z_nodes)) - 1.0
+        phi = rng.uniform(0.0, math.pi, (r_nodes, z_nodes))
+        fld = MeridianField(r, z, phi, 2, defects=[(z[0], z[-1])])
+        energies, areas, e_z, E, A = separate_sweeps(fld)
+        np.testing.assert_allclose(slice_energies(fld), energies, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(slice_areas(fld), areas, rtol=1e-13, atol=0.0)
+        assert z_derivative_energy(fld) == pytest.approx(e_z, rel=1e-13, abs=0.0)
+        rep = energy_3d(fld)
+        assert rep.E == pytest.approx(E, rel=1e-13, abs=0.0)
+        assert rep.A == pytest.approx(A, rel=1e-13, abs=0.0)
+        assert rep.mass_term == FOUR_PI * 2 * (z[-1] - z[0])
+
+    def test_memory_is_block_sized(self):
+        # the criterion-7 field: 32769 x 65 doubles, 17 MB; whole-field
+        # sweeps allocate several arrays of that size
+        profile = u0_profile(0.25, 2, geometric_grid(1e-4, 1.0, 32769))
+        fld = meridian_from_profile(profile, np.linspace(-1.0, 1.0, 65), defects=[(-1.0, 1.0)])
+        tracemalloc.start()
+        try:
+            energy_3d(fld)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+
+class TestFieldConstruction:
+    def test_extruded_phi_is_an_owned_copy(self):
+        profile = u0_profile(0.25, 2, geometric_grid(1e-3, 1.0, 65))
+        z = np.linspace(-1.0, 1.0, 9)
+        fld = meridian_from_profile(profile, z, defects=[(-1.0, 1.0)])
+        assert np.array_equal(fld.phi, np.tile(profile.phi[:, None], (1, z.size)))
+        assert fld.phi.flags.owndata and fld.phi.flags.writeable
+        assert fld.phi.flags.c_contiguous
+        fld.phi[0, 0] = 0.0
+        assert profile.phi[0] != 0.0
+
+    def test_clip_leaves_the_input(self):
+        phi = np.array([[-1e-13, 1.0], [2.0, math.pi + 1e-13]])
+        fld = MeridianField(np.array([0.1, 1.0]), np.array([-1.0, 1.0]), phi, 1)
+        assert fld.phi[0, 0] == 0.0 and fld.phi[1, 1] == math.pi
+        assert phi[0, 0] == -1e-13
+
+    @pytest.mark.parametrize("values,message", [
+        ([[0.0, 1.0], [math.nan, 1.0]], "NaN"),
+        ([[0.0, -5.0], [math.nan, 1.0]], "NaN"),
+        ([[0.0, 1.0], [1.0, math.nan]], "NaN"),
+        ([[0.0, 1.0], [-1e-11, 1.0]], r"\[0, pi\]"),
+        ([[0.0, 1.0], [1.0, math.pi + 1e-11]], r"\[0, pi\]"),
+    ])
+    def test_value_errors(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            MeridianField(np.array([0.1, 1.0]), np.array([-1.0, 1.0]), np.array(values), 1)
+
+
+steps = st.floats(min_value=0.1, max_value=1.0)
+
+
+@st.composite
+def fields(draw, axis=True, max_r_nodes=30, max_z_nodes=6):
+    """A random admissible field: phi in [0, pi] on non-uniform grids, the
+    innermost radius 0 (if ``axis``) or in [0.01, 1]."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    r_nodes = draw(st.integers(min_value=2, max_value=max_r_nodes))
+    z_nodes = draw(st.integers(min_value=2, max_value=max_z_nodes))
+    r0 = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)) if axis else st.floats(0.01, 1.0))
+    r = r0 + np.cumsum([0.0] + draw(st.lists(steps, min_size=r_nodes - 1, max_size=r_nodes - 1)))
+    z = np.cumsum(draw(st.lists(steps, min_size=z_nodes, max_size=z_nodes))) - 1.0
+    values = st.floats(min_value=0.0, max_value=math.pi)
+    phi = draw(st.lists(values, min_size=r_nodes * z_nodes, max_size=r_nodes * z_nodes))
+    return MeridianField(r, z, np.reshape(phi, (r_nodes, z_nodes)), n)
+
+
+GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(64)
+
+
+def angular_trapezoid_excess(fld):
+    """Per slice, pi n^2 * sum over r-cells of (trapezoid - exact) integral
+    of sin^2(phi)/r for the piecewise-linear phi, the exact integral taken by
+    64-point Gauss-Legendre in log r.  Needs r > 0."""
+    r, phi = fld.r_grid, fld.phi
+    r0, r1 = r[:-1, None, None], r[1:, None, None]
+    p0, p1 = phi[:-1, :, None], phi[1:, :, None]
+    log_len = np.log(r1 / r0)
+    rr = r0 * np.exp(log_len * (GAUSS_X + 1.0) / 2.0)
+    exact = np.sum(np.sin(p0 + (p1 - p0) * (rr - r0) / (r1 - r0)) ** 2 * GAUSS_W, axis=2)
+    exact *= log_len[..., 0] / 2.0
+    trap = (np.sin(p0[..., 0]) ** 2 / r0[..., 0] + np.sin(p1[..., 0]) ** 2 / r1[..., 0])
+    trap *= (r1 - r0)[..., 0] / 2.0
+    return math.pi * fld.n ** 2 * np.sum(trap - exact, axis=0)
+
+
+class TestFieldProperties:
+    """Properties of the 3-D functionals on random admissible fields."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fields())
+    def test_slice_gap_is_conformality_gap(self, fld):
+        energies, areas = slice_energies(fld), slice_areas(fld)
+        for j in range(fld.z_grid.size):
+            gap = conformality_gap(fld.slice_profile(j))
+            assert abs(energies[j] - areas[j] - gap) <= 1e-13 * (energies[j] + areas[j])
+
+    @settings(max_examples=150, deadline=None)
+    @given(fields(axis=False, max_z_nodes=4))
+    @example(MeridianField(np.array([1.0, 2.0]), np.array([0.0, 1.0]),
+                           np.array([[0.84, 0.84], [1.88, 1.88]]), 2))
+    def test_energy_dominates_area_up_to_angular_quadrature(self, fld):
+        # E >= A holds for the integrals, and the kinetic and area cell rules
+        # are exact for the piecewise-linear phi; the angular trapezoid rule
+        # is not, so the discrete E - A can be negative (the example's is
+        # -0.78).  What remains, E - A - (trapezoid - exact angular), is
+        # pi * sum of the integrals of (|phi_r| - n sin(phi)/r)^2 r >= 0.
+        energies, areas = slice_energies(fld), slice_areas(fld)
+        rest = energies - areas - angular_trapezoid_excess(fld)
+        assert np.all(rest >= -1e-12 * (energies + areas))
+
+    @settings(max_examples=150, deadline=None)
+    @given(fields(), st.floats(min_value=0.01, max_value=100.0))
+    def test_dilation_scales_energy_and_area(self, fld, lam):
+        rep = energy_3d(fld)
+        scaled = energy_3d(MeridianField(lam * fld.r_grid, lam * fld.z_grid, fld.phi, fld.n))
+        assert abs(scaled.E - lam * rep.E) <= 1e-12 * lam * rep.E
+        assert abs(scaled.A - lam * rep.A) <= 1e-12 * lam * rep.A
 
 
 class TestPsiGain:
