@@ -33,7 +33,6 @@ from .geometry import (
     geometric_grid,
     stereo_inverse,
     stereo_project,
-    tilde_u0_value,
     u0_profile,
     u_eps_profile,
 )

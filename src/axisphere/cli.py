@@ -141,10 +141,9 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     vals = _floats(text)
-    out = [int(v) for v in vals]
-    if any(o != v for o, v in zip(out, vals)):
+    if not all(math.isfinite(v) and v == int(v) for v in vals):
         raise InputError(f"expected integers, got {text!r}")
-    return out
+    return [int(v) for v in vals]
 
 
 # ---------------------------------------------------------------------------

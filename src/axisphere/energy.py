@@ -19,8 +19,9 @@ trapezoid rule, and the area term by the exact per-cell increment
 |cos(phi_i) - cos(phi_{i+1})| (no smoothing across sign changes of phi').
 The discrete E - A is the integral above plus the angular term's trapezoid
 error, so it is not bounded below by 0: a conformal profile's is O(dr^2) and
-of either sign.  The 3-D functionals take all of a field's slices and its
-z-derivative part in one pass over blocks of r-rows, with the same cell rules.
+of either sign.  One kernel applies these rules in a pass over blocks of
+r-rows: to a profile as a single column, and to all of a field's slices
+together with its z-derivative part.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .geometry import RadialProfile
+from .geometry import RadialProfile, _checked_colatitudes
 
 __all__ = [
     "EnergyReport",
@@ -99,7 +100,8 @@ def _clamped_cells(
 
     The lower endpoint is clamped up to the first grid node (an interval
     starting at 0 means "from the axis", which the stored grid represents by
-    its innermost node).  An upper endpoint beyond the grid is an error.
+    its innermost node).  An upper endpoint beyond the grid is an error.  An
+    interval of zero length gives a single node, which has no cells.
     """
     if interval is None:
         return grid, phi
@@ -112,36 +114,14 @@ def _clamped_cells(
         raise ValueError(f"interval [{r_a}, {r_b}] below grid range")
     r_a = max(r_a, grid[0])
     r_b = min(r_b, grid[-1])
+    if r_b <= r_a:
+        return np.array([r_a]), np.array([np.interp(r_a, grid, phi)])
     inner = (grid > r_a) & (grid < r_b)
     nodes = np.concatenate(([r_a], grid[inner], [r_b]))
     values = np.concatenate(
         ([np.interp(r_a, grid, phi)], phi[inner], [np.interp(r_b, grid, phi)])
     )
-    if nodes.size < 2 or nodes[-1] == nodes[0]:
-        return np.array([r_a, r_a]), np.array([values[0], values[0]])
     return nodes, values
-
-
-def _radial_cells(
-    profile: RadialProfile, interval: tuple[float, float] | None
-) -> tuple[float, np.ndarray]:
-    """Kinetic plus angular cell sums over ``interval`` (the Dirichlet
-    energy over pi), and the nodal values they were taken over."""
-    r, phi = _clamped_cells(profile.grid, profile.phi, interval)
-    dr = np.diff(r)
-    if np.any(dr == 0.0):
-        # collapse duplicated cut nodes
-        idx = np.concatenate(([True], dr > 0.0))
-        r, phi = r[idx], phi[idx]
-        dr = np.diff(r)
-        if dr.size == 0:
-            return 0.0, phi
-    slope = np.diff(phi) / dr
-    kinetic = np.sum(slope ** 2 * (r[1:] ** 2 - r[:-1] ** 2)) / 2.0
-    dens = np.zeros_like(phi)  # sin^2(phi)/r, 0 at r = 0 (the axis maps to a pole)
-    np.divide(np.sin(phi) ** 2, r, out=dens, where=r > 0.0)
-    angular = profile.n ** 2 * np.sum((dens[:-1] + dens[1:]) / 2.0 * dr)
-    return kinetic + angular, phi
 
 
 def dirichlet_energy_radial(
@@ -152,7 +132,8 @@ def dirichlet_energy_radial(
     Equals half the squared-gradient integral of the generated map over the
     annulus.  Invariant under grid dilation r -> lambda r.
     """
-    return math.pi * float(_radial_cells(profile, interval)[0])
+    r, phi = _clamped_cells(profile.grid, profile.phi, interval)
+    return float(_cells(r, phi[:, None], profile.n, np.empty(0))[0][0])
 
 
 def area_radial(
@@ -192,16 +173,15 @@ def conformality_gap(
     """Conformality defect E - A as the single integral
     pi * Int (|phi'| - n sin(phi)/r)^2 r dr.
 
-    Expanding the square, the three terms are integrated with the same cell
-    rules as the energy and area functionals (derivative term exact, angular
-    term trapezoid, cross term exact per cell), so the result agrees with
+    Expanding the square, it is the energy minus the area, and both come
+    from one pass of the radial cell rules, so the result agrees with
     dirichlet_energy_radial - area_radial to rounding.  The integral is zero
     exactly on conformal profiles f = c r^{+-n}; the discrete value keeps the
     angular term's trapezoid error, O(dr^2) and of either sign.
     """
-    energy, phi = _radial_cells(profile, interval)
-    cross = 2.0 * profile.n * np.sum(np.abs(np.diff(np.cos(phi))))
-    return math.pi * float(energy - cross)
+    r, phi = _clamped_cells(profile.grid, profile.phi, interval)
+    energy, area, _ = _cells(r, phi[:, None], profile.n, np.empty(0))
+    return float(energy[0] - area[0])
 
 
 @dataclass(frozen=True)
@@ -231,11 +211,7 @@ class MeridianField:
             raise ValueError("grids must be strictly increasing")
         if phi.shape != (r.size, z.size):
             raise ValueError(f"phi must have shape {(r.size, z.size)}, got {phi.shape}")
-        lo, hi = phi.min(), phi.max()  # a NaN propagates into both
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("phi contains NaN")
-        if lo < -1e-12 or hi > math.pi + 1e-12:
-            raise ValueError("phi values must lie in [0, pi]")
+        phi = _checked_colatitudes(phi)
         if int(self.n) < 1:
             raise ValueError("winding number n must be >= 1")
         ivs = sorted((float(a), float(b)) for a, b in self.defects)
@@ -249,7 +225,7 @@ class MeridianField:
                 raise ValueError("defect intervals must be disjoint")
         object.__setattr__(self, "r_grid", r)
         object.__setattr__(self, "z_grid", z)
-        object.__setattr__(self, "phi", np.clip(phi, 0.0, math.pi))
+        object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "defects", tuple(ivs))
 
@@ -322,7 +298,7 @@ def meridian_from_profile(
 ) -> MeridianField:
     """z-independent field built by extruding a radial profile."""
     z_grid = np.asarray(z_grid, dtype=float)
-    # a read-only view; the field's clip makes the one copy
+    # a read-only view; the field's colatitude check makes the one copy
     phi = np.broadcast_to(profile.phi[:, None], (profile.phi.size, z_grid.size))
     return MeridianField(r_grid=profile.grid, z_grid=z_grid, phi=phi,
                          n=profile.n, defects=tuple(defects))
@@ -346,39 +322,46 @@ def detect_defect_intervals(field: MeridianField, threshold: float = math.pi / 2
     return tuple((a, b) for a, b in intervals if b > a)
 
 
-# r-cells per block of the 3-D quadrature: a block's temporaries (0.27 MB
-# each at 65 z-nodes) stay in a 2 MB L2 cache; 256 to 1024 time alike there.
-_ROW_BLOCK = 512
+# Entries of phi per block of the radial quadrature: an m-column block has
+# _BLOCK_CELLS // m rows, so its temporaries (0.27 MB each) stay in a 2 MB L2
+# cache.  The default 65-node z grid takes 512 rows (256 to 1024 time alike
+# there); a single profile column takes 33280.
+_BLOCK_CELLS = 512 * 65
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    half = np.diff(x) / 2.0
     w = np.zeros_like(x)
-    w[:-1] += np.diff(x) / 2.0
-    w[1:] += np.diff(x) / 2.0
+    w[:-1] += half
+    w[1:] += half
     return w
 
 
-def _field_cells(field: MeridianField) -> tuple[np.ndarray, np.ndarray, float]:
-    """Slice energies, slice areas and the z-derivative part, in one pass
-    over blocks of r-rows with the radial cell rules: per r-cell the exact
+def _cells(r: np.ndarray, phi: np.ndarray, n: int,
+           inv_dz: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-column Dirichlet energies and areas of ``phi`` (shape (r.size, m))
+    and its z-derivative part, for column spacings 1/dz = ``inv_dz``, in one
+    pass over blocks of r-rows.  The radial cell rules: per r-cell the exact
     kinetic term and area increment |cos phi_{i+1} - cos phi_i|, per node
     (trapezoid weights t_i in r) the angular term n^2 sin^2(phi_i) t_i / r_i
     (0 at r = 0) and the z-part r_i t_i sum_j (phi_{i,j+1} - phi_{i,j})^2 / dz_j.
+    A single column with an empty ``inv_dz`` has z-part 0; a single node has
+    no cells and sums to 0.
 
     Blocks share their seam row: a block's node terms stop before its last
     row, which the next block takes.  Temporaries are of block size.
     """
-    r, phi, n = field.r_grid, field.phi, field.n
     t_r = _trapezoid_weights(r)
     w_kin = (r[1:] ** 2 - r[:-1] ** 2) / (2.0 * np.diff(r) ** 2)
     w_ang = np.zeros_like(r)
     np.divide(n ** 2 * t_r, r, out=w_ang, where=r > 0.0)
-    w_z, inv_dz = r * t_r, 1.0 / np.diff(field.z_grid)
+    w_z = r * t_r
     kin, ang, area = (np.zeros(phi.shape[1]) for _ in range(3))
     e_z = 0.0
     last = r.size - 1
-    for lo in range(0, last, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, last)
+    rows = max(1, _BLOCK_CELLS // phi.shape[1])
+    for lo in range(0, last, rows):
+        hi = min(lo + rows, last)
         top = last + 1 if hi == last else hi  # end of the block's node rows
         block, nodes = phi[lo:hi + 1], phi[lo:top]
         d = block[1:] - block[:-1]
@@ -390,6 +373,11 @@ def _field_cells(field: MeridianField) -> tuple[np.ndarray, np.ndarray, float]:
         d_z = nodes[:, 1:] - nodes[:, :-1]
         e_z += float(w_z[lo:top] @ (np.multiply(d_z, d_z, out=d_z) @ inv_dz))
     return math.pi * (kin + ang), 2.0 * math.pi * n * area, math.pi * e_z
+
+
+def _field_cells(field: MeridianField) -> tuple[np.ndarray, np.ndarray, float]:
+    """Slice energies, slice areas and the z-derivative part of a field."""
+    return _cells(field.r_grid, field.phi, field.n, 1.0 / np.diff(field.z_grid))
 
 
 def slice_energies(field: MeridianField) -> np.ndarray:

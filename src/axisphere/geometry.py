@@ -42,7 +42,6 @@ __all__ = [
     "geometric_grid",
     "u0_profile",
     "u_eps_profile",
-    "tilde_u0_value",
     "degree_from_flux",
 ]
 
@@ -135,6 +134,17 @@ def geometric_grid(r_min: float = 1e-6, r_max: float = 1.0, nodes: int = 2048) -
     return np.geomspace(r_min, r_max, nodes)
 
 
+def _checked_colatitudes(phi: np.ndarray) -> np.ndarray:
+    """A copy of the colatitudes ``phi`` clipped to [0, pi], after one
+    min/max scan that rejects NaN and values more than 1e-12 outside."""
+    lo, hi = phi.min(), phi.max()  # a NaN propagates into both
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError("phi contains NaN")
+    if lo < -1e-12 or hi > math.pi + 1e-12:
+        raise ValueError("phi values must lie in [0, pi]")
+    return np.clip(phi, 0.0, math.pi)
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """A sampled colatitude profile phi(r) of an n-axially symmetric map.
@@ -165,10 +175,8 @@ class RadialProfile:
             raise ValueError("grid must be strictly increasing")
         if grid[0] < 0.0:
             raise ValueError("radii must be nonnegative")
-        if np.any(phi < -1e-12) or np.any(phi > math.pi + 1e-12):
-            raise ValueError("phi values must lie in [0, pi]")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "phi", np.clip(phi, 0.0, math.pi))
+        object.__setattr__(self, "phi", _checked_colatitudes(phi))
         if int(self.n) < 1:
             raise ValueError("winding number n must be >= 1")
         object.__setattr__(self, "n", int(self.n))
@@ -270,11 +278,6 @@ class ConeDipoleMap:
         if math.isinf(f):
             return SpherePoint(0.0, 0.0, -1.0)
         return stereo_inverse((f * math.cos(self.n * theta), f * math.sin(self.n * theta)))
-
-
-def tilde_u0_value(cone_map: ConeDipoleMap, r: float, theta: float, z: float) -> SpherePoint:
-    """Evaluate the cone-modified map at cylindrical coordinates (r, theta, z)."""
-    return cone_map.value(r, theta, z)
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,13 @@ def g0_construct(c: ConeConstraint, n: int) -> PiecewiseMinimizer:
 # Discretized functional (log-radius cells) and the active-set solve
 # ---------------------------------------------------------------------------
 
+def _log_cells(r: np.ndarray, g: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The discrete I's cells (|dg/dx| - n g_mid)^2 dx in x = log r, and g_mid."""
+    dx = np.diff(np.log(r))
+    gm = (g[:-1] + g[1:]) / 2.0
+    return (np.abs(np.diff(g)) / dx - n * gm) ** 2 * dx, gm
+
+
 def I_functional(r: np.ndarray, g: np.ndarray, n: int,
                  interval: tuple[float, float] | None = None) -> float:
     """Discrete I on a sampled profile: in x = log r the integrand becomes
@@ -293,9 +300,7 @@ def I_functional(r: np.ndarray, g: np.ndarray, n: int,
     if interval is not None:
         mask = (r >= interval[0] * (1 - 1e-12)) & (r <= interval[1] * (1 + 1e-12))
         r, g = r[mask], g[mask]
-    dx = np.diff(np.log(r))
-    gm = (g[:-1] + g[1:]) / 2.0
-    return float(np.sum((np.abs(np.diff(g)) / dx - n * gm) ** 2 * dx))
+    return float(np.sum(_log_cells(r, g, n)[0]))
 
 
 def weighted_gap(r: np.ndarray, g: np.ndarray, n: int) -> float:
@@ -306,12 +311,8 @@ def weighted_gap(r: np.ndarray, g: np.ndarray, n: int) -> float:
     Since (1 + g^2)^2 <= 4 for g <= 1, each cell dominates pi times the
     corresponding I cell, so weighted_gap >= pi * I_functional cell by cell.
     """
-    r = np.asarray(r, dtype=float)
-    g = np.asarray(g, dtype=float)
-    dx = np.diff(np.log(r))
-    gm = (g[:-1] + g[1:]) / 2.0
-    cells = (np.abs(np.diff(g)) / dx - n * gm) ** 2 / (1.0 + gm * gm) ** 2 * dx
-    return 4.0 * math.pi * float(np.sum(cells))
+    cells, gm = _log_cells(np.asarray(r, dtype=float), np.asarray(g, dtype=float), n)
+    return 4.0 * math.pi * float(np.sum(cells / (1.0 + gm * gm) ** 2))
 
 
 # KKT tolerance of the active-set solve, relative to its rounding level; the

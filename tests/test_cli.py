@@ -47,6 +47,14 @@ class TestT0Energy:
     def test_bad_alpha_exit_2(self):
         assert run(["t0-energy", "--alpha", "0.3"]) == 2
 
+    @pytest.mark.parametrize("option,value", [
+        ("--n", "inf"), ("--n", "nan"), ("--n", "1.5"), ("--alpha", "abc"),
+    ])
+    def test_bad_number_exit_2(self, option, value, capsys):
+        assert run(["t0-energy", option, value]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_spec_file_overrides(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"alpha": [0.1], "r-nodes": 257, "z-nodes": 9}))

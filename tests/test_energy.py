@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from axisphere import energy
 from axisphere.energy import (
-    _ROW_BLOCK,
+    _BLOCK_CELLS,
     EnergyReport,
     MeridianField,
     _MeridianSystem,
@@ -31,6 +32,11 @@ from axisphere.energy import (
 from axisphere.geometry import RadialProfile, geometric_grid, u0_profile, u_eps_profile
 
 FOUR_PI = 4.0 * math.pi
+
+
+# r = (1, 2), phi = (0.84, 1.88), n = 2: its discrete E - A is -0.78, from
+# the angular trapezoid rule
+COUNTEREXAMPLE = RadialProfile(grid=np.array([1.0, 2.0]), phi=np.array([0.84, 1.88]), n=2)
 
 
 def random_profile(rng, n=2, nodes=400, smooth=True):
@@ -144,14 +150,23 @@ class TestConformalityGap:
         assert conformality_gap(p) == pytest.approx(e - a, abs=1e-12)
         assert conformality_gap(p) <= 1e-9 * max(e, 1.0)
 
+    @staticmethod
+    def assert_dominates_up_to_angular_quadrature(p):
+        # the discrete E - A can be negative (the counterexample's is -0.78);
+        # what the cell rules guarantee is E - A >= the angular trapezoid
+        # excess (see TestFieldProperties)
+        e, a = dirichlet_energy_radial(p), area_radial(p)
+        excess = angular_trapezoid_excess(meridian_from_profile(p, [0.0, 1.0]))[0]
+        assert e - a - excess >= -1e-12 * (e + a)
+
     def test_matches_energy_minus_area(self):
         rng = np.random.default_rng(13)
-        for _ in range(50):
-            p = random_profile(rng)
+        profiles = [COUNTEREXAMPLE] + [random_profile(rng) for _ in range(50)]
+        for p in profiles:
             gap = conformality_gap(p)
             diff = dirichlet_energy_radial(p) - area_radial(p)
             assert gap == pytest.approx(diff, rel=1e-8)
-            assert gap >= -1e-10
+            self.assert_dominates_up_to_angular_quadrature(p)
 
     def test_constant_segment_analytic(self):
         # f = a on [t0, tau0]: gap = 4 pi n^2 a^2 / (1+a^2)^2 * log(tau0/t0)
@@ -164,9 +179,17 @@ class TestConformalityGap:
 
     def test_energy_dominates_area(self):
         rng = np.random.default_rng(14)
-        for _ in range(100):
-            p = random_profile(rng, n=int(rng.integers(1, 4)))
-            assert dirichlet_energy_radial(p) - area_radial(p) >= -1e-10
+        profiles = [COUNTEREXAMPLE] + [random_profile(rng, n=int(rng.integers(1, 4)))
+                                       for _ in range(100)]
+        for p in profiles:
+            self.assert_dominates_up_to_angular_quadrature(p)
+        assert dirichlet_energy_radial(COUNTEREXAMPLE) - area_radial(COUNTEREXAMPLE) < -0.7
+
+    def test_zero_length_interval_is_zero(self):
+        p = random_profile(np.random.default_rng(15))
+        for interval in [(0.3, 0.3), (0.0, p.grid[0]), (p.grid[-1], p.grid[-1])]:
+            for functional in (dirichlet_energy_radial, area_radial, conformality_gap):
+                assert functional(p, interval) == 0.0
 
 
 class TestEnergyReport:
@@ -288,20 +311,50 @@ def separate_sweeps(fld):
     return energies, areas, e_z, float(np.sum(energies * w_z)) + e_z, float(np.sum(areas * w_z))
 
 
-class TestFieldKernel:
-    """The blocked pass of the 3-D functionals against whole-field sweeps,
-    at row counts on both sides of the block seams."""
+def random_field(r_nodes, z_nodes):
+    rng = np.random.default_rng(1000 * r_nodes + z_nodes)
+    r = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 1.0, r_nodes - 1)))) / r_nodes
+    z = np.cumsum(rng.uniform(0.05, 1.0, z_nodes)) - 1.0
+    phi = rng.uniform(0.0, math.pi, (r_nodes, z_nodes))
+    return MeridianField(r, z, phi, 2, defects=[(z[0], z[-1])])
 
-    B = _ROW_BLOCK
+
+def block_rows(columns):
+    """Rows per block of the radial kernel for ``columns`` columns."""
+    return max(1, _BLOCK_CELLS // columns)
+
+
+def radial_reference(r, phi, n):
+    """E and E - A of a profile by the 1-D cell rules as whole-profile sums."""
+    dr = np.diff(r)
+    kinetic = np.sum((np.diff(phi) / dr) ** 2 * (r[1:] ** 2 - r[:-1] ** 2)) / 2.0
+    dens = np.zeros_like(phi)
+    np.divide(np.sin(phi) ** 2, r, out=dens, where=r > 0.0)
+    angular = n ** 2 * np.sum((dens[:-1] + dens[1:]) / 2.0 * dr)
+    cross = 2.0 * n * np.sum(np.abs(np.diff(np.cos(phi))))
+    return math.pi * (kinetic + angular), math.pi * (kinetic + angular - cross)
+
+
+class TestFieldKernel:
+    """The blocked pass of the radial kernel against whole-field and
+    whole-profile sums, at row counts on both sides of the block seams."""
+
+    B = 512
 
     @pytest.mark.parametrize("z_nodes", [2, 17])
     @pytest.mark.parametrize("r_nodes", [2, 3, B, B + 1, B + 2, 2 * B + 1, 3 * B + 7])
-    def test_matches_separate_sweeps(self, r_nodes, z_nodes):
-        rng = np.random.default_rng(1000 * r_nodes + z_nodes)
-        r = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 1.0, r_nodes - 1)))) / r_nodes
-        z = np.cumsum(rng.uniform(0.05, 1.0, z_nodes)) - 1.0
-        phi = rng.uniform(0.0, math.pi, (r_nodes, z_nodes))
-        fld = MeridianField(r, z, phi, 2, defects=[(z[0], z[-1])])
+    def test_matches_separate_sweeps(self, r_nodes, z_nodes, monkeypatch):
+        # blocks of B rows at either column count
+        monkeypatch.setattr(energy, "_BLOCK_CELLS", self.B * z_nodes)
+        self.check_field(random_field(r_nodes, z_nodes))
+
+    @pytest.mark.parametrize("z_nodes", [2, 65])
+    def test_matches_separate_sweeps_at_derived_blocks(self, z_nodes):
+        self.check_field(random_field(2 * block_rows(z_nodes) + 1, z_nodes))
+
+    @staticmethod
+    def check_field(fld):
+        z = fld.z_grid
         energies, areas, e_z, E, A = separate_sweeps(fld)
         np.testing.assert_allclose(slice_energies(fld), energies, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(slice_areas(fld), areas, rtol=1e-13, atol=0.0)
@@ -310,6 +363,20 @@ class TestFieldKernel:
         assert rep.E == pytest.approx(E, rel=1e-13, abs=0.0)
         assert rep.A == pytest.approx(A, rel=1e-13, abs=0.0)
         assert rep.mass_term == FOUR_PI * 2 * (z[-1] - z[0])
+
+    @pytest.mark.parametrize("offset", [(1, -1), (1, 0), (1, 1), (1, 2), (2, 1)],
+                             ids=["B-1", "B", "B+1", "B+2", "2B+1"])
+    def test_single_column_seams(self, offset):
+        # a profile is one column: blocks of block_rows(1) r-cells.  A smooth
+        # phi keeps the kinetic term from swamping one node's angular term.
+        r_nodes = offset[0] * block_rows(1) + offset[1]
+        rng = np.random.default_rng(r_nodes)
+        r = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 1.0, r_nodes - 1)))) / r_nodes
+        phi = math.pi / 2 + 1.5 * np.sin(rng.uniform(2.0, 20.0) * r + rng.uniform(0.0, 6.0))
+        p = RadialProfile(grid=r, phi=phi, n=3)
+        e, gap = radial_reference(p.grid, p.phi, p.n)
+        assert dirichlet_energy_radial(p) == pytest.approx(e, rel=1e-13, abs=0.0)
+        assert abs(conformality_gap(p) - gap) <= 1e-13 * e
 
     def test_memory_is_block_sized(self):
         # the criterion-7 field: 32769 x 65 doubles, 17 MB; whole-field
@@ -415,6 +482,15 @@ class TestFieldProperties:
         energies, areas = slice_energies(fld), slice_areas(fld)
         rest = energies - areas - angular_trapezoid_excess(fld)
         assert np.all(rest >= -1e-12 * (energies + areas))
+
+    @settings(max_examples=150, deadline=None)
+    @given(fields())
+    def test_slices_match_radial_functionals(self, fld):
+        energies, areas = slice_energies(fld), slice_areas(fld)
+        for j in range(fld.z_grid.size):
+            p = fld.slice_profile(j)
+            assert dirichlet_energy_radial(p) == pytest.approx(energies[j], rel=1e-13, abs=0.0)
+            assert area_radial(p) == pytest.approx(areas[j], rel=1e-13, abs=0.0)
 
     @settings(max_examples=150, deadline=None)
     @given(fields(), st.floats(min_value=0.01, max_value=100.0))

@@ -17,7 +17,6 @@ from axisphere.geometry import (
     is_at_infinity,
     stereo_inverse,
     stereo_project,
-    tilde_u0_value,
     u0_profile,
     u_eps_profile,
 )
@@ -136,6 +135,22 @@ class TestProfiles:
         with pytest.raises(ValueError):
             RadialProfile(grid=np.array([1.0]), phi=np.array([0.0]), n=1)
 
+    @pytest.mark.parametrize("values,message", [
+        ([0.1, math.nan, 0.3], "NaN"),
+        ([math.nan, 0.1, 0.3], "NaN"),
+        ([0.1, 0.2, -1e-11], r"\[0, pi\]"),
+        ([0.1, math.pi + 1e-11, 0.3], r"\[0, pi\]"),
+    ])
+    def test_value_errors(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            RadialProfile(grid=np.array([0.1, 0.5, 1.0]), phi=np.array(values), n=1)
+
+    def test_csv_nan_row_rejected(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("r,phi\n0.1,0.1\n0.5,nan\n1,0.3\n")
+        with pytest.raises(ValueError, match="NaN"):
+            RadialProfile.from_csv(path, n=1)
+
     def test_csv_round_trip(self, tmp_path):
         p = u0_profile(0.25, 2, geometric_grid(1e-6, 1.0, 128))
         path = tmp_path / "profile.csv"
@@ -189,10 +204,10 @@ class TestConeDipoleMap:
 
     def test_value_on_sphere(self):
         m = ConeDipoleMap(alpha=0.25, n=2)
-        p = tilde_u0_value(m, 0.5, 0.3, 0.0)
+        p = m.value(0.5, 0.3, 0.0)
         assert abs(np.linalg.norm(p.as_array()) - 1.0) < 1e-12
         # axis between the singular points maps to the north pole
-        assert tilde_u0_value(m, 0.0, 0.0, 0.5) == SpherePoint(0.0, 0.0, 1.0)
+        assert m.value(0.0, 0.0, 0.5) == SpherePoint(0.0, 0.0, 1.0)
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):
