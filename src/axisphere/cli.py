@@ -27,7 +27,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -132,20 +132,6 @@ def _parallel_map(fn: Callable[[Any], dict], points: Sequence[Any], workers: int
         return list(pool.map(fn, points))
 
 
-def _floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok != ""]
-    except ValueError as exc:
-        raise InputError(f"bad numeric list {text!r}") from exc
-
-
-def _ints(text: str) -> list[int]:
-    vals = _floats(text)
-    if not all(math.isfinite(v) and v == int(v) for v in vals):
-        raise InputError(f"expected integers, got {text!r}")
-    return [int(v) for v in vals]
-
-
 # ---------------------------------------------------------------------------
 # t0-energy
 # ---------------------------------------------------------------------------
@@ -200,7 +186,8 @@ def run_relaxation_check(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
     eps_list = sorted(eps_list, reverse=True)
 
     rows: list[dict] = []
-    fits: dict[int, float] = {}
+    fits: dict[str, float] = {}
+    monotone: dict[str, bool] = {}
     for n in ns:
         limit = _FOUR_PI * n + _FOUR_PI * n * alpha ** 2 / (1.0 + alpha ** 2)
         deficits = []
@@ -218,23 +205,13 @@ def run_relaxation_check(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
                 "quad_rel_err": abs(e_quad - e_area) / e_area,
                 "limit": limit, "deficit": deficit,
             })
-        slope = float(np.polyfit(np.log(eps_list), np.log(deficits), 1)[0])
-        fits[n] = slope
-        monotone = bool(np.all(np.diff(deficits) < 0.0) and np.all(np.array(deficits) > 0.0))
-        rows.append({
-            "n": n, "alpha": alpha, "eps": float("nan"),
-            "slice_energy": float("nan"), "slice_energy_quadrature": float("nan"),
-            "quad_rel_err": float("nan"), "limit": limit, "deficit": float("nan"),
-        })
-        rows[-1]["fitted_exponent"] = slope
-        rows[-1]["deficits_positive_decreasing"] = monotone
+        fits[str(n)] = float(np.polyfit(np.log(eps_list), np.log(deficits), 1)[0])
+        monotone[str(n)] = bool(np.all(np.diff(deficits) < 0.0)
+                                and np.all(np.array(deficits) > 0.0))
 
-    # uniform columns across rows
-    for row in rows:
-        row.setdefault("fitted_exponent", float("nan"))
-        row.setdefault("deficits_positive_decreasing", True)
-    summary = {"fitted_exponents": {str(n): fits[n] for n in ns},
-               "expected_exponents": {str(n): 2 * n for n in ns}}
+    summary = {"fitted_exponents": fits,
+               "expected_exponents": {str(n): 2 * n for n in ns},
+               "deficits_positive_decreasing": monotone}
     return rows, summary, EXIT_OK
 
 
@@ -242,14 +219,7 @@ def run_relaxation_check(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
 # proposition-sweep
 # ---------------------------------------------------------------------------
 
-def _s_tilde_value(choice: str, s: float) -> float:
-    if choice == "2s":
-        return 2.0 * s
-    if choice == "mid":
-        return (s + 1.0) / 2.0
-    if choice == "1":
-        return 1.0
-    raise InputError(f"unknown s_tilde choice {choice!r} (use 2s, mid, 1)")
+_S_TILDE = {"2s": lambda s: 2.0 * s, "mid": lambda s: (s + 1.0) / 2.0, "1": lambda s: 1.0}
 
 
 def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
@@ -265,6 +235,8 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
         raise InputError("a fractions must lie in (0, 1]")
     if any(c0 <= 0.0 for c0 in c0s):
         raise InputError("C0 values must be positive")
+    if any(choice not in _S_TILDE for choice in choices):
+        raise InputError(f"unknown s_tilde choice in {choices} (use 2s, mid, 1)")
 
     points = [
         (alpha, frac, c0, choice)
@@ -286,7 +258,7 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
         }
         if s >= 0.5:  # annulus too thin: the crossing radius reaches b's level
             return row
-        s_tilde = _s_tilde_value(choice, s)
+        s_tilde = _S_TILDE[choice](s)
         if choice == "1" and frac != 1.0:
             return row  # s_tilde = 1 pins g(1) twice; only meaningful at a = alpha
         if not s < s_tilde <= 1.0:
@@ -336,29 +308,17 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
 # dipole-tradeoff
 # ---------------------------------------------------------------------------
 
-def _dipole_grids(r_box: float, delta: float, nodes_r: int, nodes_z: int):
+def _dipole_box(n: int, alpha: float, delta: float, r_box: float,
+               nodes_r: int, nodes_z: int):
+    """Grids, baseline field and fixed-node mask of the box
+    [r_box 1e-3, r_box] x [-delta, delta]; every edge node is fixed."""
     r = np.geomspace(r_box * 1e-3, r_box, nodes_r)
     z = np.linspace(-delta, delta, nodes_z)
-    return r, z
-
-
-def _dipole_boundary(n: int, alpha: float, r: np.ndarray, z: np.ndarray):
-    """Baseline field, fixed-node mask, and boundary values for the box."""
-    phi0 = 2.0 * np.arctan(alpha * r ** n)
-    phi_base = np.tile(phi0[:, None], (1, z.size))
-    fixed = np.zeros((r.size, z.size), dtype=bool)
-    fixed[-1, :] = True
-    fixed[:, 0] = True
-    fixed[:, -1] = True
-    fixed[0, :] = True
-    return phi_base, fixed
-
-
-def _apply_dipole_bcs(phi: np.ndarray, phi_base: np.ndarray) -> None:
-    phi[-1, :] = phi_base[-1, :]
-    phi[:, 0] = phi_base[:, 0]
-    phi[:, -1] = phi_base[:, -1]
-    phi[0, 1:-1] = math.pi  # defect removed: the axis limit flips to the far pole
+    phi_base = np.tile(2.0 * np.arctan(alpha * r ** n)[:, None], (1, nodes_z))
+    fixed = np.zeros((nodes_r, nodes_z), dtype=bool)
+    fixed[[0, -1], :] = True
+    fixed[:, [0, -1]] = True
+    return r, z, phi_base, fixed
 
 
 def _bilinear_refine(phi: np.ndarray, r_c, z_c, r_f, z_f) -> np.ndarray:
@@ -398,8 +358,7 @@ def _dipole_point(
     total_it = 0
     levels = []
     for nr, nz in ladder:
-        r, z = _dipole_grids(r_box, delta, nr, nz)
-        phi_base, fixed = _dipole_boundary(n, alpha, r, z)
+        r, z, phi_base, fixed = _dipole_box(n, alpha, delta, r_box, nr, nz)
         if phi_prev is None:
             # spindle-shaped start: an anti-conformal plug whose radius
             # shrinks to zero at the interval ends, matched to the background
@@ -412,7 +371,8 @@ def _dipole_point(
                 phi_init = np.clip(phi_init, 0.0, math.pi)
         else:
             phi_init = _bilinear_refine(phi_prev, r_prev, z_prev, r, z)
-        _apply_dipole_bcs(phi_init, phi_base)
+        phi_init = np.where(fixed, phi_base, phi_init)
+        phi_init[0, 1:-1] = math.pi  # defect removed: the axis limit flips to the far pole
         res = minimize_meridian_energy(r, z, phi_init, fixed, n, maxiter=maxiter)
         total_it += res.iterations
         phi_prev, r_prev, z_prev = res.phi, r, z
@@ -444,12 +404,11 @@ def run_dipole_tradeoff(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
     if not deltas or any(not 0.0 < d <= 0.5 for d in deltas):
         raise InputError("delta values must lie in (0, 0.5]")
 
-    points = [(d, f) for d in deltas for f in factors]
+    points = [(d, min(1.0, f * d)) for d in deltas for f in factors]
 
     def one(point: tuple[float, float]) -> dict:
-        delta, factor = point
+        delta, r_box = point
         rng = np.random.default_rng(spec.seed)
-        r_box = min(1.0, factor * delta)
         coarse, fine = _dipole_point(n, alpha, delta, r_box, nodes_r, nodes_z,
                                      maxiter, rng, jitter)
         # the grid under-resolves the two axis singularities, deflating the
@@ -474,7 +433,10 @@ def run_dipole_tradeoff(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
             "grad_norm": max(coarse["grad_norm"], fine["grad_norm"]),
         }
 
-    rows = _parallel_map(one, points, spec.workers)
+    # factors whose boxes clamp to the same r_box share one solve
+    boxes = list(dict.fromkeys(points))
+    solved = dict(zip(boxes, _parallel_map(one, boxes, spec.workers)))
+    rows = [solved[point] for point in points]
     bad = [r for r in rows if not r["converged"]]
     summary = {
         "any_positive_net": any(r["verdict"] == "positive" for r in rows),
@@ -523,12 +485,59 @@ def run_sigma(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", default=None, help="output file path")
-    sub.add_argument("--format", default="csv", choices=["csv", "json"], dest="fmt")
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--spec", default=None, help="JSON file overriding parameters")
+def _int(value: Any) -> int:
+    """A strict integer: an int, or a string that spells one."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError("expected an integer")
+    return int(value)
+
+
+def _text(value: Any) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ValueError("expected a string")
+    return value
+
+
+def _list_of(item: Callable[[Any], Any]) -> Callable[[Any], list]:
+    """A non-empty list from a comma-separated string, a JSON list or one value."""
+    def convert(value: Any) -> list:
+        tokens = value.split(",") if isinstance(value, str) else (
+            value if isinstance(value, list) else [value])
+        items = [item(tok) for tok in tokens if tok != ""]
+        if not items:
+            raise ValueError("expected a non-empty list")
+        return items
+    return convert
+
+
+_INTS, _FLOATS = _list_of(_int), _list_of(float)
+_WORDS = _list_of(lambda tok: str(tok).strip())
+
+# Each parameter once: name -> (conversion, default).  Its flag is the name
+# with "-" for "_"; a spec file key may be spelled either way.
+_COMMON = {"out": (_text, None), "format": (_text, "csv"), "workers": (_int, 1),
+           "seed": (_int, 0)}
+_COMMANDS: dict[str, tuple[str, dict[str, tuple[Callable[[Any], Any], Any]]]] = {
+    "t0-energy": ("reference-configuration energy accounting", {
+        "n": (_INTS, [2]), "alpha": (_FLOATS, [0.25]), "r_nodes": (_int, 16385),
+        "z_nodes": (_int, 65), "r_min": (float, 1e-4)}),
+    "relaxation-check": ("u_eps slice energies and deficit rate", {
+        "n": (_INTS, [1, 2, 3]), "alpha": (float, 0.25),
+        "eps": (_FLOATS, [0.2, 0.1, 0.05, 0.025]), "nodes": (_int, 16385),
+        "r_min": (float, 1e-6)}),
+    "proposition-sweep": ("constrained-minimizer bound sweep", {
+        "n": (_int, 2), "alpha": (_FLOATS, [0.25, 0.1, 0.05, 0.02]),
+        "a_frac": (_FLOATS, [1, 0.5, 0.1]), "c0": (_FLOATS, [1, 5, 20]),
+        "s_tilde": (_WORDS, ["2s", "mid", "1"]), "nodes": (_int, 256), "b": (float, 0.5)}),
+    "dipole-tradeoff": ("defect-removal energy trade-off", {
+        "n": (_int, 2), "alpha": (float, 0.25),
+        "delta": (_FLOATS, [0.1, 0.2, 0.3, 0.4, 0.5]), "rbox_factors": (_FLOATS, [1, 2, 4]),
+        "nodes_r": (_int, 65), "nodes_z": (_int, 65), "maxiter": (_int, 3000),
+        "jitter": (float, 0.0)}),
+    "sigma": ("minimal connection of a charge configuration", {}),
+}
+_HELP = {"s_tilde": "comma list from {2s, mid, 1}", "b": argparse.SUPPRESS,
+         "out": "output file path"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,94 +547,45 @@ def build_parser() -> argparse.ArgumentParser:
                     "of n-axially symmetric sphere-valued maps",
     )
     subs = ap.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("t0-energy", help="reference-configuration energy accounting")
-    s.add_argument("--n", default="2")
-    s.add_argument("--alpha", default="0.25")
-    s.add_argument("--r-nodes", type=int, default=16385, dest="r_nodes")
-    s.add_argument("--z-nodes", type=int, default=65, dest="z_nodes")
-    s.add_argument("--r-min", type=float, default=1e-4, dest="r_min")
-    _add_common(s)
-
-    s = subs.add_parser("relaxation-check", help="u_eps slice energies and deficit rate")
-    s.add_argument("--n", default="1,2,3")
-    s.add_argument("--alpha", type=float, default=0.25)
-    s.add_argument("--eps", default="0.2,0.1,0.05,0.025")
-    s.add_argument("--nodes", type=int, default=16385)
-    s.add_argument("--r-min", type=float, default=1e-6, dest="r_min")
-    _add_common(s)
-
-    s = subs.add_parser("proposition-sweep", help="constrained-minimizer bound sweep")
-    s.add_argument("--n", type=int, default=2)
-    s.add_argument("--alpha", default="0.25,0.1,0.05,0.02")
-    s.add_argument("--a-frac", default="1,0.5,0.1", dest="a_frac")
-    s.add_argument("--c0", default="1,5,20")
-    s.add_argument("--s-tilde", default="2s,mid,1", dest="s_tilde",
-                   help="comma list from {2s, mid, 1}")
-    s.add_argument("--nodes", type=int, default=256)
-    s.add_argument("--b", type=float, default=0.5, help=argparse.SUPPRESS)
-    _add_common(s)
-
-    s = subs.add_parser("dipole-tradeoff", help="defect-removal energy trade-off")
-    s.add_argument("--n", type=int, default=2)
-    s.add_argument("--alpha", type=float, default=0.25)
-    s.add_argument("--delta", default="0.1,0.2,0.3,0.4,0.5")
-    s.add_argument("--rbox-factors", default="1,2,4", dest="rbox_factors")
-    s.add_argument("--nodes-r", type=int, default=65, dest="nodes_r")
-    s.add_argument("--nodes-z", type=int, default=65, dest="nodes_z")
-    s.add_argument("--maxiter", type=int, default=3000)
-    s.add_argument("--jitter", type=float, default=0.0)
-    _add_common(s)
-
-    s = subs.add_parser("sigma", help="minimal connection of a charge configuration")
-    _add_common(s)
-
+    for command, (summary, params) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
+        for name in (*params, *_COMMON):
+            sub.add_argument("--" + name.replace("_", "-"), dest=name,
+                             default=argparse.SUPPRESS, help=_HELP.get(name))
+        sub.add_argument("--spec", default=None, help="JSON file overriding parameters")
     return ap
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    if args.spec is not None and args.command != "sigma":
+    """Convert the given flags, overridden by the spec file's keys, and the
+    defaults of the rest; sigma's --spec is its charge file instead."""
+    values = dict(vars(args))
+    command, path = values.pop("command"), values.pop("spec")
+    table = {**_COMMANDS[command][1], **_COMMON}
+    if path is not None and command != "sigma":
         try:
-            with open(args.spec) as fh:
+            with open(path) as fh:
                 overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read spec file: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise InputError("spec file must hold a JSON object")
         for key, value in overrides.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            name = key.replace("-", "_")
+            if name not in table:
                 raise InputError(f"unknown parameter {key!r} in spec file")
-            if isinstance(value, list):
-                value = ",".join(str(v) for v in value)
-            setattr(args, attr, value)
-
-    cmd = args.command
-    if cmd == "t0-energy":
-        params = {"n": _ints(args.n), "alpha": _floats(args.alpha),
-                  "r_nodes": int(args.r_nodes), "z_nodes": int(args.z_nodes),
-                  "r_min": float(args.r_min)}
-    elif cmd == "relaxation-check":
-        params = {"n": _ints(args.n), "alpha": float(args.alpha),
-                  "eps": _floats(args.eps), "nodes": int(args.nodes),
-                  "r_min": float(args.r_min)}
-    elif cmd == "proposition-sweep":
-        params = {"n": int(args.n), "alpha": _floats(args.alpha),
-                  "a_frac": _floats(args.a_frac), "c0": _floats(args.c0),
-                  "s_tilde": [tok.strip() for tok in str(args.s_tilde).split(",") if tok],
-                  "nodes": int(args.nodes), "b": float(args.b)}
-    elif cmd == "dipole-tradeoff":
-        params = {"n": int(args.n), "alpha": float(args.alpha),
-                  "delta": _floats(args.delta), "rbox_factors": _floats(args.rbox_factors),
-                  "nodes_r": int(args.nodes_r), "nodes_z": int(args.nodes_z),
-                  "maxiter": int(args.maxiter), "jitter": float(args.jitter)}
-    elif cmd == "sigma":
-        params = {"config": args.spec}
-    else:  # pragma: no cover
-        raise InputError(f"unknown command {cmd!r}")
-    for key in ("n", "alpha", "eps", "delta", "a_frac", "c0"):
-        if key in params and isinstance(params[key], list) and not params[key]:
-            raise InputError(f"parameter {key!r} must be a non-empty list")
-    return ExperimentSpec(command=cmd, params=params, out=args.out,
-                          fmt=args.fmt, workers=args.workers, seed=args.seed)
+            values[name] = value
+    resolved = {}
+    for name, (convert, default) in table.items():
+        value = values.get(name, default)
+        try:
+            resolved[name] = convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"bad value {value!r} for {name!r}: {exc}") from exc
+    out, fmt, workers, seed = (resolved.pop(name) for name in _COMMON)
+    params = {"config": path} if command == "sigma" else resolved
+    return ExperimentSpec(command=command, params=params, out=out, fmt=fmt,
+                          workers=workers, seed=seed)
 
 
 _RUNNERS = {

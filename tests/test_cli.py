@@ -73,8 +73,12 @@ class TestRelaxationCheck:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["summary"]["fitted_exponents"]["2"] == pytest.approx(4.0, abs=0.2)
+        assert data["summary"]["deficits_positive_decreasing"] == {"2": True}
         limit = 8 * math.pi + 8 * math.pi * 0.0625 / 1.0625
-        rows = [r for r in data["rows"] if r["eps"] is not None]
+        rows = data["rows"]
+        assert [(r["n"], r["eps"]) for r in rows] == [(2, 0.2), (2, 0.1), (2, 0.05), (2, 0.025)]
+        assert all(list(r) == ["n", "alpha", "eps", "slice_energy", "slice_energy_quadrature",
+                               "quad_rel_err", "limit", "deficit"] for r in rows)
         assert rows[0]["limit"] == pytest.approx(limit, rel=1e-12)
         deficits = [r["deficit"] for r in rows]
         assert all(d > 0 for d in deficits)
@@ -141,6 +145,28 @@ class TestDipole:
 
     def test_bad_delta_exit_2(self):
         assert run(["dipole-tradeoff", "--delta", "0.7"]) == 2
+
+    def test_clamped_boxes_solved_once(self, tmp_path, monkeypatch):
+        calls = []
+        inner = cli.minimize_meridian_energy
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].size)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "minimize_meridian_energy", counted)
+        args = ["dipole-tradeoff", "--n", "2", "--alpha", "0.05", "--delta", "0.5",
+                "--nodes-r", "17", "--nodes-z", "17", "--maxiter", "200",
+                "--format", "json"]
+        assert run(args + ["--rbox-factors", "2"]) in (0, 3)
+        ladder = list(calls)
+        calls.clear()
+        out = tmp_path / "dip.json"
+        # both factors clamp r_box to 1: one ladder, two rows
+        assert run(args + ["--rbox-factors", "2,4", "--out", str(out)]) in (0, 3)
+        assert calls == ladder
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 2 and rows[0] == rows[1] and rows[0]["r_box"] == 1.0
 
 
 class TestSigma:
@@ -214,6 +240,87 @@ class TestSigma:
                        "non-finite coordinate in positives"]
 
 
+def resolve(argv):
+    return cli._spec_from_args(cli.build_parser().parse_args(argv))
+
+
+def spec_file(tmp_path, overrides):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(overrides))
+    return str(path)
+
+
+class TestParameters:
+    """Flags and spec-file keys resolve through one table and one conversion."""
+
+    @pytest.mark.parametrize("command, params", [
+        ("t0-energy", {"n": [2], "alpha": [0.25], "r_nodes": 16385, "z_nodes": 65,
+                       "r_min": 1e-4}),
+        ("relaxation-check", {"n": [1, 2, 3], "alpha": 0.25, "eps": [0.2, 0.1, 0.05, 0.025],
+                              "nodes": 16385, "r_min": 1e-6}),
+        ("proposition-sweep", {"n": 2, "alpha": [0.25, 0.1, 0.05, 0.02],
+                               "a_frac": [1.0, 0.5, 0.1], "c0": [1.0, 5.0, 20.0],
+                               "s_tilde": ["2s", "mid", "1"], "nodes": 256, "b": 0.5}),
+        ("dipole-tradeoff", {"n": 2, "alpha": 0.25, "delta": [0.1, 0.2, 0.3, 0.4, 0.5],
+                             "rbox_factors": [1.0, 2.0, 4.0], "nodes_r": 65, "nodes_z": 65,
+                             "maxiter": 3000, "jitter": 0.0}),
+        ("sigma", {"config": None}),
+    ])
+    def test_defaults(self, command, params):
+        # repr compares types and key order too: [2] is not [2.0]
+        expected = cli.ExperimentSpec(command=command, params=params, out=None, fmt="csv",
+                                      workers=1, seed=0)
+        assert repr(resolve([command])) == repr(expected)
+
+    @pytest.mark.parametrize("command, flag, text, key, value, expected", [
+        ("t0-energy", "--n", "1,3", "n", [1, 3], [1, 3]),
+        ("dipole-tradeoff", "--delta", "0.2,0.4", "delta", [0.2, 0.4], [0.2, 0.4]),
+        ("proposition-sweep", "--s-tilde", "mid,1", "s-tilde", ["mid", "1"], ["mid", "1"]),
+        ("t0-energy", "--z-nodes", "17", "z_nodes", 17, 17),
+        ("relaxation-check", "--alpha", "0.1", "alpha", 0.1, 0.1),
+    ])
+    def test_spec_matches_flag(self, tmp_path, command, flag, text, key, value, expected):
+        from_flag = resolve([command, flag, text])
+        from_spec = resolve([command, "--spec", spec_file(tmp_path, {key: value})])
+        assert repr(from_flag) == repr(from_spec)
+        assert repr(from_flag.params[key.replace("-", "_")]) == repr(expected)
+
+    def test_spec_overrides_flag(self, tmp_path):
+        spec = resolve(["t0-energy", "--alpha", "0.1", "--z-nodes", "9",
+                        "--spec", spec_file(tmp_path, {"alpha": [0.2]})])
+        assert spec.params["alpha"] == [0.2] and spec.params["z_nodes"] == 9
+
+    def test_string_workers_converted(self, tmp_path):
+        from_spec = resolve(["dipole-tradeoff", "--spec", spec_file(tmp_path, {"workers": "2"})])
+        assert repr(from_spec) == repr(resolve(["dipole-tradeoff", "--workers", "2"]))
+
+    @pytest.mark.parametrize("args, overrides", [
+        (["t0-energy"], {"workers": "x"}),
+        (["dipole-tradeoff"], {"seed": "x"}),
+        (["t0-energy"], {"command": "sigma"}),
+        (["t0-energy"], {"spec": "other.json"}),
+        (["t0-energy"], {"z-nodes": 9.7}),
+        (["t0-energy"], {"r-nodes": float("inf")}),
+        (["t0-energy"], [0.1]),
+        (["t0-energy", "--r-nodes", "abc"], None),
+        (["t0-energy", "--z-nodes", "9.7"], None),
+        (["dipole-tradeoff", "--rbox-factors", ""], None),
+        (["proposition-sweep", "--s-tilde", ""], None),
+        # every point infeasible (s >= 1/2), so no point reaches the choice
+        (["proposition-sweep", "--s-tilde", "foo", "--alpha", "0.25", "--c0", "20"], None),
+        (["t0-energy", "--format", "xml"], None),
+    ], ids=["spec-workers-x", "spec-seed-x", "spec-command", "spec-spec", "spec-int-9.7",
+            "spec-int-inf", "spec-not-object", "flag-int-abc", "flag-int-9.7",
+            "flag-empty-float-list", "flag-empty-word-list", "flag-unknown-word",
+            "flag-format-xml"])
+    def test_bad_value_exit_2(self, tmp_path, capsys, args, overrides):
+        if overrides is not None:
+            args = args + ["--spec", spec_file(tmp_path, overrides)]
+        assert run(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
 def strict_load(path):
     """Parse a JSON file, rejecting the non-standard NaN/Infinity tokens."""
     def reject(token):
@@ -235,7 +342,7 @@ class TestStrictJson:
     # each command with a row column that holds a non-finite value, if any
     @pytest.mark.parametrize("args, null_column", [
         (["t0-energy", "--n", "2", "--r-nodes", "257", "--z-nodes", "9"], None),
-        (["relaxation-check", "--n", "2", "--eps", "0.2,0.1", "--nodes", "2049"], "eps"),
+        (["relaxation-check", "--n", "2", "--eps", "0.2,0.1", "--nodes", "2049"], None),
         (["proposition-sweep", "--alpha", "0.25", "--a-frac", "1", "--c0", "20",
           "--s-tilde", "2s", "--nodes", "128"], "t0"),
         (["dipole-tradeoff", "--n", "2", "--alpha", "0.05", "--delta", "0.3",

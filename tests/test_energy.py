@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from axisphere import energy
+from axisphere.cli import _dipole_box
 from axisphere.energy import (
     _BLOCK_CELLS,
     EnergyReport,
@@ -619,10 +620,7 @@ def dipole_box(rng, n, nodes, jitter=0.1):
     profile pinned on the outer edge and the z ends, the axis flipped to pi,
     and the interior started from the background plus seeded noise."""
     alpha, delta = (0.25, 0.35) if n == 1 else (0.05, 0.35)
-    r = np.geomspace(1e-3 * delta, delta, nodes)
-    z = np.linspace(-delta, delta, nodes)
-    phi = np.tile(2.0 * np.arctan(alpha * r ** n)[:, None], (1, nodes))
-    fixed = box_mask(phi.shape)
+    r, z, phi, fixed = _dipole_box(n, alpha, delta, delta, nodes, nodes)
     phi[0, 1:-1] = math.pi
     phi[~fixed] = np.clip(phi[~fixed] + rng.normal(0.0, jitter, int(np.sum(~fixed))),
                           0.0, math.pi)
