@@ -183,6 +183,8 @@ def run_relaxation_check(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
         raise InputError("alpha must lie in (0, 1/4]")
     if not eps_list or any(not 0.0 < e < 1.0 for e in eps_list):
         raise InputError("eps values must lie in (0, 1)")
+    if len(eps_list) < 2 or len(set(eps_list)) != len(eps_list):
+        raise InputError("eps needs two or more distinct values, none repeated")
     eps_list = sorted(eps_list, reverse=True)
 
     rows: list[dict] = []
@@ -403,6 +405,8 @@ def run_dipole_tradeoff(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
         raise InputError("alpha must lie in (0, 1/4]")
     if not deltas or any(not 0.0 < d <= 0.5 for d in deltas):
         raise InputError("delta values must lie in (0, 0.5]")
+    if min(nodes_r, nodes_z) < 3:
+        raise InputError("nodes-r and nodes-z must be >= 3 (a box needs an interior node)")
 
     points = [(d, min(1.0, f * d)) for d in deltas for f in factors]
 

@@ -5,13 +5,20 @@ shortest total length over pairings
 
     min over permutations sigma of  sum_i |P_i - N_{sigma(i)}|,
 
-an assignment problem.  Its linear-programming dual is the Kantorovich form:
-maximize sum xi(P_i) - sum xi(N_j) over 1-Lipschitz potentials xi.  On finite
-supports it needs only the k^2 bipartite constraints xi(P_i) - xi(N_j) <=
-|P_i - N_j|: this is the dual of the transport LP, and its optimum equals the
-all-pairs Lipschitz form because any bipartite-feasible potential extends to
-the 1-Lipschitz xi(x) = min_j (xi(N_j) + |x - N_j|) (McShane), which does not
-lower the objective.
+an assignment problem.  Its linear relaxation is the transport LP
+
+    min sum_ij |P_i - N_j| x_ij   over x >= 0 with unit row and column sums,
+
+whose vertices are permutations (Birkhoff), so its optimum is the minimal
+length.  The dual of the transport LP is the Kantorovich form: maximize
+sum xi(P_i) - sum xi(N_j) over potentials with xi(P_i) - xi(N_j) <=
+|P_i - N_j| for every positive-negative pair.  Its optimum equals the
+all-pairs 1-Lipschitz form, because any bipartite-feasible potential extends
+to the 1-Lipschitz xi(x) = min_j (xi(N_j) + |x - N_j|) (McShane), which does
+not lower the objective.  ``kantorovich_dual`` solves the transport LP and
+reads the potentials from the duals of its 2k equality rows; it returns
+their value only once they pass the pair constraints, so the value is a
+certified lower bound on every pairing (weak duality).
 The current mass is multiplicity * length, and the relaxed Dirichlet energy
 adds 4 pi times the mass to the Dirichlet term.
 """
@@ -171,29 +178,38 @@ def kantorovich_dual(cfg: SingularityConfig) -> float:
     """Dual value: max sum xi(P_i) - sum xi(N_j) over potentials xi with
     xi(P_i) - xi(N_j) <= |P_i - N_j| for every positive-negative pair.
 
-    The k^2 bipartite rows, two nonzeros each, form the dual of the transport
-    LP; by McShane extension their optimum equals the all-pairs form
-    |xi(x) - xi(y)| <= |x - y| over every pair of charge locations.  Equals
-    the primal minimal-connection length on finite supports.  The LP is always
-    feasible (xi = 0); a non-zero status indicates a bug.
+    Solves the transport LP, min sum d_ij x_ij over x >= 0 with one unit of
+    mass leaving each positive and one reaching each negative: 2k equality
+    rows, k^2 columns of two nonzeros each.  The duals of those rows are the
+    potentials, u_i = xi(P_i) and v_j = -xi(N_j), and the returned value is
+    their sum.  It is returned only after the pair constraints u_i + v_j <=
+    d_ij hold to 1e-9, so by weak duality it is a lower bound on every
+    pairing, and by strong duality it equals the minimal-connection length.
+    The assignment solver is never consulted.  The LP is always feasible
+    (the identity pairing); a non-zero status or a violated pair constraint
+    raises NumericalError.
     """
     k = cfg.k
     if k == 0:
         return 0.0
-    # variables: xi(P_0..P_{k-1}), then xi(N_0..N_{k-1}); row i*k + j is pair (i, j)
+    dist = cfg.distance_matrix()
+    # column i*k + j is x_ij; row i is positive i, row k + j is negative j
     pos, neg = np.divmod(np.arange(k * k), k)
-    rows = np.repeat(np.arange(k * k), 2)
-    cols = np.column_stack([pos, k + neg]).ravel()
-    data = np.tile([1.0, -1.0], k * k)
-    A_ub = csr_array((data, (rows, cols)), shape=(k * k, 2 * k))
-    c = np.concatenate([-np.ones(k), np.ones(k)])  # minimize -> maximize
-    # xi is defined up to an additive constant; pin the first potential.
-    bounds = [(0.0, 0.0)] + [(None, None)] * (2 * k - 1)
-    res = linprog(c, A_ub=A_ub, b_ub=cfg.distance_matrix().ravel(), bounds=bounds,
+    A_eq = csr_array(
+        (np.ones(2 * k * k), (np.concatenate([pos, k + neg]), np.tile(np.arange(k * k), 2))),
+        shape=(2 * k, k * k),
+    )
+    res = linprog(dist.ravel(), A_eq=A_eq, b_eq=np.ones(2 * k), bounds=(0.0, None),
                   method="highs", options=_LP_OPTIONS)
     if res.status != 0:
         raise NumericalError(f"Kantorovich LP failed (status {res.status}): {res.message}")
-    return float(-res.fun)
+    duals = res.eqlin.marginals
+    violation = float(np.max(duals[:k, None] + duals[None, k:] - dist))
+    if not violation <= 1e-9:  # also rejects NaN duals
+        raise NumericalError(
+            f"Kantorovich row duals violate a pair constraint by {violation:.3g}"
+        )
+    return float(np.sum(duals))
 
 
 def relaxed_energy(E_dirichlet: float, cfg: SingularityConfig) -> float:

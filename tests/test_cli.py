@@ -87,6 +87,14 @@ class TestRelaxationCheck:
     def test_eps_out_of_range_exit_2(self):
         assert run(["relaxation-check", "--eps", "0.2,1.5"]) == 2
 
+    @pytest.mark.parametrize("eps", ["0.2", "0.1,0.1", "0.2,0.2,0.1"])
+    def test_single_or_repeated_eps_exit_2(self, capsys, eps):
+        # one distinct eps leaves the exponent fit underdetermined, and a
+        # repeated one fails the strict decrease of the deficits
+        assert run(["relaxation-check", "--eps", eps]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestPropositionSweep:
     def test_small_sweep(self, tmp_path):
@@ -309,10 +317,13 @@ class TestParameters:
         # every point infeasible (s >= 1/2), so no point reaches the choice
         (["proposition-sweep", "--s-tilde", "foo", "--alpha", "0.25", "--c0", "20"], None),
         (["t0-energy", "--format", "xml"], None),
+        # a box with no interior node relaxes nothing
+        (["dipole-tradeoff", "--nodes-r", "2", "--delta", "0.3", "--rbox-factors", "1"], None),
+        (["dipole-tradeoff", "--nodes-z", "2", "--delta", "0.3", "--rbox-factors", "1"], None),
     ], ids=["spec-workers-x", "spec-seed-x", "spec-command", "spec-spec", "spec-int-9.7",
             "spec-int-inf", "spec-not-object", "flag-int-abc", "flag-int-9.7",
             "flag-empty-float-list", "flag-empty-word-list", "flag-unknown-word",
-            "flag-format-xml"])
+            "flag-format-xml", "flag-nodes-r-2", "flag-nodes-z-2"])
     def test_bad_value_exit_2(self, tmp_path, capsys, args, overrides):
         if overrides is not None:
             args = args + ["--spec", spec_file(tmp_path, overrides)]
@@ -384,6 +395,16 @@ class TestNumericalExit:
     def test_kantorovich_lp_failure(self, tmp_path, monkeypatch, capsys):
         failed = SimpleNamespace(status=2, message="infeasible", fun=0.0)
         monkeypatch.setattr("axisphere.connection.linprog", lambda *a, **k: failed)
+        cfg = tmp_path / "charges.json"
+        cfg.write_text(json.dumps({"positives": [[0, 0, -1]], "negatives": [[0, 0, 1]]}))
+        self.assert_exit_4(["sigma", "--spec", str(cfg)], capsys)
+
+    def test_kantorovich_row_dual_violation(self, tmp_path, monkeypatch, capsys):
+        # the pair is 2 apart; u + v = 2 + 1e-6 breaks its constraint by 1e-6
+        duals = np.array([0.0, 2.0 + 1e-6])
+        optimal = SimpleNamespace(status=0, message="optimal", fun=float(duals.sum()),
+                                  eqlin=SimpleNamespace(marginals=duals))
+        monkeypatch.setattr("axisphere.connection.linprog", lambda *a, **k: optimal)
         cfg = tmp_path / "charges.json"
         cfg.write_text(json.dumps({"positives": [[0, 0, -1]], "negatives": [[0, 0, 1]]}))
         self.assert_exit_4(["sigma", "--spec", str(cfg)], capsys)

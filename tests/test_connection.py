@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from axisphere.connection import (
     min_connection_bruteforce,
     relaxed_energy,
 )
+from axisphere.geometry import NumericalError
 
 
 def random_config(rng, k, multiplicity=1):
@@ -254,6 +256,29 @@ class TestKantorovichDual:
         elapsed = time.perf_counter() - t0
         assert dual == pytest.approx(min_connection_assignment(cfg).length, abs=1e-9)
         assert elapsed < 10.0
+
+    def test_independent_of_assignment(self, monkeypatch):
+        cfg = random_config(np.random.default_rng(40), 40)
+        primal = min_connection_assignment(cfg).length
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the dual route called the assignment solver")
+
+        monkeypatch.setattr("axisphere.connection.linear_sum_assignment", forbidden)
+        assert kantorovich_dual(cfg) == pytest.approx(primal, abs=1e-9)
+
+    def test_violated_row_duals_raise(self, monkeypatch):
+        cfg = random_config(np.random.default_rng(41), 5)
+        dist = cfg.distance_matrix()
+        # u = 0 and v_j = min_i d_ij are feasible; lifting v_0 breaks one pair by 1e-6
+        v = dist.min(axis=0)
+        v[0] += 1e-6
+        duals = np.concatenate([np.zeros(cfg.k), v])
+        optimal = SimpleNamespace(status=0, message="optimal", fun=float(duals.sum()),
+                                  eqlin=SimpleNamespace(marginals=duals))
+        monkeypatch.setattr("axisphere.connection.linprog", lambda *a, **k: optimal)
+        with pytest.raises(NumericalError, match="violate a pair constraint"):
+            kantorovich_dual(cfg)
 
 
 class TestInvariances:
