@@ -16,8 +16,10 @@ sigma              Minimal connection of a point-charge configuration file.
 All commands are deterministic given their parameters; CSV output uses 12
 significant digits and re-runs are bit-identical; JSON output is strict,
 with non-finite values written as null.  Exit codes: 0 success, 2 input
-error, 3 optimizer non-convergence, 4 numerical failure (a quadrature too
-coarse to resolve, a failed LP, or a bound chain contradicting itself).
+error (an output file that cannot be written included, caught before any
+computation), 3 optimizer non-convergence, 4 numerical failure (a quadrature
+too coarse to resolve, a failed LP, a bound chain contradicting itself, or a
+singular segment subproblem).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -85,6 +88,11 @@ class ExperimentSpec:
             raise InputError(f"unknown format {self.fmt!r}")
         if self.workers < 1:
             raise InputError("workers must be >= 1")
+        if self.out is not None:
+            folder = os.path.dirname(os.path.abspath(self.out))
+            if os.path.isdir(self.out) or not os.access(folder, os.W_OK | os.X_OK) or (
+                    os.path.exists(self.out) and not os.access(self.out, os.W_OK)):
+                raise InputError(f"cannot write output file {self.out!r}")
 
 
 def _fmt(value: Any) -> str:

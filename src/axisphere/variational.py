@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .geometry import NumericalError
 
@@ -318,6 +318,7 @@ def weighted_gap(r: np.ndarray, g: np.ndarray, n: int) -> float:
 # KKT tolerance of the active-set solve, relative to its rounding level; the
 # residual it reaches is ~1e-15
 _KKT_TOL = 1e-10
+_gtsv, = get_lapack_funcs(("gtsv",), (np.empty(0),))  # float64 tridiagonal solve
 
 
 @dataclass(frozen=True)
@@ -353,67 +354,69 @@ def _solve_segment(r_nodes: np.ndarray, lo_val: float, hi_val: float,
     """Exact minimizer of the segment objective under the chain constraints
     sign (g_{i+1} - g_i) >= 0, with g pinned to lo_val and hi_val at the ends.
 
-    Primal active-set method from the profile linear in log radius.  The
-    working set fuses adjacent nodes into blocks, so each equality subproblem
-    is tridiagonal in the block values and costs one banded solve.  A step to
-    its solution stops at the first constraints it would break, which join the
-    working set; at a subproblem optimum the most negative multiplier (below
-    -_KKT_TOL relative to the residual scale of :class:`MinimizeIResult`)
-    leaves it.  Returns the profile, objective, convergence flag (KKT
-    residual at most _KKT_TOL within 4 m pivots), pivot count and KKT
-    residual.
+    Primal active-set method on h = sign g (an exact flip; h is nondecreasing)
+    from the profile linear in log radius.  The working set fuses adjacent
+    nodes into blocks, so each equality subproblem is tridiagonal in the block
+    values: one LAPACK gtsv call, or a division for one interior block.  A step
+    to its solution stops at the first constraints it would break, which join
+    the working set; at a subproblem optimum the most negative multiplier
+    (below -_KKT_TOL relative to the residual scale of :class:`MinimizeIResult`)
+    leaves it.  Returns the profile, objective, convergence flag (KKT residual
+    at most _KKT_TOL within 4 m pivots), pivot count and KKT residual.
     """
     m = r_nodes.size
     sign = -1.0 if lo_val > hi_val else 1.0
+    lo, hi = sign * lo_val, sign * hi_val
     dx, p, q = _segment_quadratic(r_nodes, n, sign)
     x = np.log(r_nodes)
-    g = lo_val + (hi_val - lo_val) * (x - x[0]) / (x[-1] - x[0])
-    # a flat segment's cone holds only the constant: every constraint active
-    active = np.full(m - 1, lo_val == hi_val)
+    h = lo + (hi - lo) * (x - x[0]) / (x[-1] - x[0])
+    # block index of each node; a flat segment's cone holds only the constant
+    block = np.arange(m) * (lo != hi)
     wpp, wqq, wpq = dx * p * p, dx * q * q, dx * p * q
-    scale = max(abs(lo_val), abs(hi_val)) / dx.min()
+    scale = max(abs(lo), abs(hi)) / dx.min()
     max_pivots = 4 * m
-    pivots, residual = 0, 0.0 if active.all() else math.inf
-    while pivots <= max_pivots and not active.all():
-        # equality subproblem: block values v with v[0] = lo_val, v[-1] = hi_val
-        block = np.concatenate(([0], np.cumsum(~active)))
+    pivots, residual = 0, 0.0 if lo == hi else math.inf
+    while pivots <= max_pivots and block[-1]:
+        # equality subproblem: block values v with v[0] = lo, v[-1] = hi
+        active = block[1:] == block[:-1]
         k = block[-1] + 1
         diag = (np.bincount(block[:-1], wpp, k) + np.bincount(block[1:], wqq, k)
-                + np.bincount(block[:-1][active], 2.0 * wpq[active], k))
+                + 2.0 * np.bincount(block[:-1], wpq * active, k))
         off = wpq[~active]  # coupling of blocks j and j + 1
         v = np.empty(k)
-        v[0], v[-1] = lo_val, hi_val
-        if k > 2:
-            band = np.zeros((3, k - 2))
-            band[0, 1:] = band[2, :-1] = off[1:-1]
-            band[1] = diag[1:-1]
+        v[0], v[-1] = lo, hi
+        if k == 3:
+            v[1] = -(off[0] * lo + off[1] * hi) / diag[1]
+        elif k > 3:
             rhs = np.zeros(k - 2)
-            rhs[0] -= off[0] * lo_val
-            rhs[-1] -= off[-1] * hi_val
-            v[1:-1] = solve_banded((1, 1), band, rhs, check_finite=False)
+            rhs[0], rhs[-1] = -off[0] * lo, -off[-1] * hi
+            _, _, _, v[1:-1], info = _gtsv(off[1:-1], diag[1:-1], off[1:-1], rhs)
+            if info != 0:
+                raise NumericalError(f"singular segment subproblem (gtsv info {info})")
         target = v[block]
 
-        slack, new_slack = sign * (g[1:] - g[:-1]), sign * (target[1:] - target[:-1])
-        blocking = ~active & (new_slack < 0.0)
-        if blocking.any():
-            frac = np.maximum(slack[blocking], 0.0) / (slack[blocking] - new_slack[blocking])
+        slack, step = h[1:] - h[:-1], target[1:] - target[:-1]  # step 0 if active
+        blocking = (step < 0.0).nonzero()[0]
+        if blocking.size:
+            frac = np.maximum(slack[blocking], 0.0) / (slack[blocking] - step[blocking])
             t = frac.min()
-            g = g + t * (target - g)
-            active[np.flatnonzero(blocking)[frac == t]] = True
+            h = h + t * (target - h)
+            for i in blocking[frac == t]:
+                block[i + 1:] -= 1
             pivots += 1
             continue
 
-        g = target
-        lam, reduced = _multipliers(dx, p, q, g, active, block, sign)
+        h = target
+        lam, reduced = _multipliers(dx, p, q, h, active, block)
         worst = float(lam.min()) if lam.size else 0.0
         residual = max(float(np.max(np.abs(reduced), initial=0.0)), -worst, 0.0) / scale
         if worst >= -_KKT_TOL * scale:
             break
-        active[np.flatnonzero(active)[np.argmin(lam)]] = False
+        block[active.nonzero()[0][np.argmin(lam)] + 1:] += 1
         pivots += 1
-    e = p * g[:-1] + q * g[1:]
+    e = p * h[:-1] + q * h[1:]
     converged = pivots <= max_pivots and residual <= _KKT_TOL
-    return g, float(np.sum(dx * e * e)), converged, pivots, float(residual)
+    return sign * h, float(np.sum(dx * e * e)), converged, pivots, float(residual)
 
 
 def _segment_gradient(dx: np.ndarray, p: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -425,24 +428,23 @@ def _segment_gradient(dx: np.ndarray, p: np.ndarray, q: np.ndarray, g: np.ndarra
     return grad
 
 
-def _multipliers(dx: np.ndarray, p: np.ndarray, q: np.ndarray, g: np.ndarray,
-                 active: np.ndarray, block: np.ndarray,
-                 sign: float) -> tuple[np.ndarray, np.ndarray]:
+def _multipliers(dx: np.ndarray, p: np.ndarray, q: np.ndarray, h: np.ndarray,
+                 active: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Multipliers of the active constraints and the reduced gradient of
-    the free blocks, at a block-constant profile g.
+    the free blocks, at a block-constant nondecreasing profile h.
 
-    With the Lagrangian F - sum lam_i sign (g_{i+1} - g_i), stationarity
-    gives lam_i = -sign (sum of dF/dg over the block up to node i), summed
-    from the block's left end, whose left constraint is inactive; in the
-    block holding pinned node 0 the sum runs from the right end instead.
+    With the Lagrangian F - sum lam_i (h_{i+1} - h_i), stationarity gives
+    lam_i = -(sum of dF/dh over the block up to node i), summed from the
+    block's left end, whose left constraint is inactive; in the block holding
+    pinned node 0 the sum runs from the right end instead.
     """
-    cs = np.cumsum(_segment_gradient(dx, p, q, g))
+    cs = np.cumsum(_segment_gradient(dx, p, q, h))
     starts = np.flatnonzero(np.concatenate(([True], ~active)))
-    ends = np.append(starts[1:] - 1, g.size - 1)
+    ends = np.append(starts[1:] - 1, h.size - 1)
     before = np.concatenate(([0.0], cs))[starts]
-    lam = -sign * (cs[:-1] - before[block[:-1]])
+    lam = before[block[:-1]] - cs[:-1]
     first = block[:-1] == 0
-    lam[first] = sign * (cs[ends[0]] - cs[:-1][first])
+    lam[first] = cs[ends[0]] - cs[:-1][first]
     reduced = cs[ends[1:-1]] - before[1:-1]
     return lam[active], reduced
 

@@ -349,6 +349,32 @@ def ten_pair_config(path):
     return path
 
 
+class TestOutputPath:
+    """An output file that cannot be written exits 2 with one line, before
+    any computation starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_computation(self, monkeypatch):
+        def never(spec):
+            raise AssertionError("computation started")
+        for name in cli._RUNNERS:
+            monkeypatch.setitem(cli._RUNNERS, name, never)
+
+    def assert_exit_2(self, args, capsys):
+        assert run(args) == cli.EXIT_INPUT == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_missing_directory_exit_2(self, tmp_path, capsys, command, fmt):
+        out = tmp_path / "missing" / f"x.{fmt}"
+        self.assert_exit_2([command, "--format", fmt, "--out", str(out)], capsys)
+
+    def test_directory_exit_2(self, tmp_path, capsys):
+        self.assert_exit_2(["t0-energy", "--out", str(tmp_path)], capsys)
+
+
 class TestStrictJson:
     # each command with a row column that holds a non-finite value, if any
     @pytest.mark.parametrize("args, null_column", [
@@ -408,6 +434,13 @@ class TestNumericalExit:
         cfg = tmp_path / "charges.json"
         cfg.write_text(json.dumps({"positives": [[0, 0, -1]], "negatives": [[0, 0, 1]]}))
         self.assert_exit_4(["sigma", "--spec", str(cfg)], capsys)
+
+    def test_singular_segment_subproblem(self, monkeypatch, capsys):
+        def singular(dl, d, du, b):
+            return dl, d, du, b, 1
+        monkeypatch.setattr("axisphere.variational._gtsv", singular)
+        self.assert_exit_4(["proposition-sweep", "--alpha", "0.05", "--a-frac", "1",
+                            "--c0", "1", "--s-tilde", "2s", "--nodes", "64"], capsys)
 
     def test_under_resolved_quadrature(self, monkeypatch, capsys):
         def under_resolved(*args, **kwargs):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -138,6 +138,35 @@ class TestAreaAndBound:
             f[0], f[-1] = f_a, f_b
             p = RadialProfile(grid=grid, phi=2.0 * np.arctan(f), n=n)
             assert area_radial(p) > monotone_area_bound(f_a, f_b, n) + 1e-8
+
+
+class TestAreaProperties:
+    """Criterion 2 as properties, at its tolerance (relative 1e-8, and the
+    1e-12 absolute floor of the unit tests above)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.floats(0.0, 3.0), st.floats(0.0, 3.0),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=63))
+    def test_monotone_profile_attains_bound(self, n, f_a, f_b, steps):
+        ramp = np.concatenate(([0.0], np.cumsum(steps)))
+        assume(ramp[-1] > 0.0)
+        f = np.clip(f_a + (f_b - f_a) * ramp / ramp[-1], min(f_a, f_b), max(f_a, f_b))
+        p = RadialProfile(grid=geometric_grid(1e-3, 1.0, f.size), phi=2.0 * np.arctan(f), n=n)
+        bound = monotone_area_bound(f[0], f[-1], n)
+        assert area_radial(p) == pytest.approx(bound, rel=1e-8, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.lists(st.floats(0.0, 3.0), min_size=2, max_size=64))
+    def test_area_covers_forced_variation(self, n, values):
+        # the image runs from c(f_a) to c(f_b) through max c and min c,
+        # c = f^2/(1+f^2), so its area is at least 4 pi n (2 (max c - min c)
+        # - |c_b - c_a|): the bound, plus twice any overshoot of the endpoints
+        f = np.array(values)
+        c = f * f / (1.0 + f * f)
+        forced = FOUR_PI * n * (2.0 * (c.max() - c.min()) - abs(c[-1] - c[0]))
+        p = RadialProfile(grid=geometric_grid(1e-3, 1.0, f.size), phi=2.0 * np.arctan(f), n=n)
+        assert area_radial(p) >= forced - max(1e-8 * forced, 1e-12)
+        assert forced >= monotone_area_bound(f[0], f[-1], n) - 1e-12
 
 
 class TestConformalityGap:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axisphere.geometry import (
     INFINITY,
@@ -226,6 +228,28 @@ class TestDegreeFromFlux:
         assert bot.degree == n
         assert top.residual < 1e-3
         assert bot.residual < 1e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.floats(0.1, 0.25), st.floats(0.4, 1.0),
+           st.sampled_from([-1.0, 1.0]))
+    def test_integer_degree_around_singular_point(self, n, alpha, radius, side):
+        # criterion 8 at its 1e-3 residual; below alpha 0.1 or radius 0.4 the
+        # 1024 default panels under-resolve the colatitude near the sphere's
+        # axis point inside the cone (residual up to 0.09 at alpha 0.01)
+        res = degree_from_flux(ConeDipoleMap(alpha=alpha, n=n).colatitude, n,
+                               (0.0, 0.0, side), radius)
+        assert res.degree == -side * n
+        assert res.residual < 1e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.floats(0.01, 0.25), st.floats(-0.5, 0.5),
+           st.floats(0.05, 0.45))
+    def test_integer_degree_zero_without_singular_point(self, n, alpha, center, radius):
+        # spheres inside the unit ball miss both cones: the map is smooth there
+        res = degree_from_flux(ConeDipoleMap(alpha=alpha, n=n).colatitude, n,
+                               (0.0, 0.0, center), radius)
+        assert res.degree == 0
+        assert res.residual < 1e-3
 
     def test_radius_independence(self):
         m = ConeDipoleMap(alpha=0.25, n=2)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from axisphere.geometry import NumericalError
 from axisphere.variational import (
     ConeConstraint,
     I_functional,
     _segment_gradient,
     _segment_quadratic,
+    _solve_segment,
     compute_t0,
     compute_tau0,
     eta_profile,
@@ -385,6 +387,59 @@ class TestActiveSetCertificate:
         assert np.array_equal(after.g, before.g) and np.array_equal(after.r, before.r)
         assert after.objective == before.objective
         assert after.iterations == before.iterations
+
+
+def dense_kkt_solution(r, lo, hi, n, tight):
+    """The segment objective's minimizer with g pinned at both ends and
+    g_{i+1} = g_i for each i in ``tight``, from one dense np.linalg.solve of
+    the KKT system [[H, A^T], [A, 0]]."""
+    sign = -1.0 if lo > hi else 1.0
+    dx, p, q = _segment_quadratic(r, n, sign)
+    m = r.size
+    hess = np.zeros((m, m))
+    for i in range(m - 1):
+        cell = np.array([p[i], q[i]])
+        hess[i:i + 2, i:i + 2] += 2.0 * dx[i] * np.outer(cell, cell)
+    rows = np.zeros((2 + len(tight), m))
+    rows[0, 0] = rows[1, -1] = 1.0
+    for row, i in enumerate(tight, start=2):
+        rows[row, i], rows[row, i + 1] = -1.0, 1.0
+    kkt = np.block([[hess, rows.T], [rows, np.zeros((rows.shape[0],) * 2)]])
+    rhs = np.concatenate([np.zeros(m), [lo, hi], np.zeros(len(tight))])
+    return np.linalg.solve(kkt, rhs)[:m]
+
+
+class TestSegmentSolve:
+    """Segments whose final working set leaves one interior block (solved by
+    one division) or two (one 2x2 gtsv call); the pivot counts are those of
+    the banded-solver implementation this one replaced."""
+
+    @pytest.mark.parametrize("nodes,r_lo,r_hi,lo,hi,n,pivots,interior", [
+        (3, 0.1, 0.2, 0.5, 0.1, 1, 0, 1),
+        (4, 0.05, 0.5, 0.1, 0.25, 1, 1, 1),
+        (4, 0.3, 1.0, 0.5, 0.1, 3, 1, 1),
+        (4, 0.1, 0.2, 0.5, 0.1, 1, 0, 2),
+        (5, 0.05, 0.5, 0.1, 0.25, 1, 1, 2),
+        (5, 0.05, 0.5, 0.5, 0.02, 2, 1, 2),
+    ])
+    def test_matches_dense_kkt(self, nodes, r_lo, r_hi, lo, hi, n, pivots, interior):
+        r = np.geomspace(r_lo, r_hi, nodes)
+        g, objective, converged, count, residual = _solve_segment(r, lo, hi, n)
+        tight = np.flatnonzero(np.diff(g) == 0.0)
+        assert nodes - tight.size - 2 == interior
+        assert converged and residual <= 1e-10
+        assert count == pivots
+        ref = dense_kkt_solution(r, lo, hi, n, tight)
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=0.0)
+        assert objective == pytest.approx(I_functional(r, ref, n), rel=1e-12)
+
+    def test_singular_subproblem_raises(self, monkeypatch):
+        def singular(dl, d, du, b):
+            return dl, d, du, b, 1
+        monkeypatch.setattr("axisphere.variational._gtsv", singular)
+        c = ConeConstraint(s=0.05, s_tilde=0.2, a=0.025, alpha=0.05)
+        with pytest.raises(NumericalError, match="singular segment subproblem"):
+            minimize_I_numerical(c, 2, nodes=64)
 
 
 class TestGapBound:
