@@ -488,8 +488,13 @@ _MIN_STEP = 1e-12
 # A symmetric fill-reducing ordering, and SuperLU without relaxed supernodes
 # or multi-column panels: on the 9-point pattern each factors 25-40% faster
 # than the defaults (COLAMD, relax and panel_size from sp_ienv) and stores
-# less, from 21 to 193 nodes a side.
+# less, from 21 to 193 nodes a side.  The pattern is fixed per grid (active
+# rows keep explicit zeros), and so is the ordering: the first factorization
+# on a grid computes it, and every later one factors the Hessian gathered
+# into that column order with NATURAL, which skips the ordering.  Only the
+# columns move, so the partial pivoting, and each step, stays bit-identical.
 _SPLU = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 1}
+_SPLU_ORDERED = {**_SPLU, "permc_spec": "NATURAL"}
 
 
 class _MeridianSystem:
@@ -513,22 +518,26 @@ class _MeridianSystem:
         free = ~fixed
         self.free = free
         size = int(np.count_nonzero(free))
-        ids = np.full((fixed.shape[0] + 2, fixed.shape[1] + 2), -1)  # padded by a ring of -1
+        nr, nz = fixed.shape
+        ids = np.full((nr + 2, nz + 2), -1)  # padded by a ring of -1
         ids[1:-1, 1:-1][free] = np.arange(size)
         # 9-point pattern: row p holds the free nodes among p's neighbours, in
         # increasing index order, which is the order of _OFFSETS
-        ii, jj = np.nonzero(free)
-        neighbours = np.stack([ids[ii + 1 + di, jj + 1 + dj] for di, dj in _OFFSETS], axis=1)
+        neighbours = np.stack([ids[1 + di:nr + 1 + di, 1 + dj:nz + 1 + dj] for di, dj in _OFFSETS],
+                              axis=-1)[free]
         present = neighbours >= 0
         per_row = present.sum(axis=1)
-        self._indptr = np.concatenate(([0], np.cumsum(per_row)))
-        slot = self._indptr[:-1, None] + np.cumsum(present, axis=1) - 1
+        indptr = np.concatenate(([0], np.cumsum(per_row)))
+        slot = indptr[:-1, None] + np.cumsum(present, axis=1) - 1
         self._col = neighbours[present]
         self._row = np.repeat(np.arange(size), per_row)
+        # the natural-order pattern in SuperLU's index type, and the column
+        # order of the first factorization with its pattern (set on first use)
+        self._pattern = (self._col.astype(np.intc), indptr.astype(np.intc))
+        self._order = None
         self._diag = slot[:, _OFFSETS.index((0, 0))]
         # each cell adds to the 16 entries between its corners
-        corners = [ids[1 + di:ids.shape[0] - 2 + di, 1 + dj:ids.shape[1] - 2 + dj].ravel()
-                   for di, dj in _CORNERS]
+        corners = [ids[1 + di:nr + di, 1 + dj:nz + dj].ravel() for di, dj in _CORNERS]
         entries, kinetic, cells = [], [], []
         for k, (ik, jk) in enumerate(_CORNERS):
             for l, (il, jl) in enumerate(_CORNERS):
@@ -563,14 +572,7 @@ class _MeridianSystem:
         grad[1:, 1:] += gr + gz + gm
         return energy, grad, 1.0 - 2.0 * sin2
 
-    def hessian(self, cos2: np.ndarray, convex: bool = False,
-                active: np.ndarray | None = None) -> csc_matrix:
-        """The Hessian over the free nodes, for cell curvatures ``cos2``.
-
-        ``convex`` clips the curvature term at 0, which leaves a positive
-        semidefinite sum of rank-one cell terms.  Rows and columns of the
-        ``active`` free nodes are replaced by the kinetic diagonal.
-        """
+    def _values(self, cos2: np.ndarray, convex: bool, active: np.ndarray | None) -> np.ndarray:
         q = self.c_m * cos2 / 8.0
         if convex:
             q = np.maximum(q, 0.0)
@@ -579,8 +581,43 @@ class _MeridianSystem:
         if active is not None:
             data[active[self._row] | active[self._col]] = 0.0
             data[self._diag[active]] = self.kinetic_diag[active]
+        return data
+
+    def _matrix(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> csc_matrix:
         size = self.kinetic_diag.size
-        return csc_matrix((data, self._col, self._indptr), shape=(size, size))
+        return csc_matrix((data, indices, indptr), shape=(size, size))
+
+    def hessian(self, cos2: np.ndarray, convex: bool = False,
+                active: np.ndarray | None = None) -> csc_matrix:
+        """The Hessian over the free nodes, for cell curvatures ``cos2``.
+
+        ``convex`` clips the curvature term at 0, which leaves a positive
+        semidefinite sum of rank-one cell terms.  Rows and columns of the
+        ``active`` free nodes are replaced by the kinetic diagonal.
+        """
+        return self._matrix(self._values(cos2, convex, active), *self._pattern)
+
+    def solve(self, g: np.ndarray, cos2: np.ndarray, convex: bool,
+              active: np.ndarray) -> np.ndarray:
+        """``hessian(cos2, convex, active)`` solved against ``g``, in the
+        column order fixed by the grid's first factorization (see _SPLU)."""
+        data = self._values(cos2, convex, active)
+        if self._order is None:
+            lu = splu(self._matrix(data, *self._pattern), **_SPLU)
+            # lu factors A[:, q]: column j of its pattern is column q[j] of A's
+            q = np.argsort(lu.perm_c).astype(np.intc)
+            indices, indptr = self._pattern
+            counts = np.diff(indptr)[q]
+            start = np.concatenate(([0], np.cumsum(counts))).astype(np.intc)
+            gather = (np.arange(indices.size, dtype=np.intc)
+                      + np.repeat(indptr[q] - start[:-1], counts))
+            self._order = (q, gather, self._matrix(np.empty_like(data), indices[gather], start))
+            return lu.solve(g)
+        q, gather, ordered = self._order
+        np.take(data, gather, out=ordered.data)
+        x = np.empty_like(g)
+        x[q] = splu(ordered, **_SPLU_ORDERED).solve(g)
+        return x
 
 
 @dataclass(frozen=True)
@@ -634,8 +671,7 @@ def minimize_meridian_energy(
         eps = min(_ACTIVE_EPS, width)
         active = ((x <= eps) & (g > 0.0)) | ((x >= math.pi - eps) & (g < 0.0))
         for convex in (False, True):
-            hess = system.hessian(cos2, convex=convex, active=active)
-            step = -splu(hess, **_SPLU).solve(g)
+            step = -system.solve(g, cos2, convex, active)
             if g @ step < 0.0:
                 break
         t = 1.0

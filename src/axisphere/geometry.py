@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 __all__ = [
     "INFINITY",
@@ -340,7 +339,11 @@ def degree_from_flux(
         [colatitude_fn(radius * math.sin(b), cz + radius * math.cos(b)) for b in beta]
     )
     dphi = np.gradient(phi, beta, edge_order=2)
-    raw = 0.5 * winding * float(simpson(np.sin(phi) * dphi, x=beta))
+    # composite Simpson weights (h/3) [1, 4, 2, 4, ..., 2, 4, 1]
+    weights = np.full(panels + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    raw = 0.5 * winding * (math.pi / panels / 3.0) * float(weights @ (np.sin(phi) * dphi))
     degree = int(round(raw))
     residual = abs(raw - degree)
     if residual > 0.1:

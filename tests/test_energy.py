@@ -656,6 +656,45 @@ def dipole_box(rng, n, nodes, jitter=0.1):
     return r, z, phi, fixed
 
 
+class TestFixedColumnOrder:
+    """Each grid's first Newton factorization picks the column order, and
+    every later one factors the Hessian gathered into it with NATURAL."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_solves_match_per_call_factorization(self, n, monkeypatch):
+        inner = energy.splu
+        specs = []
+
+        def counted(matrix, **options):
+            specs.append(options["permc_spec"])
+            return inner(matrix, **options)
+
+        solve = _MeridianSystem.solve
+        solves = []
+
+        def checked(system, g, cos2, convex, active):
+            x = solve(system, g, cos2, convex, active)
+            ref = inner(system.hessian(cos2, convex=convex, active=active), **energy._SPLU)
+            solves.append((system, active.any(), x, ref.solve(g)))
+            return x
+
+        monkeypatch.setattr(energy, "splu", counted)
+        monkeypatch.setattr(_MeridianSystem, "solve", checked)
+        for nodes in (17, 33):
+            r, z, phi0, fixed = dipole_box(np.random.default_rng([n, nodes]), n, nodes)
+            assert minimize_meridian_energy(r, z, phi0, fixed, n, gtol=1e-8).converged
+        assert len(specs) == len(solves) > 20
+        assert any(has_active for _, has_active, _, _ in solves)
+        for _, _, x, ref in solves:
+            assert np.array_equal(x, ref)
+        # one ordering per grid, on its first factorization
+        systems = [system for system, _, _, _ in solves]
+        firsts = [k for k, system in enumerate(systems) if system not in systems[:k]]
+        assert len(firsts) == 2
+        assert [k for k, spec in enumerate(specs) if spec != "NATURAL"] == firsts
+        assert {specs[k] for k in firsts} == {energy._SPLU["permc_spec"]}
+
+
 class TestMeridianRelaxation:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("nodes", [17, 33])

@@ -1,10 +1,17 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
+import axisphere
 from axisphere.geometry import (
     INFINITY,
     POINT_AT_INFINITY,
@@ -270,6 +277,30 @@ class TestDegreeFromFlux:
     def test_off_axis_center_rejected(self):
         with pytest.raises(ValueError):
             degree_from_flux(lambda r, z: 0.0, 1, (0.5, 0.0, 0.0), 0.1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_simpson_weights_match_scipy(self, n):
+        # the explicit composite Simpson sum against scipy's simpson on the
+        # same samples, around either singular point at criterion 8's sizes
+        beta = np.linspace(0.0, math.pi, 1025)
+        for alpha, radius, side in itertools.product((0.1, 0.25), (0.4, 0.5, 1.0), (-1.0, 1.0)):
+            m = ConeDipoleMap(alpha=alpha, n=n)
+            phi = np.array([m.colatitude(radius * math.sin(b), side + radius * math.cos(b))
+                            for b in beta])
+            ref = 0.5 * n * simpson(np.sin(phi) * np.gradient(phi, beta, edge_order=2), x=beta)
+            res = degree_from_flux(m.colatitude, n, (0.0, 0.0, side), radius)
+            assert res.raw == pytest.approx(ref, rel=0.0, abs=1e-14)
+            assert res.degree == -side * n
+
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        src = str(Path(axisphere.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, axisphere.cli; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
 
     def test_under_resolved_raises(self):
         # an oscillatory image colatitude aliases on a coarse panel grid
