@@ -47,6 +47,7 @@ from .energy import (
     energy_3d,
     meridian_cell_energy,
     meridian_from_profile,
+    meridian_hessian_definite,
     minimize_meridian_energy,
 )
 from .geometry import NumericalError, geometric_grid, u0_profile, u_eps_profile
@@ -81,7 +82,6 @@ class ExperimentSpec:
     out: str | None = None
     fmt: str = "csv"
     workers: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.fmt not in ("csv", "json"):
@@ -331,6 +331,17 @@ def _dipole_box(n: int, alpha: float, delta: float, r_box: float,
     return r, z, phi_base, fixed
 
 
+def _spindle_start(n: int, alpha: float, delta: float, r_box: float,
+                   r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Spindle-shaped start on the nodes (r, z), even in z: an anti-conformal
+    plug whose radius shrinks to zero at z = +-delta, matched to the
+    background."""
+    rho = 0.5 * r_box * np.sqrt(np.maximum(0.0, 1.0 - (z / delta) ** 2))
+    with np.errstate(divide="ignore", over="ignore"):
+        f_plug = alpha * rho[None, :] ** (2 * n) * r[:, None] ** (-float(n))
+    return 2.0 * np.arctan(np.maximum(alpha * r[:, None] ** n, f_plug))
+
+
 def _bilinear_refine(phi: np.ndarray, r_c, z_c, r_f, z_f) -> np.ndarray:
     x_c, x_f = np.log(r_c), np.log(r_f)
     tmp = np.empty((x_f.size, z_c.size))
@@ -344,60 +355,63 @@ def _bilinear_refine(phi: np.ndarray, r_c, z_c, r_f, z_f) -> np.ndarray:
 
 def _dipole_point(
     n: int, alpha: float, delta: float, r_box: float,
-    nodes_r: int, nodes_z: int, maxiter: int, rng: np.random.Generator,
-    jitter: float,
+    nodes_r: int, nodes_z: int, maxiter: int,
 ) -> tuple[dict, dict]:
     """Relax the meridian energy in the box [0, r_box] x [-delta, delta] with
     the vertical defect removed inside, at the coarse level (nodes_r, nodes_z)
-    and the fine level (2 nodes_r - 1, 2 nodes_z - 1).
+    and the fine level (2 nodes_r - 1, 2 nodes_z - 1), for odd nodes_z.
 
-    One coarse-to-fine grid ladder ends in the two levels; each rung
-    warm-starts from the interpolated previous solution, and the jitter
-    noise is drawn once, at the bottom rung.  Returns the coarse and fine
-    results; ``iterations`` counts the Newton steps of the ladder up to the
-    level.
+    The box, its boundary data and the spindle start are even in z, and
+    z = 0 is a node row, so each rung relaxes only the upper half [0, delta]
+    with that row free: the full energy of the even field is twice the
+    half's.  One coarse-to-fine grid ladder of half boxes ends in the two
+    levels; each rung warm-starts from the interpolated previous solution.
+    At both levels the Hessian over the z-odd directions, which the half box
+    cannot see, is tested by a banded Cholesky factorization: it is the half
+    box's Hessian with the z = 0 row pinned.
+    Returns the coarse and fine results; ``iterations`` counts the Newton
+    steps of the ladder up to the level.
     """
-    ladder = [(nodes_r, nodes_z)]
+    # rungs of (r nodes, half-box z nodes); a half box of m z-nodes is the
+    # upper half of the full box of 2 m - 1
+    ladder = [(nodes_r, nodes_z // 2 + 1)]
     while ladder[-1][0] > 40:
         nr, nz = ladder[-1]
         ladder.append((nr // 2 + 1, nz // 2 + 1))
     ladder.reverse()
-    ladder.append((2 * nodes_r - 1, 2 * nodes_z - 1))
+    ladder.append((2 * nodes_r - 1, nodes_z))
 
     phi_prev = r_prev = z_prev = None
     total_it = 0
     levels = []
     for nr, nz in ladder:
-        r, z, phi_base, fixed = _dipole_box(n, alpha, delta, r_box, nr, nz)
+        r, z_full, phi_full, fixed = _dipole_box(n, alpha, delta, r_box, nr, 2 * nz - 1)
+        upper = np.s_[:, nz - 1:]  # from the z = 0 row, which is not an edge
+        z, phi_base, fixed = z_full[nz - 1:], phi_full[upper], fixed[upper]
         if phi_prev is None:
-            # spindle-shaped start: an anti-conformal plug whose radius
-            # shrinks to zero at the interval ends, matched to the background
-            rho = 0.5 * r_box * np.sqrt(np.maximum(0.0, 1.0 - (z / delta) ** 2))
-            with np.errstate(divide="ignore", over="ignore"):
-                f_plug = alpha * rho[None, :] ** (2 * n) * r[:, None] ** (-float(n))
-            phi_init = 2.0 * np.arctan(np.maximum(alpha * r[:, None] ** n, f_plug))
-            if jitter > 0.0:
-                phi_init += rng.normal(0.0, jitter, phi_init.shape)
-                phi_init = np.clip(phi_init, 0.0, math.pi)
+            phi_init = _spindle_start(n, alpha, delta, r_box, r, z)
         else:
             phi_init = _bilinear_refine(phi_prev, r_prev, z_prev, r, z)
         phi_init = np.where(fixed, phi_base, phi_init)
-        phi_init[0, 1:-1] = math.pi  # defect removed: the axis limit flips to the far pole
+        phi_init[0, :-1] = math.pi  # defect removed: the axis limit flips to the far pole
         res = minimize_meridian_energy(r, z, phi_init, fixed, n, maxiter=maxiter)
         total_it += res.iterations
         phi_prev, r_prev, z_prev = res.phi, r, z
-        levels.append((r, z, phi_base, res, total_it))
+        levels.append((r, z, z_full, phi_full, fixed, res, total_it))
 
     mass_saving = _FOUR_PI * n * 2.0 * delta
     out = []
-    for r, z, phi_base, res, iterations in levels[-2:]:
-        e_base = meridian_cell_energy(r, z, phi_base, n)
-        delta_e = res.energy - e_base
+    for r, z, z_full, phi_full, fixed, res, iterations in levels[-2:]:
+        e_base = meridian_cell_energy(r, z_full, phi_full, n)
+        e_new = 2.0 * res.energy
+        odd = fixed.copy()
+        odd[:, 0] = True  # a z-odd direction vanishes on z = 0
         out.append({
-            "E_base": e_base, "E_new": res.energy, "delta_E": delta_e,
-            "mass_saving": mass_saving, "net": mass_saving - delta_e,
+            "E_base": e_base, "E_new": e_new, "delta_E": e_new - e_base,
+            "mass_saving": mass_saving, "net": mass_saving - (e_new - e_base),
             "converged": res.converged, "iterations": iterations,
             "grad_norm": res.grad_norm,
+            "odd_stable": meridian_hessian_definite(r, z, res.phi, odd, n),
         })
     return out[0], out[1]
 
@@ -406,7 +420,7 @@ def run_dipole_tradeoff(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
     p = spec.params
     n, alpha = p["n"], p["alpha"]
     deltas, factors = p["delta"], p["rbox_factors"]
-    nodes_r, nodes_z, maxiter, jitter = p["nodes_r"], p["nodes_z"], p["maxiter"], p["jitter"]
+    nodes_r, nodes_z, maxiter = p["nodes_r"], p["nodes_z"], p["maxiter"]
     if n < 1:
         raise InputError("n must be >= 1")
     if not 0.0 < alpha <= 0.25:
@@ -415,14 +429,14 @@ def run_dipole_tradeoff(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
         raise InputError("delta values must lie in (0, 0.5]")
     if min(nodes_r, nodes_z) < 3:
         raise InputError("nodes-r and nodes-z must be >= 3 (a box needs an interior node)")
+    if nodes_z % 2 == 0:
+        raise InputError("nodes-z must be odd (the half box needs a z = 0 row)")
 
     points = [(d, min(1.0, f * d)) for d in deltas for f in factors]
 
     def one(point: tuple[float, float]) -> dict:
         delta, r_box = point
-        rng = np.random.default_rng(spec.seed)
-        coarse, fine = _dipole_point(n, alpha, delta, r_box, nodes_r, nodes_z,
-                                     maxiter, rng, jitter)
+        coarse, fine = _dipole_point(n, alpha, delta, r_box, nodes_r, nodes_z, maxiter)
         # the grid under-resolves the two axis singularities, deflating the
         # relaxed energy; two-level extrapolation estimates the limit, and a
         # sign disagreement between the finest level and the extrapolation
@@ -443,6 +457,7 @@ def run_dipole_tradeoff(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
             "converged": coarse["converged"] and fine["converged"],
             "iterations": max(coarse["iterations"], fine["iterations"]),
             "grad_norm": max(coarse["grad_norm"], fine["grad_norm"]),
+            "odd_stable": coarse["odd_stable"] and fine["odd_stable"],
         }
 
     # factors whose boxes clamp to the same r_box share one solve
@@ -527,8 +542,7 @@ _WORDS = _list_of(lambda tok: str(tok).strip())
 
 # Each parameter once: name -> (conversion, default).  Its flag is the name
 # with "-" for "_"; a spec file key may be spelled either way.
-_COMMON = {"out": (_text, None), "format": (_text, "csv"), "workers": (_int, 1),
-           "seed": (_int, 0)}
+_COMMON = {"out": (_text, None), "format": (_text, "csv"), "workers": (_int, 1)}
 _COMMANDS: dict[str, tuple[str, dict[str, tuple[Callable[[Any], Any], Any]]]] = {
     "t0-energy": ("reference-configuration energy accounting", {
         "n": (_INTS, [2]), "alpha": (_FLOATS, [0.25]), "r_nodes": (_int, 16385),
@@ -544,8 +558,7 @@ _COMMANDS: dict[str, tuple[str, dict[str, tuple[Callable[[Any], Any], Any]]]] = 
     "dipole-tradeoff": ("defect-removal energy trade-off", {
         "n": (_int, 2), "alpha": (float, 0.25),
         "delta": (_FLOATS, [0.1, 0.2, 0.3, 0.4, 0.5]), "rbox_factors": (_FLOATS, [1, 2, 4]),
-        "nodes_r": (_int, 65), "nodes_z": (_int, 65), "maxiter": (_int, 3000),
-        "jitter": (float, 0.0)}),
+        "nodes_r": (_int, 65), "nodes_z": (_int, 65), "maxiter": (_int, 3000)}),
     "sigma": ("minimal connection of a charge configuration", {}),
 }
 _HELP = {"s_tilde": "comma list from {2s, mid, 1}", "b": argparse.SUPPRESS,
@@ -594,10 +607,9 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             resolved[name] = convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad value {value!r} for {name!r}: {exc}") from exc
-    out, fmt, workers, seed = (resolved.pop(name) for name in _COMMON)
+    out, fmt, workers = (resolved.pop(name) for name in _COMMON)
     params = {"config": path} if command == "sigma" else resolved
-    return ExperimentSpec(command=command, params=params, out=out, fmt=fmt,
-                          workers=workers, seed=seed)
+    return ExperimentSpec(command=command, params=params, out=out, fmt=fmt, workers=workers)
 
 
 _RUNNERS = {

@@ -290,6 +290,8 @@ def test_criterion_9_dipole_contrast_evidence():
             "dipole contrast evidence inconclusive at this resolution: " + detail
         )
     assert all_converged
+    # every relaxed level is stable against z-odd perturbations too
+    assert all(r["odd_stable"] for r in rows1 + rows2)
     assert code1 in (0,)
     assert code2 in (0,)
 

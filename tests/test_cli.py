@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from axisphere import cli
+from axisphere import cli, energy
 from axisphere.cli import main
 from axisphere.geometry import UnderResolvedQuadratureError
 
@@ -177,6 +177,51 @@ class TestDipole:
         assert len(rows) == 2 and rows[0] == rows[1] and rows[0]["r_box"] == 1.0
 
 
+class TestHalfBox:
+    """Each rung relaxes the upper half of the full box it stood for."""
+
+    @staticmethod
+    def full_ladder(nodes_r, nodes_z):
+        """The rungs (r nodes, z nodes) of the full-box ladder."""
+        ladder = [(nodes_r, nodes_z)]
+        while ladder[-1][0] > 40:
+            nr, nz = ladder[-1]
+            ladder.append((nr // 2 + 1, nz // 2 + 1))
+        return ladder[::-1] + [(2 * nodes_r - 1, 2 * nodes_z - 1)]
+
+    @pytest.mark.parametrize("nodes_z", [17, 33, 49, 65])
+    def test_rungs_are_upper_halves(self, nodes_z, monkeypatch):
+        n, alpha, delta, r_box = 2, 0.05, 0.3, 0.3
+        calls = []
+
+        def unrelaxed(r, z, phi_init, fixed, n, **kwargs):
+            calls.append((r, z, phi_init, fixed))
+            return energy.MeridianRelaxResult(
+                phi=phi_init, energy=energy.meridian_cell_energy(r, z, phi_init, n),
+                converged=True, iterations=0, grad_norm=0.0, message="")
+
+        monkeypatch.setattr(cli, "minimize_meridian_energy", unrelaxed)
+        _, fine = cli._dipole_point(n, alpha, delta, r_box, 65, nodes_z, maxiter=10)
+        rungs = self.full_ladder(65, nodes_z)
+        assert len(calls) == len(rungs) == 3
+        for (r, z, phi_init, fixed), (nr, nz) in zip(calls, rungs):
+            r_full, z_full, phi_full, fixed_full = cli._dipole_box(n, alpha, delta, r_box, nr, nz)
+            upper = np.s_[:, nz // 2:]
+            assert z_full[nz // 2] == pytest.approx(0.0, abs=1e-15)
+            assert np.array_equal(r, r_full) and np.array_equal(z, z_full[nz // 2:])
+            # the z = 0 row is free inside the box, as it is in the full box
+            assert np.array_equal(fixed, fixed_full[upper]) and not fixed[1:-1, 0].any()
+            # the boundary data: the background, with the axis flipped to pi
+            boundary = phi_full[upper].copy()
+            boundary[0, :-1] = math.pi
+            assert np.array_equal(phi_init[fixed], boundary[fixed])
+        # the fine level reports the full box's energies of the even field
+        even = np.concatenate([phi_init[:, :0:-1], phi_init], axis=1)
+        assert fine["E_new"] == pytest.approx(
+            energy.meridian_cell_energy(r_full, z_full, even, n), rel=1e-12)
+        assert fine["E_base"] == energy.meridian_cell_energy(r_full, z_full, phi_full, n)
+
+
 class TestSigma:
     def test_axis_pair(self, tmp_path, capsys):
         cfg = tmp_path / "charges.json"
@@ -271,13 +316,13 @@ class TestParameters:
                                "s_tilde": ["2s", "mid", "1"], "nodes": 256, "b": 0.5}),
         ("dipole-tradeoff", {"n": 2, "alpha": 0.25, "delta": [0.1, 0.2, 0.3, 0.4, 0.5],
                              "rbox_factors": [1.0, 2.0, 4.0], "nodes_r": 65, "nodes_z": 65,
-                             "maxiter": 3000, "jitter": 0.0}),
+                             "maxiter": 3000}),
         ("sigma", {"config": None}),
     ])
     def test_defaults(self, command, params):
         # repr compares types and key order too: [2] is not [2.0]
         expected = cli.ExperimentSpec(command=command, params=params, out=None, fmt="csv",
-                                      workers=1, seed=0)
+                                      workers=1)
         assert repr(resolve([command])) == repr(expected)
 
     @pytest.mark.parametrize("command, flag, text, key, value, expected", [
@@ -320,10 +365,16 @@ class TestParameters:
         # a box with no interior node relaxes nothing
         (["dipole-tradeoff", "--nodes-r", "2", "--delta", "0.3", "--rbox-factors", "1"], None),
         (["dipole-tradeoff", "--nodes-z", "2", "--delta", "0.3", "--rbox-factors", "1"], None),
+        # the half box needs a z = 0 row
+        (["dipole-tradeoff", "--nodes-z", "16", "--delta", "0.3", "--rbox-factors", "1"], None),
+        # removed parameters are unknown keys
+        (["dipole-tradeoff"], {"jitter": 0.0}),
+        (["t0-energy"], {"seed": 0}),
     ], ids=["spec-workers-x", "spec-seed-x", "spec-command", "spec-spec", "spec-int-9.7",
             "spec-int-inf", "spec-not-object", "flag-int-abc", "flag-int-9.7",
             "flag-empty-float-list", "flag-empty-word-list", "flag-unknown-word",
-            "flag-format-xml", "flag-nodes-r-2", "flag-nodes-z-2"])
+            "flag-format-xml", "flag-nodes-r-2", "flag-nodes-z-2", "flag-nodes-z-even",
+            "spec-jitter", "spec-seed"])
     def test_bad_value_exit_2(self, tmp_path, capsys, args, overrides):
         if overrides is not None:
             args = args + ["--spec", spec_file(tmp_path, overrides)]

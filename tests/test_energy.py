@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from axisphere import energy
-from axisphere.cli import _dipole_box
+from axisphere.cli import _dipole_box, _spindle_start
 from axisphere.energy import (
     _BLOCK_CELLS,
     EnergyReport,
@@ -23,6 +23,7 @@ from axisphere.energy import (
     meridian_cell_energy,
     meridian_cell_energy_grad,
     meridian_from_profile,
+    meridian_hessian_definite,
     minimize_meridian_energy,
     monotone_area_bound,
     psi_gain,
@@ -735,3 +736,76 @@ class TestMeridianRelaxation:
         assert res.iterations == 1
         assert not res.converged
         assert res.grad_norm > 1e-5
+
+
+def spindle_box(n, alpha, nodes):
+    """The full dipole-tradeoff box at delta = r_box = 0.35, started from the
+    spindle with the axis flipped to pi, and the index of its z = 0 row."""
+    r, z, phi_base, fixed = _dipole_box(n, alpha, 0.35, 0.35, nodes, nodes)
+    phi = np.where(fixed, phi_base, _spindle_start(n, alpha, 0.35, 0.35, r, z))
+    phi[0, 1:-1] = math.pi
+    return r, z, phi, fixed, nodes // 2
+
+
+def odd_block(r, z, phi, fixed, mid):
+    """The upper half of a full box, with its z = 0 row pinned as well."""
+    odd = fixed[:, mid:].copy()
+    odd[:, 0] = True
+    return r, z[mid:], phi[:, mid:], odd
+
+
+class TestHalfBox:
+    """An even field's full-box energy is twice its upper half's, and so is
+    the relaxed energy of the half box with its z = 0 row free."""
+
+    @pytest.mark.parametrize("n, alpha", [(1, 0.25), (2, 0.05)])
+    @pytest.mark.parametrize("nodes", [17, 33])
+    def test_twice_half_energy_is_full_energy(self, n, alpha, nodes):
+        r, z, phi0, fixed, mid = spindle_box(n, alpha, nodes)
+        assert 2.0 * meridian_cell_energy(r, z[mid:], phi0[:, mid:], n) == pytest.approx(
+            meridian_cell_energy(r, z, phi0, n), rel=1e-13)
+        full = minimize_meridian_energy(r, z, phi0, fixed, n)
+        half = minimize_meridian_energy(r, z[mid:], phi0[:, mid:], fixed[:, mid:], n)
+        assert full.converged and half.converged
+        assert 2.0 * half.energy == pytest.approx(full.energy, rel=1e-9)
+        # the relaxed half box is stable against z-odd perturbations
+        assert meridian_hessian_definite(*odd_block(r, z, full.phi, fixed, mid), n)
+        assert meridian_hessian_definite(r, z[mid:], half.phi,
+                                         odd_block(r, z, phi0, fixed, mid)[3], n)
+
+
+class TestHessianDefinite:
+    """The banded Cholesky test agrees with the eigenvalues of a central-
+    difference Hessian over the free nodes."""
+
+    @staticmethod
+    def smallest_eigenvalue(r, z, phi, fixed, n, h=1e-6):
+        free = np.flatnonzero(~fixed)
+        cols = []
+        for k in free:
+            step = np.zeros(phi.size)
+            step[k] = h
+            step = step.reshape(phi.shape)
+            cols.append((meridian_cell_energy_grad(r, z, phi + step, n)
+                         - meridian_cell_energy_grad(r, z, phi - step, n)).ravel()[free] / (2 * h))
+        hess = np.array(cols)
+        return np.min(np.linalg.eigvalsh((hess + hess.T) / 2))
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.25])
+    @pytest.mark.parametrize("nodes", [17, 33])
+    def test_unrelaxed_start_indefinite(self, alpha, nodes):
+        r, z, phi0, fixed, mid = spindle_box(2, alpha, nodes)
+        block = odd_block(r, z, phi0, fixed, mid)
+        assert not meridian_hessian_definite(*block, 2)
+        assert self.smallest_eigenvalue(*block, 2) < 0.0
+        # so is a symmetric interior at the equator
+        r, z_half, phi_half, odd = block
+        equator = np.where(odd, phi_half, math.pi / 2)
+        assert not meridian_hessian_definite(r, z_half, equator, odd, 2)
+
+    def test_relaxed_state_definite(self):
+        r, z, phi0, fixed, mid = spindle_box(2, 0.05, 17)
+        res = minimize_meridian_energy(r, z[mid:], phi0[:, mid:], fixed[:, mid:], 2)
+        block = (r, z[mid:], res.phi, odd_block(r, z, phi0, fixed, mid)[3])
+        assert meridian_hessian_definite(*block, 2)
+        assert self.smallest_eigenvalue(*block, 2) > 0.0
