@@ -180,12 +180,6 @@ class RadialProfile:
             raise ValueError("winding number n must be >= 1")
         object.__setattr__(self, "n", int(self.n))
 
-    def chart_values(self) -> np.ndarray:
-        """Chart values f = tan(phi/2); pi maps to inf."""
-        f = np.tan(0.5 * self.phi)
-        f[self.phi == math.pi] = INFINITY
-        return f
-
     def to_csv(self, path) -> None:
         """Write the profile as CSV with header ``r,phi`` (17 significant digits)."""
         with open(path, "w", newline="") as fh:

@@ -225,9 +225,6 @@ class PiecewiseMinimizer:
     def sample(self, grid: np.ndarray) -> np.ndarray:
         return self.value(np.asarray(grid, dtype=float))
 
-    def plateau_length_log(self) -> float:
-        return math.log(self.plateau_end / self.arc_end)
-
     def objective_closed_form(self) -> float:
         """I at the minimizer: exact arc integrals plus the plateau term
         n^2 a^2 log(plateau_end / arc_end)."""

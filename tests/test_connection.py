@@ -154,7 +154,50 @@ class TestConfig:
         assert cfg.positives.shape == cfg.negatives.shape == (0, 3)
 
 
+def enumerate_pairings(cfg):
+    """Literal enumeration: each permutation's length, first minimum."""
+    k = cfg.k
+    perms = np.array(list(itertools.permutations(range(k))))
+    totals = cfg.distance_matrix()[np.arange(k), perms].sum(axis=1)
+    best = int(np.argmin(totals))
+    return float(totals[best]), tuple(int(j) for j in perms[best])
+
+
 class TestBruteForce:
+    def test_matches_enumeration(self):
+        rng = np.random.default_rng(300)
+        for k in list(range(1, 9)) * 10 + [9] * 3:
+            cfg = random_config(rng, k)
+            res = min_connection_bruteforce(cfg)
+            length, matching = enumerate_pairings(cfg)
+            assert res.matching == matching
+            assert res.length == length  # bit-identical
+
+    def test_exact_tie_breaks_to_smallest_permutation(self):
+        # integer distances on a line: (1, 0, 2) and (2, 0, 1) both have
+        # length 17, the identity 27
+        cfg = SingularityConfig(
+            positives=[[5, 0, 0], [0, 0, 0], [1, 0, 0]],
+            negatives=[[-10, 0, 0], [6, 0, 0], [7, 0, 0]],
+        )
+        res = min_connection_bruteforce(cfg)
+        assert res.matching == (1, 0, 2)
+        assert res.length == 17.0
+        assert enumerate_pairings(cfg) == (17.0, (1, 0, 2))
+
+    def test_length_is_matched_sum_not_suffix_value(self):
+        # the subset DP's h[0] adds the matched pairs from the last positive
+        # up; on this config that differs from their sum in the last bit
+        cfg = random_config(np.random.default_rng(3), 8)
+        res = min_connection_bruteforce(cfg)
+        dist = cfg.distance_matrix()
+        suffix = 0.0
+        for i in reversed(range(cfg.k)):
+            suffix = dist[i, res.matching[i]] + suffix
+        assert suffix != res.length
+        assert res.length == dist[np.arange(cfg.k), list(res.matching)].sum()
+        assert res.length == enumerate_pairings(cfg)[0]
+
     def test_single_axis_pair(self):
         res = min_connection_bruteforce(AXIS_PAIR)
         assert res.length == pytest.approx(2.0, abs=1e-15)

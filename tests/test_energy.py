@@ -366,6 +366,24 @@ def radial_reference(r, phi, n):
     return math.pi * (kinetic + angular), math.pi * (kinetic + angular - cross)
 
 
+class TestAngularTermNearPoles:
+    """The kernel forms sin^2 phi as (1 - cos phi)(1 + cos phi), which is
+    accurate in absolute terms next to either pole."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("near_pi", [False, True])
+    def test_matches_sine_reference(self, n, near_pi):
+        r = geometric_grid(1e-3, 1.0, 4097)
+        bump = 1e-3 * r ** n
+        phi = math.pi - bump if near_pi else bump
+        p = RadialProfile(grid=r, phi=phi, n=n)
+        e = dirichlet_energy_radial(p)
+        bound = 1e-15 * math.pi * n ** 2 * np.sum(trapezoid(r) / r)
+        assert abs(e - radial_reference(r, phi, n)[0]) <= bound
+        a = area_radial(p)
+        assert conformality_gap(p) == pytest.approx(e - a, abs=1e-15 * (e + a))
+
+
 class TestFieldKernel:
     """The blocked pass of the radial kernel against whole-field and
     whole-profile sums, at row counts on both sides of the block seams."""
