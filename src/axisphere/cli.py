@@ -43,9 +43,10 @@ from .connection import (
 )
 from .energy import (
     area_radial,
+    dipole_half_box,
+    dipole_ladder,
     dirichlet_energy_radial,
     energy_3d,
-    meridian_cell_energy,
     meridian_from_profile,
     meridian_hessian_definite,
     minimize_meridian_energy,
@@ -318,41 +319,6 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
 # dipole-tradeoff
 # ---------------------------------------------------------------------------
 
-def _dipole_box(n: int, alpha: float, delta: float, r_box: float,
-               nodes_r: int, nodes_z: int):
-    """Grids, baseline field and fixed-node mask of the box
-    [r_box 1e-3, r_box] x [-delta, delta]; every edge node is fixed."""
-    r = np.geomspace(r_box * 1e-3, r_box, nodes_r)
-    z = np.linspace(-delta, delta, nodes_z)
-    phi_base = np.tile(2.0 * np.arctan(alpha * r ** n)[:, None], (1, nodes_z))
-    fixed = np.zeros((nodes_r, nodes_z), dtype=bool)
-    fixed[[0, -1], :] = True
-    fixed[:, [0, -1]] = True
-    return r, z, phi_base, fixed
-
-
-def _spindle_start(n: int, alpha: float, delta: float, r_box: float,
-                   r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Spindle-shaped start on the nodes (r, z), even in z: an anti-conformal
-    plug whose radius shrinks to zero at z = +-delta, matched to the
-    background."""
-    rho = 0.5 * r_box * np.sqrt(np.maximum(0.0, 1.0 - (z / delta) ** 2))
-    with np.errstate(divide="ignore", over="ignore"):
-        f_plug = alpha * rho[None, :] ** (2 * n) * r[:, None] ** (-float(n))
-    return 2.0 * np.arctan(np.maximum(alpha * r[:, None] ** n, f_plug))
-
-
-def _bilinear_refine(phi: np.ndarray, r_c, z_c, r_f, z_f) -> np.ndarray:
-    x_c, x_f = np.log(r_c), np.log(r_f)
-    tmp = np.empty((x_f.size, z_c.size))
-    for j in range(z_c.size):
-        tmp[:, j] = np.interp(x_f, x_c, phi[:, j])
-    out = np.empty((x_f.size, z_f.size))
-    for i in range(x_f.size):
-        out[i, :] = np.interp(z_f, z_c, tmp[i, :])
-    return out
-
-
 def _dipole_point(
     n: int, alpha: float, delta: float, r_box: float,
     nodes_r: int, nodes_z: int, maxiter: int,
@@ -361,57 +327,33 @@ def _dipole_point(
     the vertical defect removed inside, at the coarse level (nodes_r, nodes_z)
     and the fine level (2 nodes_r - 1, 2 nodes_z - 1), for odd nodes_z.
 
-    The box, its boundary data and the spindle start are even in z, and
-    z = 0 is a node row, so each rung relaxes only the upper half [0, delta]
-    with that row free: the full energy of the even field is twice the
-    half's.  One coarse-to-fine grid ladder of half boxes ends in the two
-    levels; each rung warm-starts from the interpolated previous solution.
-    At both levels the Hessian over the z-odd directions, which the half box
-    cannot see, is tested by a banded Cholesky factorization: it is the half
-    box's Hessian with the z = 0 row pinned.
+    Each rung of the ladder relaxes the upper half box, warm-started from
+    the rung below; the full energy of the even field is twice the half's.
+    ``stable`` tests the half box's Hessian with the z = 0 row free, which
+    certifies the full box's on both parities.
     Returns the coarse and fine results; ``iterations`` counts the Newton
     steps of the ladder up to the level.
     """
-    # rungs of (r nodes, half-box z nodes); a half box of m z-nodes is the
-    # upper half of the full box of 2 m - 1
-    ladder = [(nodes_r, nodes_z // 2 + 1)]
-    while ladder[-1][0] > 40:
-        nr, nz = ladder[-1]
-        ladder.append((nr // 2 + 1, nz // 2 + 1))
-    ladder.reverse()
-    ladder.append((2 * nodes_r - 1, nodes_z))
-
-    phi_prev = r_prev = z_prev = None
+    res = None
     total_it = 0
     levels = []
-    for nr, nz in ladder:
-        r, z_full, phi_full, fixed = _dipole_box(n, alpha, delta, r_box, nr, 2 * nz - 1)
-        upper = np.s_[:, nz - 1:]  # from the z = 0 row, which is not an edge
-        z, phi_base, fixed = z_full[nz - 1:], phi_full[upper], fixed[upper]
-        if phi_prev is None:
-            phi_init = _spindle_start(n, alpha, delta, r_box, r, z)
-        else:
-            phi_init = _bilinear_refine(phi_prev, r_prev, z_prev, r, z)
-        phi_init = np.where(fixed, phi_base, phi_init)
-        phi_init[0, :-1] = math.pi  # defect removed: the axis limit flips to the far pole
+    for nr, nz in dipole_ladder(nodes_r, nodes_z):
+        r, z, phi_init, fixed, e_base = dipole_half_box(
+            n, alpha, delta, r_box, nr, nz, None if res is None else res.phi)
         res = minimize_meridian_energy(r, z, phi_init, fixed, n, maxiter=maxiter)
         total_it += res.iterations
-        phi_prev, r_prev, z_prev = res.phi, r, z
-        levels.append((r, z, z_full, phi_full, fixed, res, total_it))
+        levels.append((r, z, fixed, e_base, res, total_it))
 
     mass_saving = _FOUR_PI * n * 2.0 * delta
     out = []
-    for r, z, z_full, phi_full, fixed, res, iterations in levels[-2:]:
-        e_base = meridian_cell_energy(r, z_full, phi_full, n)
+    for r, z, fixed, e_base, res, iterations in levels[-2:]:
         e_new = 2.0 * res.energy
-        odd = fixed.copy()
-        odd[:, 0] = True  # a z-odd direction vanishes on z = 0
         out.append({
             "E_base": e_base, "E_new": e_new, "delta_E": e_new - e_base,
             "mass_saving": mass_saving, "net": mass_saving - (e_new - e_base),
             "converged": res.converged, "iterations": iterations,
             "grad_norm": res.grad_norm,
-            "odd_stable": meridian_hessian_definite(r, z, res.phi, odd, n),
+            "stable": meridian_hessian_definite(r, z, res.phi, fixed, n),
         })
     return out[0], out[1]
 
@@ -457,7 +399,7 @@ def run_dipole_tradeoff(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
             "converged": coarse["converged"] and fine["converged"],
             "iterations": max(coarse["iterations"], fine["iterations"]),
             "grad_norm": max(coarse["grad_norm"], fine["grad_norm"]),
-            "odd_stable": coarse["odd_stable"] and fine["odd_stable"],
+            "stable": coarse["stable"] and fine["stable"],
         }
 
     # factors whose boxes clamp to the same r_box share one solve

@@ -60,6 +60,8 @@ __all__ = [
     "meridian_cell_energy_grad",
     "minimize_meridian_energy",
     "meridian_hessian_definite",
+    "dipole_ladder",
+    "dipole_half_box",
 ]
 
 _FOUR_PI = 4.0 * math.pi
@@ -747,3 +749,55 @@ def meridian_hessian_definite(
     except LinAlgError:
         return False
     return True
+
+
+def dipole_ladder(nodes_r: int, nodes_z: int) -> list[tuple[int, int]]:
+    """Rungs (r nodes, half-box z nodes) of the dipole box's coarse-to-fine
+    ladder, ending in the coarse level (nodes_r, nodes_z // 2 + 1) and the
+    fine level (2 nodes_r - 1, nodes_z), for odd ``nodes_z``.  Below the
+    coarse level, (nr, nz) -> (nr // 2 + 1, nz // 2 + 1) while nr > 40 and
+    both are odd: each rung's nodes are every other node of the next's."""
+    ladder = [(nodes_r, nodes_z // 2 + 1)]
+    while ladder[-1][0] > 40 and ladder[-1][0] % 2 and ladder[-1][1] % 2:
+        nr, nz = ladder[-1]
+        ladder.append((nr // 2 + 1, nz // 2 + 1))
+    return ladder[::-1] + [(2 * nodes_r - 1, nodes_z)]
+
+
+def dipole_half_box(
+    n: int, alpha: float, delta: float, r_box: float,
+    nodes_r: int, nodes_z: int, coarse: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The upper half [0, delta] of the box [r_box 1e-3, r_box] x
+    [-delta, delta] around the removed defect: ``nodes_r`` geometric r-nodes
+    and the upper ``nodes_z`` of the full box's 2 nodes_z - 1 z-nodes.
+
+    Every edge node but the z = 0 row is fixed to the background
+    2 arctan(alpha r^n), flipped to pi on the axis below z = delta.  The
+    start is the spindle, an anti-conformal plug whose radius shrinks to 0 at
+    z = delta, or ``coarse``, given on every other node, interpolated
+    bilinearly in (log r, z).  Returns ``(r, z, phi_init, fixed, e_base)``,
+    with ``e_base`` the full box's energy of the background.
+    """
+    r = np.geomspace(r_box * 1e-3, r_box, nodes_r)
+    z_full = np.linspace(-delta, delta, 2 * nodes_z - 1)
+    z = z_full[nodes_z - 1:]
+    background = 2.0 * np.arctan(alpha * r ** n)[:, None]
+    e_base = meridian_cell_energy(r, z_full, np.broadcast_to(background, (nodes_r, z_full.size)), n)
+    fixed = np.zeros((nodes_r, nodes_z), dtype=bool)
+    fixed[[0, -1], :] = True
+    fixed[:, -1] = True
+    if coarse is None:
+        rho = 0.5 * r_box * np.sqrt(np.maximum(0.0, 1.0 - (z / delta) ** 2))
+        with np.errstate(divide="ignore", over="ignore"):
+            f_plug = alpha * rho[None, :] ** (2 * n) * r[:, None] ** (-float(n))
+        phi = 2.0 * np.arctan(np.maximum(alpha * r[:, None] ** n, f_plug))
+    else:
+        # the new nodes are midpoints in log r or in z
+        phi = np.empty((2 * coarse.shape[0] - 1, 2 * coarse.shape[1] - 1))
+        phi[::2, ::2] = coarse
+        phi[1::2, ::2] = 0.5 * (coarse[:-1] + coarse[1:])
+        phi[:, 1::2] = 0.5 * (phi[:, :-1:2] + phi[:, 2::2])
+    phi_init = np.where(fixed, background, phi)
+    phi_init[0, :-1] = math.pi
+    return r, z, phi_init, fixed, e_base

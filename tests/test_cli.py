@@ -189,10 +189,22 @@ class TestHalfBox:
             ladder.append((nr // 2 + 1, nz // 2 + 1))
         return ladder[::-1] + [(2 * nodes_r - 1, 2 * nodes_z - 1)]
 
+    @staticmethod
+    def full_box(n, alpha, delta, r_box, nodes_r, nodes_z):
+        """Grids, background field and fixed edge nodes of the full box
+        [r_box 1e-3, r_box] x [-delta, delta]."""
+        r = np.geomspace(r_box * 1e-3, r_box, nodes_r)
+        z = np.linspace(-delta, delta, nodes_z)
+        phi = np.tile(2.0 * np.arctan(alpha * r ** n)[:, None], (1, nodes_z))
+        fixed = np.zeros(phi.shape, dtype=bool)
+        fixed[[0, -1], :] = True
+        fixed[:, [0, -1]] = True
+        return r, z, phi, fixed
+
     @pytest.mark.parametrize("nodes_z", [17, 33, 49, 65])
     def test_rungs_are_upper_halves(self, nodes_z, monkeypatch):
         n, alpha, delta, r_box = 2, 0.05, 0.3, 0.3
-        calls = []
+        calls, certified = [], []
 
         def unrelaxed(r, z, phi_init, fixed, n, **kwargs):
             calls.append((r, z, phi_init, fixed))
@@ -200,12 +212,17 @@ class TestHalfBox:
                 phi=phi_init, energy=energy.meridian_cell_energy(r, z, phi_init, n),
                 converged=True, iterations=0, grad_norm=0.0, message="")
 
+        def recorded(r, z, phi, fixed, n):
+            certified.append((r, z, phi, fixed))
+            return True
+
         monkeypatch.setattr(cli, "minimize_meridian_energy", unrelaxed)
+        monkeypatch.setattr(cli, "meridian_hessian_definite", recorded)
         _, fine = cli._dipole_point(n, alpha, delta, r_box, 65, nodes_z, maxiter=10)
         rungs = self.full_ladder(65, nodes_z)
         assert len(calls) == len(rungs) == 3
         for (r, z, phi_init, fixed), (nr, nz) in zip(calls, rungs):
-            r_full, z_full, phi_full, fixed_full = cli._dipole_box(n, alpha, delta, r_box, nr, nz)
+            r_full, z_full, phi_full, fixed_full = self.full_box(n, alpha, delta, r_box, nr, nz)
             upper = np.s_[:, nz // 2:]
             assert z_full[nz // 2] == pytest.approx(0.0, abs=1e-15)
             assert np.array_equal(r, r_full) and np.array_equal(z, z_full[nz // 2:])
@@ -215,6 +232,10 @@ class TestHalfBox:
             boundary = phi_full[upper].copy()
             boundary[0, :-1] = math.pi
             assert np.array_equal(phi_init[fixed], boundary[fixed])
+        # stable factors each level's half box with its z = 0 row free
+        assert len(certified) == 2
+        for recorded_call, call in zip(certified, calls[-2:]):
+            assert all(a is b for a, b in zip(recorded_call, call))
         # the fine level reports the full box's energies of the even field
         even = np.concatenate([phi_init[:, :0:-1], phi_init], axis=1)
         assert fine["E_new"] == pytest.approx(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from axisphere import energy
-from axisphere.cli import _dipole_box, _spindle_start
 from axisphere.energy import (
     _BLOCK_CELLS,
     EnergyReport,
@@ -18,6 +17,8 @@ from axisphere.energy import (
     area_radial,
     conformality_gap,
     detect_defect_intervals,
+    dipole_half_box,
+    dipole_ladder,
     dirichlet_energy_radial,
     energy_3d,
     meridian_cell_energy,
@@ -663,12 +664,21 @@ class TestMeridianKernel:
         assert np.array_equal(masked[np.ix_(keep, keep)], hess.toarray()[np.ix_(keep, keep)])
 
 
+def full_box(n, alpha, delta, r_box, nodes_r, nodes_z):
+    """The full dipole-tradeoff box [r_box 1e-3, r_box] x [-delta, delta]
+    with its background field; every edge node is fixed."""
+    r = np.geomspace(r_box * 1e-3, r_box, nodes_r)
+    z = np.linspace(-delta, delta, nodes_z)
+    phi = np.tile(2.0 * np.arctan(alpha * r ** n)[:, None], (1, nodes_z))
+    return r, z, phi, box_mask(phi.shape)
+
+
 def dipole_box(rng, n, nodes, jitter=0.1):
     """The dipole-tradeoff box [0, r_box] x [-delta, delta]: the background
     profile pinned on the outer edge and the z ends, the axis flipped to pi,
     and the interior started from the background plus seeded noise."""
     alpha, delta = (0.25, 0.35) if n == 1 else (0.05, 0.35)
-    r, z, phi, fixed = _dipole_box(n, alpha, delta, delta, nodes, nodes)
+    r, z, phi, fixed = full_box(n, alpha, delta, delta, nodes, nodes)
     phi[0, 1:-1] = math.pi
     phi[~fixed] = np.clip(phi[~fixed] + rng.normal(0.0, jitter, int(np.sum(~fixed))),
                           0.0, math.pi)
@@ -756,20 +766,51 @@ class TestMeridianRelaxation:
         assert res.grad_norm > 1e-5
 
 
+def half_box(n, alpha, nodes):
+    """The half box of the full box of ``nodes`` z-nodes at
+    delta = r_box = 0.35, started from the spindle: (r, z, phi, fixed)."""
+    return dipole_half_box(n, alpha, 0.35, 0.35, nodes, nodes // 2 + 1)[:4]
+
+
+def mirrored(phi):
+    """The even field on the full box whose upper half is ``phi``."""
+    return np.concatenate([phi[:, :0:-1], phi], axis=1)
+
+
 def spindle_box(n, alpha, nodes):
-    """The full dipole-tradeoff box at delta = r_box = 0.35, started from the
-    spindle with the axis flipped to pi, and the index of its z = 0 row."""
-    r, z, phi_base, fixed = _dipole_box(n, alpha, 0.35, 0.35, nodes, nodes)
-    phi = np.where(fixed, phi_base, _spindle_start(n, alpha, 0.35, 0.35, r, z))
-    phi[0, 1:-1] = math.pi
-    return r, z, phi, fixed, nodes // 2
+    """The full box at delta = r_box = 0.35, started from the mirrored
+    spindle of its half box, and the index of its z = 0 row."""
+    r, z, _, fixed = full_box(n, alpha, 0.35, 0.35, nodes, nodes)
+    return r, z, mirrored(half_box(n, alpha, nodes)[2]), fixed, nodes // 2
 
 
-def odd_block(r, z, phi, fixed, mid):
-    """The upper half of a full box, with its z = 0 row pinned as well."""
-    odd = fixed[:, mid:].copy()
-    odd[:, 0] = True
-    return r, z[mid:], phi[:, mid:], odd
+class TestDipoleLadder:
+    """Every rung's nodes are every other node of the next rung's, and the
+    prolongation between them is bilinear in (log r, z)."""
+
+    @pytest.mark.parametrize("nodes", [(65, 65), (49, 49), (21, 21), (17, 17), (33, 33)])
+    def test_rungs_nest(self, nodes):
+        rungs = dipole_ladder(*nodes)
+        assert rungs[-2:] == [(nodes[0], nodes[1] // 2 + 1), (2 * nodes[0] - 1, nodes[1])]
+        grids = [dipole_half_box(2, 0.05, 0.3, 0.3, nr, nz)[:2] for nr, nz in rungs]
+        for (r_c, z_c), (r_f, z_f) in zip(grids, grids[1:]):
+            assert np.array_equal(r_f[::2], r_c) and np.array_equal(z_f[::2], z_c)
+
+    @pytest.mark.parametrize("nodes", [(64, 65), (65, 67)])
+    def test_unnested_sizes_start_at_the_coarse_level(self, nodes):
+        assert len(dipole_ladder(*nodes)) == 2
+
+    @pytest.mark.parametrize("nodes", [33, 65])
+    def test_prolongation_is_bilinear(self, nodes):
+        m = nodes // 2 + 1
+        coarse = np.random.default_rng(nodes).uniform(0.0, math.pi, (m, m))
+        r_c, z_c = dipole_half_box(2, 0.05, 0.3, 0.3, m, m)[:2]
+        r, z, phi, fixed, _ = dipole_half_box(2, 0.05, 0.3, 0.3, nodes, nodes, coarse)
+        in_r = np.stack([np.interp(np.log(r), np.log(r_c), column) for column in coarse.T], axis=1)
+        ref = np.stack([np.interp(z, z_c, row) for row in in_r])
+        assert np.max(np.abs(phi - ref)[~fixed]) <= 1e-13
+        with pytest.raises(ValueError):
+            dipole_half_box(2, 0.05, 0.3, 0.3, nodes + 1, nodes, coarse)
 
 
 class TestHalfBox:
@@ -786,10 +827,28 @@ class TestHalfBox:
         half = minimize_meridian_energy(r, z[mid:], phi0[:, mid:], fixed[:, mid:], n)
         assert full.converged and half.converged
         assert 2.0 * half.energy == pytest.approx(full.energy, rel=1e-9)
-        # the relaxed half box is stable against z-odd perturbations
-        assert meridian_hessian_definite(*odd_block(r, z, full.phi, fixed, mid), n)
-        assert meridian_hessian_definite(r, z[mid:], half.phi,
-                                         odd_block(r, z, phi0, fixed, mid)[3], n)
+        # both relaxed states are stable, the full box's on both parities
+        assert meridian_hessian_definite(r, z, full.phi, fixed, n)
+        assert meridian_hessian_definite(r, z[mid:], half.phi, fixed[:, mid:], n)
+
+
+class TestStable:
+    """The half box's Hessian with the z = 0 row free is definite exactly
+    when the mirrored full box's is: at an even state the full box's Hessian
+    is twice it on even perturbations and twice its principal submatrix
+    without the z = 0 row on odd ones."""
+
+    @pytest.mark.parametrize("n, alpha", [(1, 0.25), (2, 0.05), (2, 0.25)])
+    @pytest.mark.parametrize("nodes", [17, 33])
+    def test_half_box_agrees_with_full_box(self, n, alpha, nodes):
+        r, z, phi0, fixed = half_box(n, alpha, nodes)
+        _, z_full, _, fixed_full = full_box(n, alpha, 0.35, 0.35, nodes, nodes)
+        relaxed = minimize_meridian_energy(r, z, phi0, fixed, n)
+        assert relaxed.converged
+        for phi, expected in ((relaxed.phi, True), (phi0, None if n == 1 else False)):
+            stable = meridian_hessian_definite(r, z, phi, fixed, n)
+            assert stable == meridian_hessian_definite(r, z_full, mirrored(phi), fixed_full, n)
+            assert expected is None or stable == expected
 
 
 class TestHessianDefinite:
@@ -812,18 +871,19 @@ class TestHessianDefinite:
     @pytest.mark.parametrize("alpha", [0.05, 0.25])
     @pytest.mark.parametrize("nodes", [17, 33])
     def test_unrelaxed_start_indefinite(self, alpha, nodes):
-        r, z, phi0, fixed, mid = spindle_box(2, alpha, nodes)
-        block = odd_block(r, z, phi0, fixed, mid)
-        assert not meridian_hessian_definite(*block, 2)
-        assert self.smallest_eigenvalue(*block, 2) < 0.0
-        # so is a symmetric interior at the equator
-        r, z_half, phi_half, odd = block
-        equator = np.where(odd, phi_half, math.pi / 2)
-        assert not meridian_hessian_definite(r, z_half, equator, odd, 2)
+        r, z, phi0, free_z0 = half_box(2, alpha, nodes)
+        # with the z = 0 row pinned as well, only the z-odd directions
+        pinned_z0 = free_z0.copy()
+        pinned_z0[:, 0] = True
+        for fixed in (free_z0, pinned_z0):
+            assert not meridian_hessian_definite(r, z, phi0, fixed, 2)
+            assert self.smallest_eigenvalue(r, z, phi0, fixed, 2) < 0.0
+            # so is a symmetric interior at the equator
+            equator = np.where(fixed, phi0, math.pi / 2)
+            assert not meridian_hessian_definite(r, z, equator, fixed, 2)
 
     def test_relaxed_state_definite(self):
-        r, z, phi0, fixed, mid = spindle_box(2, 0.05, 17)
-        res = minimize_meridian_energy(r, z[mid:], phi0[:, mid:], fixed[:, mid:], 2)
-        block = (r, z[mid:], res.phi, odd_block(r, z, phi0, fixed, mid)[3])
-        assert meridian_hessian_definite(*block, 2)
-        assert self.smallest_eigenvalue(*block, 2) > 0.0
+        r, z, phi0, fixed = half_box(2, 0.05, 17)
+        res = minimize_meridian_energy(r, z, phi0, fixed, 2)
+        assert meridian_hessian_definite(r, z, res.phi, fixed, 2)
+        assert self.smallest_eigenvalue(r, z, res.phi, fixed, 2) > 0.0
