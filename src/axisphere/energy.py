@@ -36,8 +36,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbsv, dpbsv
 
 from .geometry import RadialProfile, _checked_colatitudes
 
@@ -501,7 +500,6 @@ def meridian_cell_energy_grad(r: np.ndarray, z: np.ndarray, phi: np.ndarray, n: 
 # phi_r, phi_z and phi_m are the cell's stencils a, b and c applied to its
 # corner values, scaled by 1/(2 dr), 1/(2 dz) and 1/4.
 _CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
-_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
 _STENCIL_R = np.array([-1.0, 1.0, -1.0, 1.0])
 _STENCIL_Z = np.array([-1.0, -1.0, 1.0, 1.0])
 # Below this distance from a bound, a node whose gradient pushes it onto the
@@ -509,28 +507,22 @@ _STENCIL_Z = np.array([-1.0, -1.0, 1.0, 1.0])
 _ACTIVE_EPS = 1e-3
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-12
-# A symmetric fill-reducing ordering, and SuperLU without relaxed supernodes
-# or multi-column panels: on the 9-point pattern each factors 25-40% faster
-# than the defaults (COLAMD, relax and panel_size from sp_ienv) and stores
-# less, from 21 to 193 nodes a side.  The pattern is fixed per grid (active
-# rows keep explicit zeros), and so is the ordering: the first factorization
-# on a grid computes it, and every later one factors the Hessian gathered
-# into that column order with NATURAL, which skips the ordering.  Only the
-# columns move, so the partial pivoting, and each step, stays bit-identical.
-_SPLU = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 1}
-_SPLU_ORDERED = {**_SPLU, "permc_spec": "NATURAL"}
 
 
 class _MeridianSystem:
     """The relaxation problem on one grid: per-cell coefficients, the fused
     energy/gradient/curvature kernel, and the 9-point Hessian over the free
-    nodes on a sparsity pattern built once.
+    nodes as a symmetric band.
 
     Per cell, with corner values p and weight w = r_mid dr dz,
     E_cell = pi w ((a.p)^2/(4 dr^2) + (b.p)^2/(4 dz^2) + n^2 sin^2(phi_m)/r_mid^2)
     and its Hessian is
     pi w (a a^T/(2 dr^2) + b b^T/(2 dz^2) + 2 n^2 cos(2 phi_m)/r_mid^2 c c^T),
     c = (1, 1, 1, 1)/4.  Only the last term changes with phi.
+
+    The free nodes are numbered along z within each r-row, so the Hessian is
+    banded, one row of free nodes plus one wide.  It is kept as LAPACK's
+    lower band: entry (p, q), p >= q, at ``band[p - q, q]``.
     """
 
     def __init__(self, r: np.ndarray, z: np.ndarray, fixed: np.ndarray, n: int) -> None:
@@ -543,38 +535,27 @@ class _MeridianSystem:
         self.free = free
         size = int(np.count_nonzero(free))
         nr, nz = fixed.shape
-        ids = np.full((nr + 2, nz + 2), -1)  # padded by a ring of -1
-        ids[1:-1, 1:-1][free] = np.arange(size)
-        # 9-point pattern: row p holds the free nodes among p's neighbours, in
-        # increasing index order, which is the order of _OFFSETS
-        neighbours = np.stack([ids[1 + di:nr + 1 + di, 1 + dj:nz + 1 + dj] for di, dj in _OFFSETS],
-                              axis=-1)[free]
-        present = neighbours >= 0
-        per_row = present.sum(axis=1)
-        indptr = np.concatenate(([0], np.cumsum(per_row)))
-        slot = indptr[:-1, None] + np.cumsum(present, axis=1) - 1
-        self._col = neighbours[present]
-        self._row = np.repeat(np.arange(size), per_row)
-        # the natural-order pattern in SuperLU's index type, and the column
-        # order of the first factorization with its pattern (set on first use)
-        self._pattern = (self._col.astype(np.intc), indptr.astype(np.intc))
-        self._order = None
-        self._diag = slot[:, _OFFSETS.index((0, 0))]
-        # each cell adds to the 16 entries between its corners
-        corners = [ids[1 + di:nr + di, 1 + dj:nz + dj].ravel() for di, dj in _CORNERS]
-        entries, kinetic, cells = [], [], []
-        for k, (ik, jk) in enumerate(_CORNERS):
-            for l, (il, jl) in enumerate(_CORNERS):
-                cell = np.flatnonzero((corners[k] >= 0) & (corners[l] >= 0))
-                entries.append(slot[corners[k][cell], _OFFSETS.index((il - ik, jl - jk))])
+        ids = np.full((nr, nz), -1)
+        ids[free] = np.arange(size)
+        # each cell adds to the entries between its free corners, of which
+        # the band keeps those on or below the diagonal
+        corners = [ids[di:nr - 1 + di, dj:nz - 1 + dj].ravel() for di, dj in _CORNERS]
+        rows, cols, kinetic, cells = [], [], [], []
+        for k in range(4):
+            for l in range(4):
+                cell = np.flatnonzero((corners[l] >= 0) & (corners[k] >= corners[l]))
+                rows.append(corners[k][cell])
+                cols.append(corners[l][cell])
                 kinetic.append(2.0 * (_STENCIL_R[k] * _STENCIL_R[l] * self.c_r.ravel()[cell]
                                       + _STENCIL_Z[k] * _STENCIL_Z[l] * self.c_z.ravel()[cell]))
                 cells.append(cell)
-        self._entries = np.concatenate(entries)
+        row, col = np.concatenate(rows), np.concatenate(cols)
+        self._shape = (int(np.max(row - col, initial=0)) + 1, size)
+        self._entries = (row - col) * size + col
         self._cells = np.concatenate(cells)
         self._kinetic = np.bincount(self._entries, weights=np.concatenate(kinetic),
-                                    minlength=self._col.size)
-        self.kinetic_diag = self._kinetic[self._diag]
+                                    minlength=self._shape[0] * size)
+        self.kinetic_diag = self._kinetic[:size]
 
     def evaluate(self, phi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Energy, gradient over all nodes and cell curvatures cos(2 phi_m),
@@ -596,51 +577,61 @@ class _MeridianSystem:
         grad[1:, 1:] += gr + gz + gm
         return energy, grad, 1.0 - 2.0 * sin2
 
-    def _values(self, cos2: np.ndarray, convex: bool, active: np.ndarray | None) -> np.ndarray:
-        q = self.c_m * cos2 / 8.0
-        if convex:
-            q = np.maximum(q, 0.0)
-        data = self._kinetic + np.bincount(self._entries, weights=q.ravel()[self._cells],
-                                           minlength=self._col.size)
-        if active is not None and active.any():
-            data[active[self._row] | active[self._col]] = 0.0
-            data[self._diag[active]] = self.kinetic_diag[active]
-        return data
-
-    def _matrix(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> csc_matrix:
-        size = self.kinetic_diag.size
-        return csc_matrix((data, indices, indptr), shape=(size, size))
-
-    def hessian(self, cos2: np.ndarray, convex: bool = False,
-                active: np.ndarray | None = None) -> csc_matrix:
-        """The Hessian over the free nodes, for cell curvatures ``cos2``.
+    def band(self, cos2: np.ndarray, convex: bool = False,
+             active: np.ndarray | None = None) -> np.ndarray:
+        """The lower band of the Hessian over the free nodes, for cell
+        curvatures ``cos2``.
 
         ``convex`` clips the curvature term at 0, which leaves a positive
         semidefinite sum of rank-one cell terms.  Rows and columns of the
         ``active`` free nodes are replaced by the kinetic diagonal.
         """
-        return self._matrix(self._values(cos2, convex, active), *self._pattern)
+        q = self.c_m * cos2 / 8.0
+        if convex:
+            q = np.maximum(q, 0.0)
+        band = (self._kinetic + np.bincount(self._entries, weights=q.ravel()[self._cells],
+                                            minlength=self._kinetic.size)).reshape(self._shape)
+        if active is not None and active.any():
+            a = np.flatnonzero(active)
+            offsets = np.arange(1, self._shape[0])
+            band[:, a] = 0.0
+            # row a left of the diagonal; a negative column wraps to an entry
+            # whose row is past the matrix's last, unused and 0 already
+            band[offsets, a[:, None] - offsets] = 0.0
+            band[0, a] = self.kinetic_diag[a]
+        return band
+
+    def hessian(self, cos2: np.ndarray, convex: bool = False,
+                active: np.ndarray | None = None) -> np.ndarray:
+        """The dense Hessian over the free nodes whose lower band is
+        :meth:`band`."""
+        band = self.band(cos2, convex, active)
+        size = band.shape[1]
+        d, q = np.nonzero(np.arange(band.shape[0])[:, None] + np.arange(size) < size)
+        dense = np.zeros((size, size))
+        dense[q + d, q] = dense[q, q + d] = band[d, q]
+        return dense
 
     def solve(self, g: np.ndarray, cos2: np.ndarray, convex: bool,
               active: np.ndarray) -> np.ndarray:
-        """``hessian(cos2, convex, active)`` solved against ``g``, in the
-        column order fixed by the grid's first factorization (see _SPLU)."""
-        data = self._values(cos2, convex, active)
-        if self._order is None:
-            lu = splu(self._matrix(data, *self._pattern), **_SPLU)
-            # lu factors A[:, q]: column j of its pattern is column q[j] of A's
-            q = np.argsort(lu.perm_c).astype(np.intc)
-            indices, indptr = self._pattern
-            counts = np.diff(indptr)[q]
-            start = np.concatenate(([0], np.cumsum(counts))).astype(np.intc)
-            gather = (np.arange(indices.size, dtype=np.intc)
-                      + np.repeat(indptr[q] - start[:-1], counts))
-            self._order = (q, gather, self._matrix(np.empty_like(data), indices[gather], start))
-            return lu.solve(g)
-        q, gather, ordered = self._order
-        np.take(data, gather, out=ordered.data)
-        x = np.empty_like(g)
-        x[q] = splu(ordered, **_SPLU_ORDERED).solve(g)
+        """``hessian(cos2, convex, active)`` solved against ``g``: by banded
+        Cholesky, or by banded LU where the matrix is not positive
+        definite."""
+        band = self.band(cos2, convex, active)
+        _, x, info = dpbsv(band, g, lower=1)
+        if info == 0:
+            return x
+        # LU takes the upper band too, superdiagonal d being subdiagonal d
+        # shifted right by d, below ``width`` rows for the fill of pivoting;
+        # in Fortran order, which LAPACK would otherwise copy it into
+        width = band.shape[0] - 1
+        full = np.zeros((3 * width + 1, band.shape[1]), order="F")
+        full[2 * width:] = band
+        for d in range(1, width + 1):
+            full[2 * width - d, d:] = band[d, :-d]
+        _, _, x, info = dgbsv(width, width, full, g, overwrite_ab=1)
+        if info:
+            raise LinAlgError("singular Newton system")
         return x
 
 
@@ -668,11 +659,12 @@ def minimize_meridian_energy(
     ``fixed`` is a boolean mask of pinned nodes (boundary conditions).  A
     projected Newton method (Bertsekas): nodes in the epsilon-active set take
     a diagonally scaled gradient step, the others the Newton step of the
-    sparse 9-point Hessian, factored by ``splu``.  A step that is not a
-    descent direction is solved again with the curvature clipped at 0, and
-    an Armijo search along the projection onto [0, pi] sets its length.
-    ``iterations`` counts Newton steps; ``converged`` means the infinity
-    norm of the projected gradient is at most ``gtol``.
+    banded 9-point Hessian: banded Cholesky, or banded LU where the Hessian
+    is not positive definite.  A step that is not a descent direction is
+    solved again with the curvature clipped at 0, and an Armijo search
+    along the projection onto [0, pi] sets its length.  ``iterations``
+    counts Newton steps; ``converged`` means the infinity norm of the
+    projected gradient is at most ``gtol``.
     """
     system = _MeridianSystem(r, z, fixed, n)
     free = system.free
@@ -726,10 +718,8 @@ def meridian_hessian_definite(
     active (on a bound of [0, pi] with the gradient pushing onto it).
 
     A second-order test of a relaxed state over the directions its bounds
-    leave open.  The free nodes are numbered along z within each r-row, so
-    the 9-point Hessian is banded, one row of free nodes plus one wide; a
-    banded Cholesky factorization succeeds exactly when it is positive
-    definite.  Strictly active nodes keep only their kinetic diagonal,
+    leave open.  A banded Cholesky factorization of the 9-point Hessian
+    succeeds exactly when it is positive definite.  Strictly active nodes keep only their kinetic diagonal,
     which is positive, so they do not change the answer.
     """
     phi = np.asarray(phi, dtype=float)
@@ -737,15 +727,8 @@ def meridian_hessian_definite(
     _, grad, cos2 = system.evaluate(phi)
     x, g = phi[system.free], grad[system.free]
     active = ((x <= 0.0) & (g > 0.0)) | ((x >= math.pi) & (g < 0.0))
-    data = system._values(cos2, False, active)
-    # the lower band: cholesky_banded factors it 4-6x faster than the upper
-    # band from 41 x 21 to 129 x 65 nodes
-    lower = system._row >= system._col
-    row, col = system._row[lower], system._col[lower]
-    bands = np.zeros((int(np.max(row - col, initial=0)) + 1, x.size))
-    bands[row - col, col] = data[lower]
     try:
-        cholesky_banded(bands, lower=True, check_finite=False)
+        cholesky_banded(system.band(cos2, active=active), lower=True, check_finite=False)
     except LinAlgError:
         return False
     return True

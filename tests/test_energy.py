@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -600,7 +601,7 @@ def box_mask(shape):
 
 
 class TestMeridianKernel:
-    """The fused energy/gradient/curvature pass and the sparse Hessian of
+    """The fused energy/gradient/curvature pass and the banded Hessian of
     the relaxation, against the reference cell functions."""
 
     @staticmethod
@@ -654,14 +655,18 @@ class TestMeridianKernel:
             assert np.max(np.abs(hv - fd)) <= 1e-7 * np.max(np.abs(hv))
         # clipping the curvature at 0 leaves a positive definite matrix, and
         # active nodes keep only their kinetic diagonal
-        assert np.min(np.linalg.eigvalsh(system.hessian(cos2, convex=True).toarray())) > 0.0
+        assert np.min(np.linalg.eigvalsh(system.hessian(cos2, convex=True))) > 0.0
         active = rng.random(system.kinetic_diag.size) < 0.3
-        masked = system.hessian(cos2, active=active).toarray()
+        masked = system.hessian(cos2, active=active)
         assert np.array_equal(np.diag(masked)[active], system.kinetic_diag[active])
         off = masked - np.diag(np.diag(masked))
         assert not off[active].any() and not off[:, active].any()
         keep = ~active
-        assert np.array_equal(masked[np.ix_(keep, keep)], hess.toarray()[np.ix_(keep, keep)])
+        assert np.array_equal(masked[np.ix_(keep, keep)], hess[np.ix_(keep, keep)])
+        # numbered along z within each r-row: the band reaches from a node to
+        # its neighbour one r-row out and one z-node up
+        free_per_row = z.size - 2
+        assert system.band(cos2).shape[0] - 1 == free_per_row + 1
 
 
 def full_box(n, alpha, delta, r_box, nodes_r, nodes_z):
@@ -685,43 +690,46 @@ def dipole_box(rng, n, nodes, jitter=0.1):
     return r, z, phi, fixed
 
 
-class TestFixedColumnOrder:
-    """Each grid's first Newton factorization picks the column order, and
-    every later one factors the Hessian gathered into it with NATURAL."""
+class TestBandedNewtonSolve:
+    """Each Newton step is solved by banded Cholesky, and by banded LU on
+    the same band only where the matrix is indefinite."""
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_solves_match_per_call_factorization(self, n, monkeypatch):
-        inner = energy.splu
-        specs = []
+    def test_solves_match_dense_solve(self, monkeypatch):
+        inner = energy.dgbsv
+        lu_calls = []
 
-        def counted(matrix, **options):
-            specs.append(options["permc_spec"])
-            return inner(matrix, **options)
+        def counted(*args, **kwargs):
+            lu_calls.append(None)
+            return inner(*args, **kwargs)
 
         solve = _MeridianSystem.solve
         solves = []
 
         def checked(system, g, cos2, convex, active):
+            before = len(lu_calls)
             x = solve(system, g, cos2, convex, active)
-            ref = inner(system.hessian(cos2, convex=convex, active=active), **energy._SPLU)
-            solves.append((system, active.any(), x, ref.solve(g)))
+            solves.append((system.hessian(cos2, convex=convex, active=active), g, x,
+                           len(lu_calls) > before, active.any()))
             return x
 
-        monkeypatch.setattr(energy, "splu", counted)
+        monkeypatch.setattr(energy, "dgbsv", counted)
         monkeypatch.setattr(_MeridianSystem, "solve", checked)
-        for nodes in (17, 33):
-            r, z, phi0, fixed = dipole_box(np.random.default_rng([n, nodes]), n, nodes)
-            assert minimize_meridian_energy(r, z, phi0, fixed, n, gtol=1e-8).converged
-        assert len(specs) == len(solves) > 20
-        assert any(has_active for _, has_active, _, _ in solves)
-        for _, _, x, ref in solves:
-            assert np.array_equal(x, ref)
-        # one ordering per grid, on its first factorization
-        systems = [system for system, _, _, _ in solves]
-        firsts = [k for k, system in enumerate(systems) if system not in systems[:k]]
-        assert len(firsts) == 2
-        assert [k for k, spec in enumerate(specs) if spec != "NATURAL"] == firsts
-        assert {specs[k] for k in firsts} == {energy._SPLU["permc_spec"]}
+        # the jittered full boxes stay positive definite at every step; the
+        # n = 2 spindle starts of the half boxes are indefinite
+        for n, nodes in itertools.product((1, 2), (17, 33)):
+            boxes = [dipole_box(np.random.default_rng([n, nodes]), n, nodes),
+                     half_box(n, 0.25 if n == 1 else 0.05, nodes)]
+            for r, z, phi0, fixed in boxes:
+                assert minimize_meridian_energy(r, z, phi0, fixed, n, gtol=1e-8).converged
+        assert len(solves) > 100
+        assert any(has_active for *_, has_active in solves)
+        for hess, g, x, _, _ in solves:
+            ref = np.linalg.solve(hess, g)
+            assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+        lu = [hess for hess, _, _, used_lu, _ in solves if used_lu]
+        assert lu
+        for hess in lu:
+            assert np.min(np.linalg.eigvalsh(hess)) < 0.0
 
 
 class TestMeridianRelaxation:
