@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 from scipy.optimize import minimize
 
 from axisphere import energy
@@ -730,6 +731,53 @@ class TestBandedNewtonSolve:
         assert lu
         for hess in lu:
             assert np.min(np.linalg.eigvalsh(hess)) < 0.0
+
+
+class TestFixedColumnOrder:
+    """Every Newton step factors its own Hessian in the grid's natural
+    column order, z within each r-row: no reordering and no factor kept
+    from an earlier step."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_solves_match_per_call_factorization(self, n, monkeypatch):
+        solve = _MeridianSystem.solve
+        solves = []
+
+        def checked(system, g, cos2, convex, active):
+            x = solve(system, g, cos2, convex, active)
+            solves.append((system, system.hessian(cos2, convex=convex, active=active),
+                           g, x, active.any()))
+            return x
+
+        monkeypatch.setattr(_MeridianSystem, "solve", checked)
+        grids = []
+        for nodes in (17, 33):
+            r, z, phi0, fixed = dipole_box(np.random.default_rng([n, nodes]), n, nodes)
+            grids.append(fixed)
+            assert minimize_meridian_energy(r, z, phi0, fixed, n, gtol=1e-8).converged
+        assert len(solves) > 20
+        assert any(has_active for *_, has_active in solves)
+        systems = list({id(system): system for system, *_ in solves}.values())
+        assert [system.free.shape for system in systems] == [fixed.shape for fixed in grids]
+        for system, fixed in zip(systems, grids):
+            # one row of free nodes plus one wide in the natural order
+            width = int(np.count_nonzero(~fixed[1])) + 1
+            cos2 = np.zeros(np.subtract(fixed.shape, 1))
+            assert system.band(cos2).shape == (width + 1, np.count_nonzero(~fixed))
+        for _, hess, g, x, _ in solves:
+            width = int(np.max(np.abs(np.subtract(*np.nonzero(hess)))))
+            size = hess.shape[0]
+            lower = np.zeros((width + 1, size))
+            full = np.zeros((2 * width + 1, size))
+            for d in range(width + 1):
+                lower[d, :size - d] = np.diagonal(hess, -d)
+                full[width + d, :size - d] = np.diagonal(hess, -d)
+                full[width - d, d:] = np.diagonal(hess, d)
+            try:
+                ref = solveh_banded(lower, g, lower=True)
+            except LinAlgError:
+                ref = solve_banded((width, width), full, g)
+            assert np.array_equal(x, ref)
 
 
 class TestMeridianRelaxation:
