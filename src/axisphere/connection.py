@@ -15,13 +15,14 @@ sum xi(P_i) - sum xi(N_j) over potentials with xi(P_i) - xi(N_j) <=
 |P_i - N_j| for every positive-negative pair.  Its optimum equals the
 all-pairs 1-Lipschitz form, because any bipartite-feasible potential extends
 to the 1-Lipschitz xi(x) = min_j (xi(N_j) + |x - N_j|) (McShane), which does
-not lower the objective.  ``kantorovich_dual`` solves the transport LP and
-reads the potentials from the duals of its 2k equality rows; it returns
+not lower the objective.  ``kantorovich_dual`` finds optimal potentials by
+shortest augmenting paths (the Hungarian method with Dijkstra on reduced
+costs), its own search that never calls the assignment solver; it returns
 their value only once they pass the pair constraints, so the value is a
 certified lower bound on every pairing (weak duality).
 ``min_connection_bruteforce`` is a third, exhaustive route for k <= 9: a
 dynamic program over the 2^k subsets of negatives (O(k 2^k) time, 2^k
-memory) that calls neither the assignment solver nor the LP.
+memory) that calls neither the assignment solver nor the dual search.
 The current mass is multiplicity * length, and the relaxed Dirichlet energy
 adds 4 pi times the mass to the Dirichlet term.
 """
@@ -34,8 +35,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import csr_array
+from scipy.optimize import linear_sum_assignment
 
 from .geometry import NumericalError
 
@@ -49,9 +49,6 @@ __all__ = [
 ]
 
 _BRUTEFORCE_MAX = 9
-# HiGHS's smallest feasibility tolerances; at the default 1e-7 a near-tie of
-# 1e-8 between two pairings moved the dual value by 2e-8.
-_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def _point_rows(points, name: str) -> np.ndarray:
@@ -72,8 +69,9 @@ class SingularityConfig:
     ``positives`` and ``negatives`` are ``(k, 3)`` arrays of points and
     must be balanced (equal counts; total degree zero), and each sign class
     must consist of distinct points.  A positive may coincide with a
-    negative (a removable pair).  All charges carry the same absolute
-    degree ``multiplicity``.
+    negative (a removable pair).  Every positive-negative distance must be
+    finite in floating point (below about 1.3e154).  All charges carry the
+    same absolute degree ``multiplicity``.
     """
 
     positives: np.ndarray
@@ -98,6 +96,9 @@ class SingularityConfig:
         object.__setattr__(self, "positives", pos)
         object.__setattr__(self, "negatives", neg)
         object.__setattr__(self, "multiplicity", int(self.multiplicity))
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.distance_matrix())):
+                raise ValueError("a positive-negative distance overflows to inf")
 
     @property
     def k(self) -> int:
@@ -185,42 +186,98 @@ def min_connection_assignment(cfg: SingularityConfig) -> ConnectionResult:
     return ConnectionResult(length=length, mass=cfg.multiplicity * length, matching=matching)
 
 
+def _shortest_augmenting_paths(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal matching and potentials of the square cost matrix ``dist``.
+
+    Returns ``(matching, u, v)``: positive i is paired with negative
+    ``matching[i]``, and u_i + v_j <= dist[i, j] holds with equality on the
+    matched pairs.  Throughout the search the reduced costs dist[i, j] - u_i
+    - v_j are nonnegative and zero on matched pairs, and u_i = 0 on unmatched
+    rows, so only v is stored.  It starts from v_j = min_i dist[i, j] and
+    matches each row to the first column whose minimum it holds.  Each
+    unmatched row then grows a Dijkstra tree over the columns on reduced
+    costs, one vectorised pass per column it reaches, until it reaches an
+    unmatched column; v moves by the tree's distances, which keeps the
+    reduced costs nonnegative and makes the tree's path tight, and the path
+    is flipped.  Finally u is read off the matching, u_i = dist[i,
+    matching[i]] - v[matching[i]], and v is recomputed from u as v_j =
+    min_i (dist[i, j] - u_i).  O(k^3) time, O(k^2) memory (``dist``).  A
+    non-finite tentative distance raises NumericalError.
+    """
+    k = dist.shape[0]
+    v = dist.min(axis=0)
+    matching = np.full(k, -1)
+    row_of = np.full(k, -1)
+    rows, cols = np.unique(dist.argmin(axis=0), return_index=True)
+    matching[rows], row_of[cols] = cols, rows
+    tentative = np.empty(k)  # distance to each column not yet reached; inf once reached
+    reached = np.empty(k)  # distance at which each column was reached
+    open_ = np.empty(k, dtype=bool)
+    pred = np.empty(k, dtype=np.intp)  # the row each column was last relaxed from
+    for free in np.flatnonzero(matching < 0):
+        tentative.fill(np.inf)
+        open_.fill(True)
+        i, offset = free, 0.0  # tree distance to row i minus u_i; u = 0 on a free row
+        while True:
+            cost = dist[i] - v
+            cost += offset
+            closer = cost < tentative
+            closer &= open_
+            np.copyto(tentative, cost, where=closer)
+            np.copyto(pred, i, where=closer)
+            j = int(tentative.argmin())
+            dj = tentative[j]
+            if not (dj < np.inf and open_[j]):  # also rejects NaN
+                raise NumericalError(
+                    f"Kantorovich search found no finite augmenting path from positive {free}"
+                )
+            open_[j], reached[j], tentative[j] = False, dj, np.inf
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+            offset = dj - dist[i, j] + v[j]
+        closed = ~open_
+        v[closed] += reached[closed] - dj
+        while True:  # flip the path back to the free row
+            i = pred[j]
+            row_of[j] = i
+            matching[i], j = j, matching[i]
+            if i == free:
+                break
+    u = dist[np.arange(k), matching] - v[matching]
+    # the largest v that u allows: equal to v in exact arithmetic, but the
+    # rounding of the updates above drops out of the pair constraints
+    v = (dist - u[:, None]).min(axis=0)
+    return matching, u, v
+
+
 def kantorovich_dual(cfg: SingularityConfig) -> float:
     """Dual value: max sum xi(P_i) - sum xi(N_j) over potentials xi with
     xi(P_i) - xi(N_j) <= |P_i - N_j| for every positive-negative pair.
 
-    Solves the transport LP, min sum d_ij x_ij over x >= 0 with one unit of
-    mass leaving each positive and one reaching each negative: 2k equality
-    rows, k^2 columns of two nonzeros each.  The duals of those rows are the
-    potentials, u_i = xi(P_i) and v_j = -xi(N_j), and the returned value is
-    their sum.  It is returned only after the pair constraints u_i + v_j <=
-    d_ij hold to 1e-9, so by weak duality it is a lower bound on every
-    pairing, and by strong duality it equals the minimal-connection length.
-    The assignment solver is never consulted.  The LP is always feasible
-    (the identity pairing); a non-zero status or a violated pair constraint
-    raises NumericalError.
+    The potentials u_i = xi(P_i) and v_j = -xi(N_j) come from a shortest
+    augmenting path search on d_ij = |P_i - N_j| (the Hungarian method in
+    its Dijkstra form), which keeps every reduced cost d_ij - u_i - v_j
+    nonnegative and ends with a permutation sigma on which they are zero;
+    u_i = d[i, sigma(i)] - v[sigma(i)], and v_j = min_i (d_ij - u_i) is
+    recomputed from u.  Their sum is returned only after the pair
+    constraints u_i + v_j <= d_ij hold to 1e-9, so by weak duality it is a
+    lower bound on every pairing, and since sigma's length equals it, it is
+    the minimal-connection length.  The assignment solver is never
+    consulted.  A failed search or a violated pair constraint raises
+    NumericalError.
     """
     k = cfg.k
     if k == 0:
         return 0.0
     dist = cfg.distance_matrix()
-    # column i*k + j is x_ij; row i is positive i, row k + j is negative j
-    pos, neg = np.divmod(np.arange(k * k), k)
-    A_eq = csr_array(
-        (np.ones(2 * k * k), (np.concatenate([pos, k + neg]), np.tile(np.arange(k * k), 2))),
-        shape=(2 * k, k * k),
-    )
-    res = linprog(dist.ravel(), A_eq=A_eq, b_eq=np.ones(2 * k), bounds=(0.0, None),
-                  method="highs", options=_LP_OPTIONS)
-    if res.status != 0:
-        raise NumericalError(f"Kantorovich LP failed (status {res.status}): {res.message}")
-    duals = res.eqlin.marginals
-    violation = float(np.max(duals[:k, None] + duals[None, k:] - dist))
+    _, u, v = _shortest_augmenting_paths(dist)
+    violation = float(np.max(u[:, None] + v[None, :] - dist))
     if not violation <= 1e-9:  # also rejects NaN duals
         raise NumericalError(
-            f"Kantorovich row duals violate a pair constraint by {violation:.3g}"
+            f"Kantorovich potentials violate a pair constraint by {violation:.3g}"
         )
-    return float(np.sum(duals))
+    return float(np.sum(u) + np.sum(v))
 
 
 def relaxed_energy(E_dirichlet: float, cfg: SingularityConfig) -> float:

@@ -1,13 +1,13 @@
 import json
 import math
-from types import SimpleNamespace
+import warnings
 
 import numpy as np
 import pytest
 
 from axisphere import cli, energy
 from axisphere.cli import main
-from axisphere.geometry import UnderResolvedQuadratureError
+from axisphere.geometry import NumericalError, UnderResolvedQuadratureError
 
 
 def run(args):
@@ -313,6 +313,17 @@ class TestSigma:
         assert err == ["error: cannot load charge configuration: "
                        "non-finite coordinate in positives"]
 
+    @pytest.mark.parametrize("x", [1e160, 1.7e308])
+    def test_overflowing_distance_exit_2(self, tmp_path, capsys, x):
+        cfg = tmp_path / "charges.json"
+        cfg.write_text(json.dumps({"positives": [[x, 0, 0]], "negatives": [[-x, 0, 0]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would end in a traceback
+            assert run(["sigma", "--spec", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: cannot load charge configuration: "
+                       "a positive-negative distance overflows to inf"]
+
 
 def resolve(argv):
     return cli._spec_from_args(cli.build_parser().parse_args(argv))
@@ -491,18 +502,18 @@ class TestNumericalExit:
                             "--c0", "1", "--s-tilde", "2s", "--nodes", "64"], capsys)
 
     def test_kantorovich_lp_failure(self, tmp_path, monkeypatch, capsys):
-        failed = SimpleNamespace(status=2, message="infeasible", fun=0.0)
-        monkeypatch.setattr("axisphere.connection.linprog", lambda *a, **k: failed)
+        def failed(dist):
+            raise NumericalError("Kantorovich search found no finite augmenting path")
+        monkeypatch.setattr("axisphere.connection._shortest_augmenting_paths", failed)
         cfg = tmp_path / "charges.json"
         cfg.write_text(json.dumps({"positives": [[0, 0, -1]], "negatives": [[0, 0, 1]]}))
         self.assert_exit_4(["sigma", "--spec", str(cfg)], capsys)
 
     def test_kantorovich_row_dual_violation(self, tmp_path, monkeypatch, capsys):
         # the pair is 2 apart; u + v = 2 + 1e-6 breaks its constraint by 1e-6
-        duals = np.array([0.0, 2.0 + 1e-6])
-        optimal = SimpleNamespace(status=0, message="optimal", fun=float(duals.sum()),
-                                  eqlin=SimpleNamespace(marginals=duals))
-        monkeypatch.setattr("axisphere.connection.linprog", lambda *a, **k: optimal)
+        optimal = (np.array([0]), np.array([0.0]), np.array([2.0 + 1e-6]))
+        monkeypatch.setattr("axisphere.connection._shortest_augmenting_paths",
+                            lambda dist: optimal)
         cfg = tmp_path / "charges.json"
         cfg.write_text(json.dumps({"positives": [[0, 0, -1]], "negatives": [[0, 0, 1]]}))
         self.assert_exit_4(["sigma", "--spec", str(cfg)], capsys)

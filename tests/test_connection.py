@@ -1,7 +1,7 @@
 import itertools
 import math
+import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from axisphere.connection import (
     ConnectionResult,
     SingularityConfig,
+    _shortest_augmenting_paths,
     kantorovich_dual,
     min_connection_assignment,
     min_connection_bruteforce,
@@ -24,6 +25,17 @@ def random_config(rng, k, multiplicity=1):
         positives=rng.uniform(-1.0, 1.0, (k, 3)),
         negatives=rng.uniform(-1.0, 1.0, (k, 3)),
         multiplicity=multiplicity,
+    )
+
+
+def lattice_config(rng, k):
+    """k distinct positives and k distinct negatives on a small integer
+    lattice: exact distance ties and coincident +- pairs are common."""
+    side = max(2, math.ceil((2 * k) ** (1 / 3)))
+    lattice = np.stack(np.meshgrid(*[np.arange(side)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    return SingularityConfig(
+        positives=lattice[rng.choice(len(lattice), k, replace=False)],
+        negatives=lattice[rng.choice(len(lattice), k, replace=False)],
     )
 
 
@@ -111,6 +123,16 @@ class TestConfig:
         points[name][1][2] = bad
         with pytest.raises(ValueError, match=f"non-finite coordinate in {name}"):
             SingularityConfig(**points)
+
+    @pytest.mark.parametrize("x", [1e160, 1.7e308])
+    def test_overflowing_distance_rejected(self, x):
+        with pytest.raises(ValueError, match="distance overflows"):
+            SingularityConfig(positives=[[x, 0, 0]], negatives=[[-x, 0, 0]])
+
+    def test_large_finite_distance_allowed(self):
+        cfg = SingularityConfig(positives=[[5e153, 0, 0]], negatives=[[-5e153, 0, 0]])
+        length = min_connection_assignment(cfg).length
+        assert kantorovich_dual(cfg) == length == pytest.approx(1e154, rel=1e-15)
 
     def test_nan_rows_not_merged(self):
         # two NaN rows must fail as non-finite, never pass or fail as a duplicate
@@ -283,7 +305,7 @@ class TestKantorovichDual:
             assert dual == pytest.approx(primal, abs=1e-9)
 
     def test_near_tie_within_lp_tolerance(self):
-        # the pairings differ by 2e-8, below HiGHS's default feasibility tolerance
+        # the pairings differ by 2e-8, below an LP solver's default feasibility tolerance
         positives = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0.5]])
         negatives = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 1e-8]])
         for perm in itertools.permutations(range(3)):
@@ -316,12 +338,56 @@ class TestKantorovichDual:
         # u = 0 and v_j = min_i d_ij are feasible; lifting v_0 breaks one pair by 1e-6
         v = dist.min(axis=0)
         v[0] += 1e-6
-        duals = np.concatenate([np.zeros(cfg.k), v])
-        optimal = SimpleNamespace(status=0, message="optimal", fun=float(duals.sum()),
-                                  eqlin=SimpleNamespace(marginals=duals))
-        monkeypatch.setattr("axisphere.connection.linprog", lambda *a, **k: optimal)
+        optimal = (np.arange(cfg.k), np.zeros(cfg.k), v)
+        monkeypatch.setattr("axisphere.connection._shortest_augmenting_paths",
+                            lambda dist: optimal)
         with pytest.raises(NumericalError, match="violate a pair constraint"):
             kantorovich_dual(cfg)
+
+
+class TestAugmentingPathSearch:
+    def test_lattice_ties_match_assignment_and_bruteforce(self):
+        rng = np.random.default_rng(15)
+        for k in [*range(1, 10)] * 5 + [*rng.integers(10, 120, 12)] + [120]:
+            cfg = lattice_config(rng, int(k))
+            dual = kantorovich_dual(cfg)
+            assert dual == pytest.approx(min_connection_assignment(cfg).length, abs=1e-9)
+            if k <= 9:
+                assert dual == pytest.approx(min_connection_bruteforce(cfg).length, abs=1e-9)
+
+    def test_own_matching_is_tight_permutation(self):
+        rng = np.random.default_rng(16)
+        for k in (1, 2, 5, 9, 40, 120):
+            for cfg in (lattice_config(rng, k), random_config(rng, k)):
+                dist = cfg.distance_matrix()
+                matching, u, v = _shortest_augmenting_paths(dist)
+                assert sorted(matching) == list(range(k))
+                np.testing.assert_allclose(u + v[matching], dist[np.arange(k), matching],
+                                           rtol=0, atol=1e-12)
+                length = dist[np.arange(k), matching].sum()
+                assert length == pytest.approx(kantorovich_dual(cfg), abs=1e-9)
+
+    @pytest.mark.parametrize("dist", [
+        [[0.0, math.inf], [0.0, math.inf]],
+        [[0.0, 1.0, math.nan], [1.0, 0.0, math.nan], [2.0, 2.0, math.nan]],
+        np.where(np.arange(30) < 29, np.random.default_rng(17).uniform(0, 1, (30, 30)),
+                 math.inf),
+    ], ids=["inf-column", "nan-column", "inf-column-30"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_distance_raises_promptly(self, dist):
+        outcome = []
+
+        def search():
+            try:
+                _shortest_augmenting_paths(np.array(dist))
+            except NumericalError as exc:
+                outcome.append(exc)
+
+        worker = threading.Thread(target=search, daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive(), "the search did not stop within 10 s"
+        assert len(outcome) == 1 and "no finite augmenting path" in str(outcome[0])
 
 
 class TestInvariances:
