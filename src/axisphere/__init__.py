@@ -7,7 +7,6 @@ from .connection import (
     kantorovich_dual,
     min_connection_assignment,
     min_connection_bruteforce,
-    relaxed_energy,
 )
 from .energy import (
     EnergyReport,
@@ -18,21 +17,16 @@ from .energy import (
     energy_3d,
     meridian_from_profile,
     monotone_area_bound,
-    psi_gain,
 )
 from .geometry import (
     INFINITY,
-    POINT_AT_INFINITY,
     NumericalError,
     ConeDipoleMap,
     RadialProfile,
-    SpherePoint,
     chart_to_colatitude,
     colatitude_to_chart,
     degree_from_flux,
     geometric_grid,
-    stereo_inverse,
-    stereo_project,
     u0_profile,
     u_eps_profile,
 )

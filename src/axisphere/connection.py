@@ -23,16 +23,13 @@ certified lower bound on every pairing (weak duality).
 ``min_connection_bruteforce`` is a third, exhaustive route for k <= 9: a
 dynamic program over the 2^k subsets of negatives (O(k 2^k) time, 2^k
 memory) that calls neither the assignment solver nor the dual search.
-The current mass is multiplicity * length, and the relaxed Dirichlet energy
-adds 4 pi times the mass to the Dirichlet term.
+The current mass is multiplicity * length.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -45,7 +42,6 @@ __all__ = [
     "min_connection_bruteforce",
     "min_connection_assignment",
     "kantorovich_dual",
-    "relaxed_energy",
 ]
 
 _BRUTEFORCE_MAX = 9
@@ -119,15 +115,6 @@ class SingularityConfig:
             positives=d.get("positives", []),
             negatives=d.get("negatives", []),
             multiplicity=int(d.get("multiplicity", 1)),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "multiplicity": self.multiplicity,
-                "positives": self.positives.tolist(),
-                "negatives": self.negatives.tolist(),
-            }
         )
 
 
@@ -261,11 +248,13 @@ def kantorovich_dual(cfg: SingularityConfig) -> float:
     nonnegative and ends with a permutation sigma on which they are zero;
     u_i = d[i, sigma(i)] - v[sigma(i)], and v_j = min_i (d_ij - u_i) is
     recomputed from u.  Their sum is returned only after the pair
-    constraints u_i + v_j <= d_ij hold to 1e-9, so by weak duality it is a
-    lower bound on every pairing, and since sigma's length equals it, it is
-    the minimal-connection length.  The assignment solver is never
-    consulted.  A failed search or a violated pair constraint raises
-    NumericalError.
+    constraints u_i + v_j <= d_ij hold to 1e-9 * max(1, max d_ij), so by
+    weak duality it is a lower bound on every pairing, and since sigma's
+    length equals it, it is the minimal-connection length.  The tolerance
+    scales with the distances: u, v and d each carry rounding errors of
+    order 1e-16 max d_ij, which pass an absolute 1e-9 once the distances
+    reach ~1e7.  The assignment solver is never consulted.  A failed search
+    or a violated pair constraint raises NumericalError.
     """
     k = cfg.k
     if k == 0:
@@ -273,16 +262,8 @@ def kantorovich_dual(cfg: SingularityConfig) -> float:
     dist = cfg.distance_matrix()
     _, u, v = _shortest_augmenting_paths(dist)
     violation = float(np.max(u[:, None] + v[None, :] - dist))
-    if not violation <= 1e-9:  # also rejects NaN duals
+    if not violation <= 1e-9 * max(1.0, float(dist.max())):  # also rejects NaN duals
         raise NumericalError(
             f"Kantorovich potentials violate a pair constraint by {violation:.3g}"
         )
     return float(np.sum(u) + np.sum(v))
-
-
-def relaxed_energy(E_dirichlet: float, cfg: SingularityConfig) -> float:
-    """Relaxed Dirichlet energy: E + 4 pi * (multiplicity * minimal length)."""
-    if E_dirichlet < 0.0:
-        raise ValueError("Dirichlet energy must be nonnegative")
-    result = min_connection_assignment(cfg)
-    return E_dirichlet + 4.0 * math.pi * result.mass

@@ -28,8 +28,6 @@ which is accurate in absolute terms (~2e-16), not relative to sin^2 phi.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -49,12 +47,10 @@ __all__ = [
     "monotone_area_bound",
     "conformality_gap",
     "energy_3d",
-    "psi_gain",
     "z_derivative_energy",
     "slice_energies",
     "slice_areas",
     "meridian_from_profile",
-    "detect_defect_intervals",
     "meridian_cell_energy",
     "meridian_cell_energy_grad",
     "minimize_meridian_energy",
@@ -83,18 +79,6 @@ class EnergyReport:
     @classmethod
     def assemble(cls, E: float, A: float, mass_term: float = 0.0) -> "EnergyReport":
         return cls(E=E, A=A, gap=E - A, mass_term=mass_term, total=E + mass_term)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"E": self.E, "A": self.A, "gap": self.gap,
-             "mass_term": self.mass_term, "total": self.total}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnergyReport":
-        d = json.loads(text)
-        return cls(E=d["E"], A=d["A"], gap=d["gap"],
-                   mass_term=d["mass_term"], total=d["total"])
 
 
 def _clamped_cells(
@@ -237,63 +221,8 @@ class MeridianField:
     def defect_length(self) -> float:
         return sum(b - a for a, b in self.defects)
 
-    def in_defect(self, z: float) -> bool:
-        return any(a - 1e-12 <= z <= b + 1e-12 for a, b in self.defects)
-
-    def axis_consistency_ok(self, threshold: float = math.pi / 2) -> bool:
-        """Whether the innermost-radius colatitudes match the defect set:
-        below ``threshold`` over defect intervals, above it off them.
-
-        This is the consistency expected of a map whose graph boundary is
-        closed by the declared vertical part; it does not hold for maps with
-        no axis singularity at all (e.g. constants), so it is a checkable
-        property rather than a construction invariant.
-        """
-        axis = self.phi[0, :]
-        for j, z in enumerate(self.z_grid):
-            if self.in_defect(z):
-                if axis[j] >= threshold:
-                    return False
-            elif axis[j] <= threshold:
-                return False
-        return True
-
     def slice_profile(self, j: int) -> RadialProfile:
         return RadialProfile(grid=self.r_grid, phi=self.phi[:, j], n=self.n)
-
-    def to_csv(self, path, sidecar_path=None) -> None:
-        """Long-format CSV ``r,z,phi`` plus a JSON sidecar with winding and
-        defect intervals (default: ``<path>.defects.json``)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "z", "phi"])
-            for i, r in enumerate(self.r_grid):
-                for j, z in enumerate(self.z_grid):
-                    writer.writerow([f"{r:.17g}", f"{z:.17g}", f"{self.phi[i, j]:.17g}"])
-        sidecar = sidecar_path if sidecar_path is not None else f"{path}.defects.json"
-        with open(sidecar, "w") as fh:
-            json.dump({"n": self.n, "defect_intervals": [list(iv) for iv in self.defects]}, fh)
-
-    @classmethod
-    def from_csv(cls, path, sidecar_path=None) -> "MeridianField":
-        sidecar = sidecar_path if sidecar_path is not None else f"{path}.defects.json"
-        with open(sidecar) as fh:
-            meta = json.load(fh)
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for a, b, c in reader:
-                rows.append((float(a), float(b), float(c)))
-        r = np.unique([a for a, _, _ in rows])
-        z = np.unique([b for _, b, _ in rows])
-        phi = np.empty((r.size, z.size))
-        ri = {v: i for i, v in enumerate(r)}
-        zj = {v: j for j, v in enumerate(z)}
-        for a, b, c in rows:
-            phi[ri[a], zj[b]] = c
-        return cls(r_grid=r, z_grid=z, phi=phi, n=int(meta["n"]),
-                   defects=tuple(tuple(iv) for iv in meta["defect_intervals"]))
 
 
 def meridian_from_profile(
@@ -307,24 +236,6 @@ def meridian_from_profile(
     phi = np.broadcast_to(profile.phi[:, None], (profile.phi.size, z_grid.size))
     return MeridianField(r_grid=profile.grid, z_grid=z_grid, phi=phi,
                          n=profile.n, defects=tuple(defects))
-
-
-def detect_defect_intervals(field: MeridianField, threshold: float = math.pi / 2) -> tuple[tuple[float, float], ...]:
-    """Defect intervals detected from the axis colatitudes: maximal runs of
-    z-nodes with phi(r_min, z) below ``threshold``."""
-    axis = field.phi[0, :] < threshold
-    z = field.z_grid
-    intervals: list[tuple[float, float]] = []
-    start = None
-    for j, flag in enumerate(axis):
-        if flag and start is None:
-            start = z[j]
-        elif not flag and start is not None:
-            intervals.append((start, z[j - 1]))
-            start = None
-    if start is not None:
-        intervals.append((start, z[-1]))
-    return tuple((a, b) for a, b in intervals if b > a)
 
 
 # Entries of phi per block of the radial quadrature: an m-column block has
@@ -435,19 +346,6 @@ def energy_3d(field: MeridianField) -> EnergyReport:
     A = float(areas @ w_z)
     mass_term = _FOUR_PI * field.n * field.defect_length()
     return EnergyReport.assemble(E=E, A=A, mass_term=mass_term)
-
-
-def psi_gain(field: MeridianField, z: float, alpha: float) -> float:
-    """Maximal energy gain from replacing the reference slice at height z:
-    4 pi n + 4 pi n alpha^2/(1+alpha^2) minus the slice energy (the
-    z-derivative contribution is ignored, making the gain an upper bound)."""
-    diffs = np.abs(field.z_grid - z)
-    j = int(np.argmin(diffs))
-    if diffs[j] > 1e-9 * max(1.0, abs(z)):
-        raise ValueError(f"z = {z} is not a grid line of the field")
-    n = field.n
-    slice_e = dirichlet_energy_radial(field.slice_profile(j))
-    return _FOUR_PI * n + _FOUR_PI * n * alpha ** 2 / (1.0 + alpha ** 2) - slice_e
 
 
 # ---------------------------------------------------------------------------

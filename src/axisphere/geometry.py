@@ -1,4 +1,4 @@
-"""Stereographic chart, radial profiles, and explicit map constructions.
+"""Chart conversions, radial profiles, and explicit map constructions.
 
 An n-axially symmetric sphere-valued map is determined by a single chart
 profile f: in cylindrical coordinates (r, theta, z),
@@ -17,25 +17,19 @@ are written in the phi variable.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "INFINITY",
-    "POINT_AT_INFINITY",
-    "SpherePoint",
     "RadialProfile",
     "ConeDipoleMap",
     "DegreeResult",
     "NumericalError",
     "UnderResolvedQuadratureError",
-    "is_at_infinity",
-    "stereo_project",
-    "stereo_inverse",
     "chart_to_colatitude",
     "colatitude_to_chart",
     "geometric_grid",
@@ -47,11 +41,6 @@ __all__ = [
 #: Marker for an infinite chart value (image = south pole).  A value, not an error.
 INFINITY: float = math.inf
 
-#: Marker for the image of the south pole under stereographic projection.
-POINT_AT_INFINITY: tuple[float, float] = (math.inf, math.inf)
-
-_UNIT_NORM_TOL = 1e-12
-
 
 class NumericalError(RuntimeError):
     """A numerical route failed or contradicted an independent one."""
@@ -59,53 +48,6 @@ class NumericalError(RuntimeError):
 
 class UnderResolvedQuadratureError(NumericalError):
     """Raised when a degree quadrature is too far from an integer."""
-
-
-def is_at_infinity(w: tuple[float, float]) -> bool:
-    """True if the planar point is the point at infinity."""
-    return not (math.isfinite(w[0]) and math.isfinite(w[1]))
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point on the unit sphere, validated to |p| = 1 within 1e-12."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        nrm2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(nrm2 - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError(f"point not on the unit sphere: |p|^2 = {nrm2!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def colatitude(self) -> float:
-        """Angle from the north pole (0, 0, 1), in [0, pi]."""
-        return math.acos(min(1.0, max(-1.0, self.z)))
-
-
-def stereo_project(p: SpherePoint) -> tuple[float, float]:
-    """Stereographic projection (x, y, z) -> (x, y)/(1 + z).
-
-    The south pole maps to POINT_AT_INFINITY.
-    """
-    denom = 1.0 + p.z
-    if denom == 0.0:
-        return POINT_AT_INFINITY
-    return (p.x / denom, p.y / denom)
-
-
-def stereo_inverse(w: tuple[float, float]) -> SpherePoint:
-    """Inverse stereographic projection; POINT_AT_INFINITY -> (0, 0, -1)."""
-    if is_at_infinity(w):
-        return SpherePoint(0.0, 0.0, -1.0)
-    X, Y = float(w[0]), float(w[1])
-    rho2 = X * X + Y * Y
-    denom = 1.0 + rho2
-    return SpherePoint(2.0 * X / denom, 2.0 * Y / denom, (1.0 - rho2) / denom)
 
 
 def chart_to_colatitude(f: float) -> float:
@@ -180,26 +122,6 @@ class RadialProfile:
             raise ValueError("winding number n must be >= 1")
         object.__setattr__(self, "n", int(self.n))
 
-    def to_csv(self, path) -> None:
-        """Write the profile as CSV with header ``r,phi`` (17 significant digits)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "phi"])
-            for r, p in zip(self.grid, self.phi):
-                writer.writerow([f"{r:.17g}", f"{p:.17g}"])
-
-    @classmethod
-    def from_csv(cls, path, n: int) -> "RadialProfile":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if [h.strip() for h in header] != ["r", "phi"]:
-                raise ValueError(f"unexpected CSV header {header!r}")
-            rows = [(float(a), float(b)) for a, b in reader]
-        grid = np.array([a for a, _ in rows])
-        phi = np.array([b for _, b in rows])
-        return cls(grid=grid, phi=phi, n=n)
-
 
 def u0_profile(alpha: float, n: int, grid: np.ndarray) -> RadialProfile:
     """Profile of the smooth map with chart value f(r) = alpha * r^n."""
@@ -265,12 +187,6 @@ class ConeDipoleMap:
 
     def colatitude(self, r: float, z: float) -> float:
         return chart_to_colatitude(self.chart_value(r, z))
-
-    def value(self, r: float, theta: float, z: float) -> SpherePoint:
-        f = self.chart_value(r, z)
-        if math.isinf(f):
-            return SpherePoint(0.0, 0.0, -1.0)
-        return stereo_inverse((f * math.cos(self.n * theta), f * math.sin(self.n * theta)))
 
 
 @dataclass(frozen=True)

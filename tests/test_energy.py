@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import tracemalloc
 
@@ -18,7 +17,6 @@ from axisphere.energy import (
     _MeridianSystem,
     area_radial,
     conformality_gap,
-    detect_defect_intervals,
     dipole_half_box,
     dipole_ladder,
     dirichlet_energy_radial,
@@ -29,7 +27,6 @@ from axisphere.energy import (
     meridian_hessian_definite,
     minimize_meridian_energy,
     monotone_area_bound,
-    psi_gain,
     slice_areas,
     slice_energies,
     z_derivative_energy,
@@ -227,13 +224,10 @@ class TestConformalityGap:
 
 
 class TestEnergyReport:
-    def test_assemble_and_json(self):
+    def test_assemble(self):
         rep = EnergyReport.assemble(E=2.0, A=1.5, mass_term=3.0)
         assert rep.gap == 0.5
         assert rep.total == 5.0
-        loaded = json.loads(rep.to_json())
-        assert set(loaded) == {"E", "A", "gap", "mass_term", "total"}
-        assert EnergyReport.from_json(rep.to_json()) == rep
 
 
 class TestMeridianField:
@@ -254,19 +248,6 @@ class TestMeridianField:
             MeridianField(r, z, phi, 2, defects=[(-1.0, 0.5), (0.0, 1.0)])
         with pytest.raises(ValueError):
             MeridianField(r, z, np.full((2, 2), np.nan), 2)
-
-    def test_axis_consistency(self):
-        fld = self.make_u0_field(r_nodes=129, z_nodes=9)
-        assert fld.axis_consistency_ok()
-        flipped = MeridianField(fld.r_grid, fld.z_grid, math.pi - fld.phi, fld.n,
-                                defects=fld.defects)
-        assert not flipped.axis_consistency_ok()
-
-    def test_detect_defects(self):
-        fld = self.make_u0_field(r_nodes=129, z_nodes=9)
-        detected = detect_defect_intervals(fld)
-        assert len(detected) == 1
-        assert detected[0] == (-1.0, 1.0)
 
     def test_reference_total(self):
         # extruded smooth profile with the full axis as defect:
@@ -308,15 +289,6 @@ class TestMeridianField:
         pieces = float(per_slice @ w_z) + z_derivative_energy(fld) + rep.mass_term
         assert rep.total == pytest.approx(pieces, rel=1e-9)
         assert np.allclose(per_slice, slice_energies(fld), rtol=1e-12)
-
-    def test_csv_round_trip(self, tmp_path):
-        fld = self.make_u0_field(r_nodes=33, z_nodes=5)
-        path = tmp_path / "field.csv"
-        fld.to_csv(path)
-        back = MeridianField.from_csv(path)
-        assert np.array_equal(back.phi, fld.phi)
-        assert back.defects == fld.defects
-        assert back.n == fld.n
 
 
 def trapezoid(x):
@@ -554,12 +526,9 @@ class TestFieldProperties:
 
 
 class TestPsiGain:
-    def test_reference_slice(self):
-        # the smooth-profile slice realizes psi = 4 pi n exactly
-        n, alpha = 2, 0.25
-        profile = u0_profile(alpha, n, geometric_grid(1e-6, 1.0, 32769))
-        fld = meridian_from_profile(profile, np.linspace(-1, 1, 9), defects=[(-1.0, 1.0)])
-        assert psi_gain(fld, 0.0, alpha) == pytest.approx(FOUR_PI * n, rel=1e-6)
+    """A slice replaced by the reference profile gains at most
+    psi = 4 pi n (1 + alpha^2/(1+alpha^2)) - E(slice), the z-derivative part
+    left out; the bounds on psi are stated on the slice energy."""
 
     def test_high_energy_slice_nonpositive(self):
         # a slice covering the sphere twice has energy >= 8 pi n, above the
@@ -569,30 +538,22 @@ class TestPsiGain:
         x = np.log(grid)
         t = (x - x[0]) / (x[-1] - x[0])
         phi = math.pi * (1.0 - np.abs(2.0 * t - 1.0))  # 0 -> pi -> 0
-        p = RadialProfile(grid=grid, phi=phi, n=n)
-        fld = meridian_from_profile(p, np.linspace(-1, 1, 5), defects=[(-1.0, 1.0)])
-        psi = psi_gain(fld, 0.0, alpha)
-        assert psi <= 0.0
+        energy = dirichlet_energy_radial(RadialProfile(grid=grid, phi=phi, n=n))
+        assert energy >= 2.0 * FOUR_PI * n
+        assert energy >= FOUR_PI * n * (1.0 + alpha ** 2 / (1.0 + alpha ** 2))
 
     def test_dip_slice_bounded_by_minimum_value(self):
-        # descending to a, flat, ascending to alpha: psi <= 8 pi n a^2/(1+a^2)
+        # descending to a, flat, ascending to alpha: 0 < psi <= 8 pi n a^2/(1+a^2)
         n, alpha, a = 2, 0.25, 0.05
         r_a, r_b = 0.3, (a / alpha) ** (1.0 / n)
         grid = geometric_grid(1e-8, 1.0, 16385)
         f = np.where(grid <= r_a, a * (r_a / grid) ** n,
                      np.where(grid <= r_b, a, a * (grid / r_b) ** n))
-        p = RadialProfile(grid=grid, phi=2.0 * np.arctan(f), n=n)
-        fld = meridian_from_profile(p, np.linspace(-1, 1, 3), defects=())
-        psi = psi_gain(fld, 0.0, alpha)
+        energy = dirichlet_energy_radial(RadialProfile(grid=grid, phi=2.0 * np.arctan(f), n=n))
+        psi = FOUR_PI * n * (1.0 + alpha ** 2 / (1.0 + alpha ** 2)) - energy
         bound = 8.0 * math.pi * n * a ** 2 / (1.0 + a ** 2)
         assert psi <= bound + 1e-9
         assert psi > 0.0
-
-    def test_off_grid_z_rejected(self):
-        profile = u0_profile(0.25, 2, geometric_grid(1e-3, 1.0, 65))
-        fld = meridian_from_profile(profile, np.linspace(-1, 1, 5), defects=[(-1.0, 1.0)])
-        with pytest.raises(ValueError):
-            psi_gain(fld, 0.123, 0.25)
 
 
 def box_mask(shape):

@@ -14,60 +14,16 @@ from scipy.integrate import simpson
 import axisphere
 from axisphere.geometry import (
     INFINITY,
-    POINT_AT_INFINITY,
     ConeDipoleMap,
     RadialProfile,
-    SpherePoint,
     UnderResolvedQuadratureError,
     chart_to_colatitude,
     colatitude_to_chart,
     degree_from_flux,
     geometric_grid,
-    is_at_infinity,
-    stereo_inverse,
-    stereo_project,
     u0_profile,
     u_eps_profile,
 )
-
-
-class TestStereographic:
-    def test_north_pole_to_origin(self):
-        assert stereo_project(SpherePoint(0.0, 0.0, 1.0)) == (0.0, 0.0)
-
-    def test_equator_fixed_point(self):
-        assert stereo_project(SpherePoint(1.0, 0.0, 0.0)) == (1.0, 0.0)
-
-    def test_south_pole_to_infinity(self):
-        w = stereo_project(SpherePoint(0.0, 0.0, -1.0))
-        assert is_at_infinity(w)
-
-    def test_inverse_trivial_points(self):
-        assert stereo_inverse((0.0, 0.0)) == SpherePoint(0.0, 0.0, 1.0)
-        assert stereo_inverse((1.0, 0.0)) == SpherePoint(1.0, 0.0, 0.0)
-        assert stereo_inverse(POINT_AT_INFINITY) == SpherePoint(0.0, 0.0, -1.0)
-
-    def test_round_trip_plane(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            w = tuple(rng.normal(0.0, 3.0, 2))
-            back = stereo_project(stereo_inverse(w))
-            assert abs(back[0] - w[0]) <= 1e-12 * max(1.0, abs(w[0]))
-            assert abs(back[1] - w[1]) <= 1e-12 * max(1.0, abs(w[1]))
-        assert is_at_infinity(stereo_project(stereo_inverse(POINT_AT_INFINITY)))
-
-    def test_round_trip_sphere(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            v = rng.normal(size=3)
-            v /= np.linalg.norm(v)
-            p = SpherePoint(*v)
-            q = stereo_inverse(stereo_project(p))
-            assert np.allclose(q.as_array(), p.as_array(), atol=1e-12)
-
-    def test_sphere_point_validation(self):
-        with pytest.raises(ValueError):
-            SpherePoint(1.0, 1.0, 1.0)
 
 
 class TestChartConversions:
@@ -154,22 +110,6 @@ class TestProfiles:
         with pytest.raises(ValueError, match=message):
             RadialProfile(grid=np.array([0.1, 0.5, 1.0]), phi=np.array(values), n=1)
 
-    def test_csv_nan_row_rejected(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        path.write_text("r,phi\n0.1,0.1\n0.5,nan\n1,0.3\n")
-        with pytest.raises(ValueError, match="NaN"):
-            RadialProfile.from_csv(path, n=1)
-
-    def test_csv_round_trip(self, tmp_path):
-        p = u0_profile(0.25, 2, geometric_grid(1e-6, 1.0, 128))
-        path = tmp_path / "profile.csv"
-        p.to_csv(path)
-        q = RadialProfile.from_csv(path, n=2)
-        assert np.array_equal(p.grid, q.grid)
-        assert np.array_equal(p.phi, q.phi)
-        header = path.read_text().splitlines()[0]
-        assert header == "r,phi"
-
 
 class TestConeDipoleMap:
     def test_inside_upper_cone_value(self):
@@ -210,13 +150,6 @@ class TestConeDipoleMap:
         m = ConeDipoleMap(alpha=0.25, n=2)
         with pytest.raises(ValueError):
             m.chart_value(2.5, 0.0)
-
-    def test_value_on_sphere(self):
-        m = ConeDipoleMap(alpha=0.25, n=2)
-        p = m.value(0.5, 0.3, 0.0)
-        assert abs(np.linalg.norm(p.as_array()) - 1.0) < 1e-12
-        # axis between the singular points maps to the north pole
-        assert m.value(0.0, 0.0, 0.5) == SpherePoint(0.0, 0.0, 1.0)
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):
