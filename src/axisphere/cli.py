@@ -17,9 +17,9 @@ All commands are deterministic given their parameters; CSV output uses 12
 significant digits and re-runs are bit-identical; JSON output is strict,
 with non-finite values written as null.  Exit codes: 0 success, 2 input
 error (an output file that cannot be written included, caught before any
-computation), 3 optimizer non-convergence, 4 numerical failure (a quadrature
-too coarse to resolve, a failed Kantorovich search or certificate, a bound
-chain contradicting itself, or a singular segment subproblem).
+computation), 3 optimizer non-convergence, 4 numerical failure (a failed
+Kantorovich search or certificate, a bound chain contradicting itself, or a
+singular segment subproblem).
 """
 
 from __future__ import annotations
@@ -568,9 +568,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         spec = _spec_from_args(args)
         rows, summary, code = _RUNNERS[spec.command](spec)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

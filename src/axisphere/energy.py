@@ -487,8 +487,10 @@ class _MeridianSystem:
         q = self.c_m * cos2 / 8.0
         if convex:
             q = np.maximum(q, 0.0)
-        band = (self._kinetic + np.bincount(self._entries, weights=q.ravel()[self._cells],
-                                            minlength=self._kinetic.size)).reshape(self._shape)
+        band = np.bincount(self._entries, weights=q.ravel()[self._cells],
+                           minlength=self._kinetic.size)
+        band += self._kinetic
+        band = band.reshape(self._shape)
         if active is not None and active.any():
             a = np.flatnonzero(active)
             offsets = np.arange(1, self._shape[0])

@@ -29,7 +29,6 @@ __all__ = [
     "ConeDipoleMap",
     "DegreeResult",
     "NumericalError",
-    "UnderResolvedQuadratureError",
     "chart_to_colatitude",
     "colatitude_to_chart",
     "geometric_grid",
@@ -44,10 +43,6 @@ INFINITY: float = math.inf
 
 class NumericalError(RuntimeError):
     """A numerical route failed or contradicted an independent one."""
-
-
-class UnderResolvedQuadratureError(NumericalError):
-    """Raised when a degree quadrature is too far from an integer."""
 
 
 def chart_to_colatitude(f: float) -> float:
@@ -191,7 +186,8 @@ class ConeDipoleMap:
 
 @dataclass(frozen=True)
 class DegreeResult:
-    """Degree of a map restricted to a sphere, with quadrature diagnostics."""
+    """Degree of a map restricted to a sphere, with its distance from an
+    integer."""
 
     degree: int
     residual: float
@@ -203,61 +199,35 @@ def degree_from_flux(
     winding: int,
     center: tuple[float, float, float],
     radius: float,
-    panels: int = 1024,
 ) -> DegreeResult:
     """Topological degree of an axially symmetric map on a sphere, via flux.
 
     The flux of the pullback field through the sphere, divided by 4*pi, equals
-    the degree of the restriction.  For a map with image colatitude Phi and
-    longitude (winding * theta), the surface integral collapses to the one
-    dimensional colatitude integral
+    the degree of the restriction.  For image colatitude Phi and longitude
+    (winding * theta) it collapses to a colatitude integral with an exact
+    antiderivative,
 
-        deg = (winding / 2) * Int_0^pi sin(Phi(beta)) Phi'(beta) d(beta),
+        deg = (winding / 2) * Int_0^pi sin(Phi) Phi' d(beta)
+            = (winding / 2) * (cos Phi(north) - cos Phi(south)),
 
-    where beta parametrizes the sphere around ``center`` from its north pole.
-    The integral is evaluated by composite Simpson quadrature with ``panels``
-    panels, Phi' by second-order finite differences.
-
-    Parameters
-    ----------
-    colatitude_fn :
-        Callable (r, z) -> image colatitude at the meridian point (r, 0, z).
-    winding :
-        Winding number of the map in the angular direction.
-    center :
-        Sphere center; must lie on the symmetry axis (x = y = 0).
-    radius :
-        Sphere radius; the map must be smooth on the sphere.
-    panels :
-        Number of Simpson panels (made even if odd).
-
-    Raises
-    ------
-    UnderResolvedQuadratureError
-        If the pre-rounding residual exceeds 0.1.
+    where beta parametrizes the sphere around ``center`` (on the symmetry
+    axis) from its north pole, and Phi is read from ``colatitude_fn(r, z)``
+    at the two axis points (0, cz +- radius).  Exact for every map continuous
+    on the sphere, whose Phi at an axis point is a pole, 0 or pi.  A result
+    more than 1e-9 from an integer means Phi at an axis point is not a pole,
+    i.e. the map is discontinuous there, and raises ValueError.
     """
     cx, cy, cz = center
     if abs(cx) > 1e-12 or abs(cy) > 1e-12:
         raise ValueError("center must lie on the symmetry axis for the 1-D reduction")
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    panels = int(panels)
-    if panels % 2:
-        panels += 1
-    beta = np.linspace(0.0, math.pi, panels + 1)
-    phi = np.array(
-        [colatitude_fn(radius * math.sin(b), cz + radius * math.cos(b)) for b in beta]
-    )
-    dphi = np.gradient(phi, beta, edge_order=2)
-    # composite Simpson weights (h/3) [1, 4, 2, 4, ..., 2, 4, 1]
-    weights = np.full(panels + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[[0, -1]] = 1.0
-    raw = 0.5 * winding * (math.pi / panels / 3.0) * float(weights @ (np.sin(phi) * dphi))
-    degree = int(round(raw))
+    north, south = (math.cos(colatitude_fn(0.0, cz + side * radius)) for side in (1.0, -1.0))
+    raw = 0.5 * winding * (north - south)
+    degree = round(raw)
     residual = abs(raw - degree)
-    if residual > 0.1:
-        raise UnderResolvedQuadratureError(
-            f"degree quadrature residual {residual:.3g} > 0.1; increase panels"
-        )
+    if residual > 1e-9:
+        raise ValueError(
+            f"degree {raw:.12g} is not an integer: the colatitude at an axis point "
+            f"of the sphere is not a pole, so the map is discontinuous there")
     return DegreeResult(degree=degree, residual=residual, raw=raw)

@@ -75,18 +75,6 @@ class ClosedFormProfile:
         n = self.n
         return n * self.c_plus * r ** (n - 1) - n * self.c_minus * r ** (-n - 1)
 
-    def second_derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        n = self.n
-        return (n * (n - 1) * self.c_plus * r ** (n - 2)
-                + n * (n + 1) * self.c_minus * r ** (-n - 2))
-
-    def el_residual(self, r):
-        """-(r g')' + (n^2/r) g, from the analytic derivatives (==0)."""
-        r = np.asarray(r, dtype=float)
-        return (-self.derivative(r) - r * self.second_derivative(r)
-                + self.n ** 2 / r * self.value(r))
-
     def defect_integral(self, decreasing: bool) -> float:
         """Exact Int (|g'| - (n/r) g)^2 r dr over [r_lo, r_hi].
 
@@ -202,8 +190,8 @@ class PiecewiseMinimizer:
     t0: float
     tau0: float
 
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
+    def sample(self, grid: np.ndarray) -> np.ndarray:
+        r = np.asarray(grid, dtype=float)
         out = np.full(r.shape, self.constraint.a, dtype=float)
         left = r <= self.arc_end
         out[left] = self.eta.value(r[left])
@@ -211,19 +199,6 @@ class PiecewiseMinimizer:
             right = r >= self.plateau_end
             out[right] = self.zeta.value(r[right])
         return out
-
-    def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape, dtype=float)
-        left = r < self.arc_end
-        out[left] = self.eta.derivative(r[left])
-        if self.zeta is not None:
-            right = r > self.plateau_end
-            out[right] = self.zeta.derivative(r[right])
-        return out
-
-    def sample(self, grid: np.ndarray) -> np.ndarray:
-        return self.value(np.asarray(grid, dtype=float))
 
     def objective_closed_form(self) -> float:
         """I at the minimizer: exact arc integrals plus the plateau term
@@ -287,16 +262,12 @@ def _log_cells(r: np.ndarray, g: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
     return (np.abs(np.diff(g)) / dx - n * gm) ** 2 * dx, gm
 
 
-def I_functional(r: np.ndarray, g: np.ndarray, n: int,
-                 interval: tuple[float, float] | None = None) -> float:
+def I_functional(r: np.ndarray, g: np.ndarray, n: int) -> float:
     """Discrete I on a sampled profile: in x = log r the integrand becomes
     (|dg/dx| - n g)^2 dx, evaluated per cell with one-sided differences and
     midpoint values of g."""
     r = np.asarray(r, dtype=float)
     g = np.asarray(g, dtype=float)
-    if interval is not None:
-        mask = (r >= interval[0] * (1 - 1e-12)) & (r <= interval[1] * (1 + 1e-12))
-        r, g = r[mask], g[mask]
     return float(np.sum(_log_cells(r, g, n)[0]))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from axisphere import cli, energy
 from axisphere.cli import main
-from axisphere.geometry import NumericalError, UnderResolvedQuadratureError
+from axisphere.geometry import NumericalError
 
 
 def run(args):
@@ -527,6 +527,6 @@ class TestNumericalExit:
 
     def test_under_resolved_quadrature(self, monkeypatch, capsys):
         def under_resolved(*args, **kwargs):
-            raise UnderResolvedQuadratureError("degree quadrature residual 0.3")
+            raise NumericalError("quadrature residual 0.3")
         monkeypatch.setattr(cli, "dirichlet_energy_radial", under_resolved)
         self.assert_exit_4(["t0-energy", "--r-nodes", "257", "--z-nodes", "9"], capsys)

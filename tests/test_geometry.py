@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import subprocess
@@ -9,14 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
 
 import axisphere
 from axisphere.geometry import (
     INFINITY,
     ConeDipoleMap,
     RadialProfile,
-    UnderResolvedQuadratureError,
     chart_to_colatitude,
     colatitude_to_chart,
     degree_from_flux,
@@ -170,16 +167,15 @@ class TestDegreeFromFlux:
         assert bot.residual < 1e-3
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 3), st.floats(0.1, 0.25), st.floats(0.4, 1.0),
+    @given(st.integers(1, 3), st.floats(0.01, 0.25), st.floats(0.1, 1.0),
            st.sampled_from([-1.0, 1.0]))
     def test_integer_degree_around_singular_point(self, n, alpha, radius, side):
-        # criterion 8 at its 1e-3 residual; below alpha 0.1 or radius 0.4 the
-        # 1024 default panels under-resolve the colatitude near the sphere's
-        # axis point inside the cone (residual up to 0.09 at alpha 0.01)
+        # criterion 8 over the whole cone: the sphere's axis point inside the
+        # cone maps to the south pole however thin the cone's jump is
         res = degree_from_flux(ConeDipoleMap(alpha=alpha, n=n).colatitude, n,
                                (0.0, 0.0, side), radius)
         assert res.degree == -side * n
-        assert res.residual < 1e-3
+        assert res.residual == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.floats(0.01, 0.25), st.floats(-0.5, 0.5),
@@ -211,20 +207,6 @@ class TestDegreeFromFlux:
         with pytest.raises(ValueError):
             degree_from_flux(lambda r, z: 0.0, 1, (0.5, 0.0, 0.0), 0.1)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_simpson_weights_match_scipy(self, n):
-        # the explicit composite Simpson sum against scipy's simpson on the
-        # same samples, around either singular point at criterion 8's sizes
-        beta = np.linspace(0.0, math.pi, 1025)
-        for alpha, radius, side in itertools.product((0.1, 0.25), (0.4, 0.5, 1.0), (-1.0, 1.0)):
-            m = ConeDipoleMap(alpha=alpha, n=n)
-            phi = np.array([m.colatitude(radius * math.sin(b), side + radius * math.cos(b))
-                            for b in beta])
-            ref = 0.5 * n * simpson(np.sin(phi) * np.gradient(phi, beta, edge_order=2), x=beta)
-            res = degree_from_flux(m.colatitude, n, (0.0, 0.0, side), radius)
-            assert res.raw == pytest.approx(ref, rel=0.0, abs=1e-14)
-            assert res.degree == -side * n
-
     def test_cli_import_leaves_out_scipy_integrate(self):
         src = str(Path(axisphere.__file__).resolve().parents[1])
         env = {**os.environ,
@@ -235,13 +217,12 @@ class TestDegreeFromFlux:
             capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip() == "False"
 
-    def test_under_resolved_raises(self):
-        # an oscillatory image colatitude aliases on a coarse panel grid
-        def wavy(r, z):
-            beta = math.atan2(r, z)
-            return min(math.pi, max(0.0, beta + 0.45 * math.sin(8.0 * beta)))
+    @pytest.mark.parametrize("north,south", [(math.pi / 2, 0.0), (math.pi, 1.0)])
+    def test_axis_point_off_pole_raises(self, north, south):
+        # a colatitude that is not a pole at an axis point: the map is
+        # discontinuous there and its degree is not an integer
+        def colatitude(r, z):
+            return north if z > 0.0 else south
 
-        fine = degree_from_flux(wavy, 1, (0.0, 0.0, 0.0), 1.0, panels=2048)
-        assert fine.degree == 1
-        with pytest.raises(UnderResolvedQuadratureError):
-            degree_from_flux(wavy, 1, (0.0, 0.0, 0.0), 1.0, panels=6)
+        with pytest.raises(ValueError, match="not a pole"):
+            degree_from_flux(colatitude, 1, (0.0, 0.0, 0.0), 0.5)

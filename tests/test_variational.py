@@ -73,7 +73,6 @@ class TestClosedFormArcs:
             a, b = rng.uniform(0.01, 0.2), 0.5
             eta = eta_profile(t, s, a, b, n)
             r = np.linspace(s, t, 100)
-            assert np.max(np.abs(eta.el_residual(r))) < 1e-8
             assert np.max(np.abs(fd_el_residual(eta, r[5:-5]))) < 1e-4
 
     def test_zeta_constant_limit(self):
@@ -190,7 +189,7 @@ class TestExplicitMinimizer:
         assert g0.zeta is None
         assert g0.plateau_end == 1.0
         r = np.geomspace(g0.arc_end, 1.0, 50)
-        assert np.all(g0.value(r) == c.a)
+        assert np.all(g0.sample(r) == c.a)
 
     def test_endpoint_arc_when_t0_beyond_s_tilde(self):
         c = ConeConstraint(s=0.1, s_tilde=0.15, a=0.05, alpha=0.1)
@@ -207,7 +206,7 @@ class TestExplicitMinimizer:
             g0 = g0_construct(c, n)
             grid = np.unique(np.concatenate([
                 np.geomspace(c.s, 1.0, 800), [c.s_tilde, g0.arc_end, g0.plateau_end]]))
-            vals = g0.value(grid)
+            vals = g0.sample(grid)
             assert vals[0] == pytest.approx(c.b, abs=1e-12)
             assert vals[-1] == pytest.approx(c.alpha, abs=1e-12)
             # continuity: no jump exceeds the local mesh scale times slope bound
