@@ -20,8 +20,9 @@ the logarithmic gap that grows without bound as alpha -> 0.
 The numerical route discretizes I in log-radius (where the arc family is a
 linear combination of e^{+-n x}).  On each monotone segment the discrete I
 is a strictly convex quadratic under chain constraints, which an exact
-active-set method solves with one tridiagonal solve per pivot; the active
-constraints at the optimum are the discrete plateau.
+active-set method solves with one tridiagonal solve per working set: a few
+primal-dual rounds find the working set, and a primal loop certifies it.
+The active constraints at the optimum are the discrete plateau.
 """
 
 from __future__ import annotations
@@ -287,18 +288,21 @@ def weighted_gap(r: np.ndarray, g: np.ndarray, n: int) -> float:
 # residual it reaches is ~1e-15
 _KKT_TOL = 1e-10
 _gtsv, = get_lapack_funcs(("gtsv",), (np.empty(0),))  # float64 tridiagonal solve
+# primal-dual rounds that start each segment solve; the primal loop finishes
+# whatever they leave open
+_ROUNDS = 8
 
 
 @dataclass(frozen=True)
 class MinimizeIResult:
     """Result of :func:`minimize_I_numerical`.
 
-    ``iterations`` counts active-set pivots (constraints added to or dropped
-    from the working set) on the busier of the two segments; ``residual`` is
-    the KKT residual, the larger of the reduced-gradient norm and the most
-    negative multiplier, relative to G / min dx, the segment's larger pin G
-    times the scale of its largest Hessian entry (the rounding level of the
-    solves).
+    ``iterations`` counts the equality subproblems solved, one tridiagonal
+    solve each for the primal-dual rounds and the primal pivots, on the
+    busier of the two segments; ``residual`` is the KKT residual, the larger
+    of the reduced-gradient norm and the most negative multiplier, relative
+    to G / min dx, the segment's larger pin G times the scale of its largest
+    Hessian entry (the rounding level of the solves).
     """
 
     r: np.ndarray
@@ -322,30 +326,40 @@ def _solve_segment(r_nodes: np.ndarray, lo_val: float, hi_val: float,
     """Exact minimizer of the segment objective under the chain constraints
     sign (g_{i+1} - g_i) >= 0, with g pinned to lo_val and hi_val at the ends.
 
-    Primal active-set method on h = sign g (an exact flip; h is nondecreasing)
-    from the profile linear in log radius.  The working set fuses adjacent
-    nodes into blocks, so each equality subproblem is tridiagonal in the block
-    values: one LAPACK gtsv call, or a division for one interior block.  A step
-    to its solution stops at the first constraints it would break, which join
-    the working set; at a subproblem optimum the most negative multiplier
-    (below -_KKT_TOL relative to the residual scale of :class:`MinimizeIResult`)
-    leaves it.  Returns the profile, objective, convergence flag (KKT residual
-    at most _KKT_TOL within 4 m pivots), pivot count and KKT residual.
+    Works on h = sign g (an exact flip; h is nondecreasing).  A working set
+    fuses adjacent nodes into blocks, so each equality subproblem is
+    tridiagonal in the block values: one LAPACK gtsv call, or a division for
+    one interior block.  The solve starts with at most _ROUNDS primal-dual
+    active-set rounds (Hintermueller-Ito-Kunisch) from the all-free set: the
+    next set keeps the active constraints with a positive multiplier and adds
+    the free ones the subproblem solution breaks, until the set repeats.  The
+    running maximum of the last solution, clipped to the pins, is feasible;
+    with its equal neighbours fused it starts a primal active-set loop.  There
+    a step to the subproblem solution stops at the first constraints it would
+    break, which join the working set; at a subproblem optimum the most
+    negative multiplier (below -_KKT_TOL relative to the residual scale of
+    :class:`MinimizeIResult`) leaves it.  Only this loop decides convergence.
+    Each working set is solved once, so the primal loop's first solve is the
+    last round's when that round's set survives.  Returns the profile,
+    objective, convergence flag (KKT residual at most _KKT_TOL within 4 m
+    pivots), number of subproblem solves and KKT residual.
     """
     m = r_nodes.size
     sign = -1.0 if lo_val > hi_val else 1.0
     lo, hi = sign * lo_val, sign * hi_val
     dx, p, q = _segment_quadratic(r_nodes, n, sign)
-    x = np.log(r_nodes)
-    h = lo + (hi - lo) * (x - x[0]) / (x[-1] - x[0])
-    # block index of each node; a flat segment's cone holds only the constant
-    block = np.arange(m) * (lo != hi)
     wpp, wqq, wpq = dx * p * p, dx * q * q, dx * p * q
     scale = max(abs(lo), abs(hi)) / dx.min()
-    max_pivots = 4 * m
-    pivots, residual = 0, 0.0 if lo == hi else math.inf
-    while pivots <= max_pivots and block[-1]:
-        # equality subproblem: block values v with v[0] = lo, v[-1] = hi
+    solves, latest = 0, []
+
+    def subproblem(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Node values of the equality subproblem's solution (block values v
+        with v[0] = lo, v[-1] = hi) and the mask of active constraints; the
+        latest working set's solution is reused, not solved again."""
+        nonlocal solves
+        if latest and np.array_equal(block, latest[0]):
+            return latest[1], latest[2]
+        solves += 1
         active = block[1:] == block[:-1]
         k = block[-1] + 1
         diag = (np.bincount(block[:-1], wpp, k) + np.bincount(block[1:], wqq, k)
@@ -361,8 +375,30 @@ def _solve_segment(r_nodes: np.ndarray, lo_val: float, hi_val: float,
             _, _, _, v[1:-1], info = _gtsv(off[1:-1], diag[1:-1], off[1:-1], rhs)
             if info != 0:
                 raise NumericalError(f"singular segment subproblem (gtsv info {info})")
-        target = v[block]
+        latest[:] = block.copy(), v[block], active
+        return latest[1], active
 
+    # a flat segment's cone holds only the constant
+    h = np.full(m, lo)
+    if lo != hi:
+        working = np.zeros(m - 1, dtype=bool)
+        for _ in range(_ROUNDS):
+            block = np.concatenate(([0], np.cumsum(~working)))
+            sol, _ = subproblem(block)
+            kept = working.copy()
+            if working.any():
+                kept[working] = _multipliers(dx, p, q, sol, working, block)[0] > 0.0
+            updated = kept | (sol[1:] < sol[:-1])
+            if np.array_equal(updated, working):
+                break
+            working = updated
+        h = np.maximum.accumulate(np.clip(sol, lo, hi))
+    block = np.concatenate(([0], np.cumsum(h[1:] > h[:-1])))
+
+    max_pivots = 4 * m
+    pivots, residual = 0, 0.0 if lo == hi else math.inf
+    while pivots <= max_pivots and block[-1]:
+        target, active = subproblem(block)
         slack, step = h[1:] - h[:-1], target[1:] - target[:-1]  # step 0 if active
         blocking = (step < 0.0).nonzero()[0]
         if blocking.size:
@@ -384,7 +420,7 @@ def _solve_segment(r_nodes: np.ndarray, lo_val: float, hi_val: float,
         pivots += 1
     e = p * h[:-1] + q * h[1:]
     converged = pivots <= max_pivots and residual <= _KKT_TOL
-    return sign * h, float(np.sum(dx * e * e)), converged, pivots, float(residual)
+    return sign * h, float(np.sum(dx * e * e)), converged, solves, float(residual)
 
 
 def _segment_gradient(dx: np.ndarray, p: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -399,7 +435,8 @@ def _segment_gradient(dx: np.ndarray, p: np.ndarray, q: np.ndarray, g: np.ndarra
 def _multipliers(dx: np.ndarray, p: np.ndarray, q: np.ndarray, h: np.ndarray,
                  active: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Multipliers of the active constraints and the reduced gradient of
-    the free blocks, at a block-constant nondecreasing profile h.
+    the free blocks, at the block-constant solution h of an equality
+    subproblem.
 
     With the Lagrangian F - sum lam_i (h_{i+1} - h_i), stationarity gives
     lam_i = -(sum of dF/dh over the block up to node i), summed from the

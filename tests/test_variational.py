@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from axisphere.cli import _S_TILDE
 from axisphere.geometry import NumericalError
 from axisphere.variational import (
     ConeConstraint,
@@ -410,10 +411,11 @@ def dense_kkt_solution(r, lo, hi, n, tight):
 
 class TestSegmentSolve:
     """Segments whose final working set leaves one interior block (solved by
-    one division) or two (one 2x2 gtsv call); the pivot counts are those of
-    the banded-solver implementation this one replaced."""
+    one division) or two (one 2x2 gtsv call).  ``changes`` is the number of
+    times the working set changes on the way; each working set is solved
+    once, so the solver reports changes + 1 subproblem solves."""
 
-    @pytest.mark.parametrize("nodes,r_lo,r_hi,lo,hi,n,pivots,interior", [
+    @pytest.mark.parametrize("nodes,r_lo,r_hi,lo,hi,n,changes,interior", [
         (3, 0.1, 0.2, 0.5, 0.1, 1, 0, 1),
         (4, 0.05, 0.5, 0.1, 0.25, 1, 1, 1),
         (4, 0.3, 1.0, 0.5, 0.1, 3, 1, 1),
@@ -421,13 +423,13 @@ class TestSegmentSolve:
         (5, 0.05, 0.5, 0.1, 0.25, 1, 1, 2),
         (5, 0.05, 0.5, 0.5, 0.02, 2, 1, 2),
     ])
-    def test_matches_dense_kkt(self, nodes, r_lo, r_hi, lo, hi, n, pivots, interior):
+    def test_matches_dense_kkt(self, nodes, r_lo, r_hi, lo, hi, n, changes, interior):
         r = np.geomspace(r_lo, r_hi, nodes)
         g, objective, converged, count, residual = _solve_segment(r, lo, hi, n)
         tight = np.flatnonzero(np.diff(g) == 0.0)
         assert nodes - tight.size - 2 == interior
         assert converged and residual <= 1e-10
-        assert count == pivots
+        assert count == changes + 1
         ref = dense_kkt_solution(r, lo, hi, n, tight)
         np.testing.assert_allclose(g, ref, rtol=1e-12, atol=0.0)
         assert objective == pytest.approx(I_functional(r, ref, n), rel=1e-12)
@@ -439,6 +441,44 @@ class TestSegmentSolve:
         c = ConeConstraint(s=0.05, s_tilde=0.2, a=0.025, alpha=0.05)
         with pytest.raises(NumericalError, match="singular segment subproblem"):
             minimize_I_numerical(c, 2, nodes=64)
+
+    @pytest.mark.parametrize("c,n", [
+        (ConeConstraint(s=0.05, s_tilde=0.2, a=0.025, alpha=0.05), 2),
+        (ConeConstraint(s=0.01, s_tilde=0.02, a=0.05, alpha=0.25), 1),
+        (ConeConstraint(s=0.04, s_tilde=1.0, a=0.1, alpha=0.1), 3),
+    ])
+    def test_primal_loop_finishes_one_round(self, monkeypatch, c, n):
+        # one all-free round leaves the running maximum of the unconstrained
+        # arcs; the primal loop must drop the plateau back to the optimum
+        full = minimize_I_numerical(c, n, nodes=512)
+        monkeypatch.setattr("axisphere.variational._ROUNDS", 1)
+        capped = minimize_I_numerical(c, n, nodes=512)
+        assert capped.converged and capped.residual <= 1e-10
+        # the round and the primal loop's final solve are two; more are pivots
+        assert capped.iterations > 2
+        np.testing.assert_allclose(capped.g, full.g, rtol=1e-12, atol=0.0)
+        assert capped.objective == pytest.approx(full.objective, rel=1e-12)
+
+    def test_solves_per_segment_stay_few(self):
+        rng = np.random.default_rng(18)
+        for nodes in (64, 512, 4096, 32768):
+            for n in (1, 2, 3):
+                for choice, s_tilde in [*_S_TILDE.items()] * 2:
+                    # as in proposition-sweep: s = C0 a with C0 in [1, 20], s < 1/2
+                    alpha = rng.uniform(0.01, 0.25)
+                    a = alpha if choice == "1" else alpha * rng.uniform(0.1, 1.0)
+                    s = a * rng.uniform(1.0, min(20.0, 0.5 / a))
+                    c = ConeConstraint(s=s, s_tilde=s_tilde(s), a=a, alpha=alpha)
+                    res = minimize_I_numerical(c, n, nodes=nodes)
+                    # the sampled arcs meet their pins only up to the rounding
+                    # of their coefficients, which cancel on a thin segment
+                    # (s_tilde = 2s near 1); pinned, the sample is in the cone
+                    g0 = g0_construct(c, n).sample(res.r)
+                    g0[[0, np.searchsorted(res.r, c.s_tilde), -1]] = c.b, c.a, c.alpha
+                    ref = I_functional(res.r, g0, n)
+                    assert res.converged and res.residual <= 1e-10, (c, n, nodes)
+                    assert res.objective <= ref * (1 + 1e-12), (c, n, nodes)
+                    assert res.iterations <= 16, (c, n, nodes, res.iterations)
 
 
 class TestGapBound:
