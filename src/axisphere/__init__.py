@@ -24,7 +24,6 @@ from .geometry import (
     ConeDipoleMap,
     RadialProfile,
     chart_to_colatitude,
-    colatitude_to_chart,
     degree_from_flux,
     geometric_grid,
     u0_profile,

@@ -82,7 +82,7 @@ class ExperimentSpec:
     params: dict[str, Any]
     out: str | None = None
     fmt: str = "csv"
-    workers: int = 1
+    workers: int = 1  # threads over dipole-tradeoff's boxes; other commands run one
 
     def __post_init__(self) -> None:
         if self.fmt not in ("csv", "json"):
@@ -134,13 +134,6 @@ def _write_rows(rows: list[dict], summary: dict, spec: ExperimentSpec) -> None:
                 fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
 
 
-def _parallel_map(fn: Callable[[Any], dict], points: Sequence[Any], workers: int) -> list[dict]:
-    if workers <= 1 or len(points) <= 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
-
-
 # ---------------------------------------------------------------------------
 # t0-energy
 # ---------------------------------------------------------------------------
@@ -158,8 +151,7 @@ def run_t0_energy(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
 
     z_grid = np.linspace(-1.0, 1.0, z_nodes)
 
-    def one(point: tuple[int, float]) -> dict:
-        n, alpha = point
+    def one(n: int, alpha: float) -> dict:
         profile = u0_profile(alpha, n, geometric_grid(r_min, 1.0, r_nodes))
         fld = meridian_from_profile(profile, z_grid, defects=[(-1.0, 1.0)])
         rep = energy_3d(fld)
@@ -175,8 +167,7 @@ def run_t0_energy(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
             "rel_err": abs(rep.total - total_closed) / total_closed,
         }
 
-    points = [(n, alpha) for n in ns for alpha in alphas]
-    rows = _parallel_map(one, points, spec.workers)
+    rows = [one(n, alpha) for n in ns for alpha in alphas]
     summary = {"max_rel_err": max(r["rel_err"] for r in rows)}
     return rows, summary, EXIT_OK
 
@@ -237,7 +228,7 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
     p = spec.params
     n = p["n"]
     alphas, a_fracs, c0s = p["alpha"], p["a_frac"], p["c0"]
-    choices, nodes, b = p["s_tilde"], p["nodes"], p["b"]
+    choices, nodes = p["s_tilde"], p["nodes"]
     if n < 1:
         raise InputError("n must be >= 1")
     if any(not 0.0 < alpha <= 0.25 for alpha in alphas):
@@ -249,13 +240,7 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
     if any(choice not in _S_TILDE for choice in choices):
         raise InputError(f"unknown s_tilde choice in {choices} (use 2s, mid, 1)")
 
-    points = [
-        (alpha, frac, c0, choice)
-        for alpha in alphas for frac in a_fracs for c0 in c0s for choice in choices
-    ]
-
-    def one(point: tuple[float, float, float, str]) -> dict:
-        alpha, frac, c0, choice = point
+    def one(alpha: float, frac: float, c0: float, choice: str) -> dict:
         a = frac * alpha
         s = c0 * a
         row: dict[str, Any] = {
@@ -274,8 +259,7 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
             return row  # s_tilde = 1 pins g(1) twice; only meaningful at a = alpha
         if not s < s_tilde <= 1.0:
             return row
-        a_eff = alpha if choice == "1" else a
-        cone = ConeConstraint(s=s, s_tilde=s_tilde, a=a_eff, alpha=alpha, b=b)
+        cone = ConeConstraint(s=s, s_tilde=s_tilde, a=a, alpha=alpha)
         gb = gap_lower_bound(cone, n)
         num = minimize_I_numerical(cone, n, nodes=nodes)
         g0 = g0_construct(cone, n)
@@ -291,7 +275,8 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
         })
         return row
 
-    rows = _parallel_map(one, points, spec.workers)
+    rows = [one(alpha, frac, c0, choice) for alpha in alphas for frac in a_fracs
+            for c0 in c0s for choice in choices]
 
     # empirical alpha0 per C0: the largest swept alpha whose feasible points
     # all satisfy the replacement-gain inequality
@@ -321,7 +306,7 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
 
 def _dipole_point(
     n: int, alpha: float, delta: float, r_box: float,
-    nodes_r: int, nodes_z: int, maxiter: int,
+    nodes_r: int, nodes_z: int,
 ) -> tuple[dict, dict]:
     """Relax the meridian energy in the box [0, r_box] x [-delta, delta] with
     the vertical defect removed inside, at the coarse level (nodes_r, nodes_z)
@@ -340,7 +325,7 @@ def _dipole_point(
     for nr, nz in dipole_ladder(nodes_r, nodes_z):
         r, z, phi_init, fixed, e_base = dipole_half_box(
             n, alpha, delta, r_box, nr, nz, None if res is None else res.phi)
-        res = minimize_meridian_energy(r, z, phi_init, fixed, n, maxiter=maxiter)
+        res = minimize_meridian_energy(r, z, phi_init, fixed, n)
         total_it += res.iterations
         levels.append((r, z, fixed, e_base, res, total_it))
 
@@ -362,13 +347,15 @@ def run_dipole_tradeoff(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
     p = spec.params
     n, alpha = p["n"], p["alpha"]
     deltas, factors = p["delta"], p["rbox_factors"]
-    nodes_r, nodes_z, maxiter = p["nodes_r"], p["nodes_z"], p["maxiter"]
+    nodes_r, nodes_z = p["nodes_r"], p["nodes_z"]
     if n < 1:
         raise InputError("n must be >= 1")
     if not 0.0 < alpha <= 0.25:
         raise InputError("alpha must lie in (0, 1/4]")
     if not deltas or any(not 0.0 < d <= 0.5 for d in deltas):
         raise InputError("delta values must lie in (0, 0.5]")
+    if any(not f > 0.0 for f in factors):
+        raise InputError("rbox-factors must be positive")
     if min(nodes_r, nodes_z) < 3:
         raise InputError("nodes-r and nodes-z must be >= 3 (a box needs an interior node)")
     if nodes_z % 2 == 0:
@@ -378,7 +365,7 @@ def run_dipole_tradeoff(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
 
     def one(point: tuple[float, float]) -> dict:
         delta, r_box = point
-        coarse, fine = _dipole_point(n, alpha, delta, r_box, nodes_r, nodes_z, maxiter)
+        coarse, fine = _dipole_point(n, alpha, delta, r_box, nodes_r, nodes_z)
         # the grid under-resolves the two axis singularities, deflating the
         # relaxed energy; two-level extrapolation estimates the limit, and a
         # sign disagreement between the finest level and the extrapolation
@@ -404,7 +391,11 @@ def run_dipole_tradeoff(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
 
     # factors whose boxes clamp to the same r_box share one solve
     boxes = list(dict.fromkeys(points))
-    solved = dict(zip(boxes, _parallel_map(one, boxes, spec.workers)))
+    if spec.workers <= 1 or len(boxes) <= 1:
+        solved = {box: one(box) for box in boxes}
+    else:
+        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+            solved = dict(zip(boxes, pool.map(one, boxes)))
     rows = [solved[point] for point in points]
     bad = [r for r in rows if not r["converged"]]
     summary = {
@@ -484,7 +475,7 @@ _WORDS = _list_of(lambda tok: str(tok).strip())
 
 # Each parameter once: name -> (conversion, default).  Its flag is the name
 # with "-" for "_"; a spec file key may be spelled either way.
-_COMMON = {"out": (_text, None), "format": (_text, "csv"), "workers": (_int, 1)}
+_COMMON = {"out": (_text, None), "format": (_text, "csv")}
 _COMMANDS: dict[str, tuple[str, dict[str, tuple[Callable[[Any], Any], Any]]]] = {
     "t0-energy": ("reference-configuration energy accounting", {
         "n": (_INTS, [2]), "alpha": (_FLOATS, [0.25]), "r_nodes": (_int, 16385),
@@ -496,15 +487,14 @@ _COMMANDS: dict[str, tuple[str, dict[str, tuple[Callable[[Any], Any], Any]]]] = 
     "proposition-sweep": ("constrained-minimizer bound sweep", {
         "n": (_int, 2), "alpha": (_FLOATS, [0.25, 0.1, 0.05, 0.02]),
         "a_frac": (_FLOATS, [1, 0.5, 0.1]), "c0": (_FLOATS, [1, 5, 20]),
-        "s_tilde": (_WORDS, ["2s", "mid", "1"]), "nodes": (_int, 256), "b": (float, 0.5)}),
+        "s_tilde": (_WORDS, ["2s", "mid", "1"]), "nodes": (_int, 256)}),
     "dipole-tradeoff": ("defect-removal energy trade-off", {
         "n": (_int, 2), "alpha": (float, 0.25),
         "delta": (_FLOATS, [0.1, 0.2, 0.3, 0.4, 0.5]), "rbox_factors": (_FLOATS, [1, 2, 4]),
-        "nodes_r": (_int, 65), "nodes_z": (_int, 65), "maxiter": (_int, 3000)}),
+        "nodes_r": (_int, 65), "nodes_z": (_int, 65), "workers": (_int, 1)}),
     "sigma": ("minimal connection of a charge configuration", {}),
 }
-_HELP = {"s_tilde": "comma list from {2s, mid, 1}", "b": argparse.SUPPRESS,
-         "out": "output file path"}
+_HELP = {"s_tilde": "comma list from {2s, mid, 1}", "out": "output file path"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,7 +539,8 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             resolved[name] = convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad value {value!r} for {name!r}: {exc}") from exc
-    out, fmt, workers = (resolved.pop(name) for name in _COMMON)
+    out, fmt = (resolved.pop(name) for name in _COMMON)
+    workers = resolved.pop("workers", 1)
     params = {"config": path} if command == "sigma" else resolved
     return ExperimentSpec(command=command, params=params, out=out, fmt=fmt, workers=workers)
 

@@ -67,7 +67,8 @@ class SingularityConfig:
     must consist of distinct points.  A positive may coincide with a
     negative (a removable pair).  Every positive-negative distance must be
     finite in floating point (below about 1.3e154).  All charges carry the
-    same absolute degree ``multiplicity``.
+    same absolute degree ``multiplicity``, a Python or numpy integer >= 1
+    (not a bool).
     """
 
     positives: np.ndarray
@@ -87,8 +88,9 @@ class SingularityConfig:
             unique, counts = np.unique(pts, axis=0, return_counts=True)
             if np.any(counts > 1):
                 raise ValueError(f"duplicate point in {name}: {unique[np.argmax(counts > 1)]}")
-        if int(self.multiplicity) < 1:
-            raise ValueError("multiplicity must be a positive integer")
+        mult = self.multiplicity
+        if isinstance(mult, bool) or not isinstance(mult, (int, np.integer)) or mult < 1:
+            raise ValueError(f"multiplicity must be an integer >= 1, got {mult!r}")
         object.__setattr__(self, "positives", pos)
         object.__setattr__(self, "negatives", neg)
         object.__setattr__(self, "multiplicity", int(self.multiplicity))
@@ -114,7 +116,7 @@ class SingularityConfig:
         return cls(
             positives=d.get("positives", []),
             negatives=d.get("negatives", []),
-            multiplicity=int(d.get("multiplicity", 1)),
+            multiplicity=d.get("multiplicity", 1),
         )
 
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded
-from scipy.linalg.lapack import dgbsv, dpbsv
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbsv, dpbsv, dpbtrf
 
 from .geometry import RadialProfile, _checked_colatitudes
 
@@ -47,9 +47,6 @@ __all__ = [
     "monotone_area_bound",
     "conformality_gap",
     "energy_3d",
-    "z_derivative_energy",
-    "slice_energies",
-    "slice_areas",
     "meridian_from_profile",
     "meridian_cell_energy",
     "meridian_cell_energy_grad",
@@ -221,9 +218,6 @@ class MeridianField:
     def defect_length(self) -> float:
         return sum(b - a for a, b in self.defects)
 
-    def slice_profile(self, j: int) -> RadialProfile:
-        return RadialProfile(grid=self.r_grid, phi=self.phi[:, j], n=self.n)
-
 
 def meridian_from_profile(
     profile: RadialProfile,
@@ -309,27 +303,6 @@ def _column_weigh(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("i,ij->j", w, a)
 
 
-def _field_cells(field: MeridianField) -> tuple[np.ndarray, np.ndarray, float]:
-    """Slice energies, slice areas and the z-derivative part of a field."""
-    return _cells(field.r_grid, field.phi, field.n, 1.0 / np.diff(field.z_grid))
-
-
-def slice_energies(field: MeridianField) -> np.ndarray:
-    """Per-z-node slice Dirichlet energies, by the radial cell rule."""
-    return _field_cells(field)[0]
-
-
-def slice_areas(field: MeridianField) -> np.ndarray:
-    """Per-z-node slice areas with multiplicity (exact per-cell increments)."""
-    return _field_cells(field)[1]
-
-
-def z_derivative_energy(field: MeridianField) -> float:
-    """The z-derivative part pi * Int Int phi_z^2 r dr dz (cells in z,
-    trapezoid weights in r)."""
-    return _field_cells(field)[2]
-
-
 def energy_3d(field: MeridianField) -> EnergyReport:
     """Full meridian energy report for a configuration (u, L).
 
@@ -340,7 +313,7 @@ def energy_3d(field: MeridianField) -> EnergyReport:
     4 pi n * (total defect length); total = E + mass_term.  All three
     parts come from one blocked pass over the field.
     """
-    energies, areas, e_z = _field_cells(field)
+    energies, areas, e_z = _cells(field.r_grid, field.phi, field.n, 1.0 / np.diff(field.z_grid))
     w_z = _trapezoid_weights(field.z_grid)
     E = float(energies @ w_z) + e_z
     A = float(areas @ w_z)
@@ -618,20 +591,18 @@ def meridian_hessian_definite(
     active (on a bound of [0, pi] with the gradient pushing onto it).
 
     A second-order test of a relaxed state over the directions its bounds
-    leave open.  A banded Cholesky factorization of the 9-point Hessian
-    succeeds exactly when it is positive definite.  Strictly active nodes keep only their kinetic diagonal,
-    which is positive, so they do not change the answer.
+    leave open.  A banded Cholesky factorization (LAPACK dpbtrf) of the
+    9-point Hessian succeeds exactly when it is positive definite.  Strictly
+    active nodes keep only their kinetic diagonal, which is positive, so they
+    do not change the answer.
     """
     phi = np.asarray(phi, dtype=float)
     system = _MeridianSystem(r, z, fixed, n)
     _, grad, cos2 = system.evaluate(phi)
     x, g = phi[system.free], grad[system.free]
     active = ((x <= 0.0) & (g > 0.0)) | ((x >= math.pi) & (g < 0.0))
-    try:
-        cholesky_banded(system.band(cos2, active=active), lower=True, check_finite=False)
-    except LinAlgError:
-        return False
-    return True
+    _, info = dpbtrf(system.band(cos2, active=active), lower=1)
+    return info == 0
 
 
 def dipole_ladder(nodes_r: int, nodes_z: int) -> list[tuple[int, int]]:

@@ -30,7 +30,6 @@ __all__ = [
     "DegreeResult",
     "NumericalError",
     "chart_to_colatitude",
-    "colatitude_to_chart",
     "geometric_grid",
     "u0_profile",
     "u_eps_profile",
@@ -52,16 +51,7 @@ def chart_to_colatitude(f: float) -> float:
     return 2.0 * math.atan(f)
 
 
-def colatitude_to_chart(phi: float) -> float:
-    """Chart value f = tan(phi/2); phi = pi maps exactly to inf."""
-    if not 0.0 <= phi <= math.pi:
-        raise ValueError(f"colatitude must lie in [0, pi], got {phi!r}")
-    if phi == math.pi:
-        return INFINITY
-    return math.tan(0.5 * phi)
-
-
-def geometric_grid(r_min: float = 1e-6, r_max: float = 1.0, nodes: int = 2048) -> np.ndarray:
+def geometric_grid(r_min: float, r_max: float, nodes: int) -> np.ndarray:
     """Log-spaced radial grid; resolves power-law behaviour near the axis."""
     if not (0.0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")

@@ -47,7 +47,6 @@ __all__ = [
     "compute_tau0",
     "g0_construct",
     "I_functional",
-    "weighted_gap",
     "minimize_I_numerical",
     "gap_lower_bound",
 ]
@@ -272,16 +271,16 @@ def I_functional(r: np.ndarray, g: np.ndarray, n: int) -> float:
     return float(np.sum(_log_cells(r, g, n)[0]))
 
 
-def weighted_gap(r: np.ndarray, g: np.ndarray, n: int) -> float:
-    """Conformality defect E - A of the map generated by the chart profile g:
-    4 pi * Int (|g'| - (n/r) g)^2 / (1 + g^2)^2 r dr, on the same log-radius
-    cells as :func:`I_functional`.
+def _I_and_gap(r: np.ndarray, g: np.ndarray, n: int) -> tuple[float, float]:
+    """The discrete I of :func:`I_functional` and, on the same log-radius
+    cells, the conformality defect E - A of the map generated by the chart
+    profile g: 4 pi * Int (|g'| - (n/r) g)^2 / (1 + g^2)^2 r dr.
 
-    Since (1 + g^2)^2 <= 4 for g <= 1, each cell dominates pi times the
-    corresponding I cell, so weighted_gap >= pi * I_functional cell by cell.
+    Since (1 + g^2)^2 <= 4 for g <= 1, each defect cell dominates pi times
+    the corresponding I cell.
     """
-    cells, gm = _log_cells(np.asarray(r, dtype=float), np.asarray(g, dtype=float), n)
-    return 4.0 * math.pi * float(np.sum(cells / (1.0 + gm * gm) ** 2))
+    cells, gm = _log_cells(r, g, n)
+    return float(np.sum(cells)), 4.0 * math.pi * float(np.sum(cells / (1.0 + gm * gm) ** 2))
 
 
 # KKT tolerance of the active-set solve, relative to its rounding level; the
@@ -419,7 +418,8 @@ def _solve_segment(r_nodes: np.ndarray, lo_val: float, hi_val: float,
         block[active.nonzero()[0][np.argmin(lam)] + 1:] += 1
         pivots += 1
     e = p * h[:-1] + q * h[1:]
-    converged = pivots <= max_pivots and residual <= _KKT_TOL
+    # a Python bool: residual is a numpy float unless the segment is flat
+    converged = bool(pivots <= max_pivots and residual <= _KKT_TOL)
     return sign * h, float(np.sum(dx * e * e)), converged, solves, float(residual)
 
 
@@ -525,11 +525,15 @@ class GapBound:
         return self.gap > self.rhs
 
 
-def gap_lower_bound(c: ConeConstraint, n: int, check_nodes: int = 16385) -> GapBound:
+# the grid on which gap_lower_bound samples the explicit minimizer
+_CHECK_NODES = 16385
+
+
+def gap_lower_bound(c: ConeConstraint, n: int) -> GapBound:
     """Evaluate the bound chain at one cone.
 
     Computes t0, tau0 and the plateau bound pi n^2 a^2 log(tau0/t0), samples
-    the explicit minimizer on a fine grid, and verifies
+    the explicit minimizer on _CHECK_NODES log-spaced nodes, and verifies
     gap >= pi I >= log_bound before returning (a failure indicates an
     internal inconsistency and raises).
     """
@@ -539,12 +543,10 @@ def gap_lower_bound(c: ConeConstraint, n: int, check_nodes: int = 16385) -> GapB
     vacuous = t0 >= tau0
     log_bound = 0.0 if vacuous else math.pi * n * n * a * a * math.log(tau0 / t0)
 
-    grid = np.geomspace(s, 1.0, check_nodes)
+    grid = np.geomspace(s, 1.0, _CHECK_NODES)
     if c.s_tilde not in grid:
         grid = np.sort(np.append(grid, c.s_tilde))
-    g_sampled = g0.sample(grid)
-    I_disc = I_functional(grid, g_sampled, n)
-    gap = weighted_gap(grid, g_sampled, n)
+    I_disc, gap = _I_and_gap(grid, g0.sample(grid), n)
     rhs = 8.0 * math.pi * n * a * a / (1.0 + a * a)
 
     if gap < math.pi * I_disc - 1e-8 or math.pi * I_disc < log_bound - 1e-8:

@@ -265,11 +265,11 @@ def test_criterion_9_dipole_contrast_evidence():
     t0 = time.perf_counter()
     spec_n1 = ExperimentSpec(command="dipole-tradeoff", params=dict(
         n=1, alpha=0.25, delta=[0.35, 0.5], rbox_factors=[1.0],
-        nodes_r=49, nodes_z=49, maxiter=3000))
+        nodes_r=49, nodes_z=49))
     rows1, summary1, code1 = run_dipole_tradeoff(spec_n1)
     spec_n2 = ExperimentSpec(command="dipole-tradeoff", params=dict(
         n=2, alpha=0.05, delta=[0.35], rbox_factors=[1.0, 2.0],
-        nodes_r=49, nodes_z=49, maxiter=3000))
+        nodes_r=49, nodes_z=49))
     rows2, summary2, code2 = run_dipole_tradeoff(spec_n2)
     elapsed = time.perf_counter() - t0
 

@@ -41,7 +41,7 @@ class TestT0Energy:
         args = ["t0-energy", "--n", "1,2", "--alpha", "0.1,0.25",
                 "--r-nodes", "1025", "--z-nodes", "9"]
         assert run(args + ["--out", str(out1)]) == 0
-        assert run(args + ["--out", str(out2), "--workers", "3"]) == 0
+        assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_text() == out2.read_text()
 
     def test_bad_alpha_exit_2(self):
@@ -127,6 +127,19 @@ class TestPropositionSweep:
         row = dict(zip(cols, lines[1].split(",")))
         assert row["feasible"] == "false"
 
+    def test_converged_is_a_bool(self, tmp_path):
+        # a = alpha leaves the outer segment flat; a = alpha/2 does not
+        args = ["proposition-sweep", "--alpha", "0.05", "--a-frac", "1,0.5", "--c0", "1",
+                "--s-tilde", "2s", "--nodes", "128"]
+        json_out, csv_out = tmp_path / "prop.json", tmp_path / "prop.csv"
+        assert run(args + ["--format", "json", "--out", str(json_out)]) == 0
+        assert run(args + ["--out", str(csv_out)]) == 0
+        rows = json.loads(json_out.read_text())["rows"]
+        assert [(r["a"], r["converged"]) for r in rows] == [(0.05, True), (0.025, True)]
+        header, *lines = csv_out.read_text().splitlines()
+        column = header.split(",").index("converged")
+        assert [line.split(",")[column] for line in lines] == ["true", "true"]
+
     def test_required_columns_present(self, tmp_path):
         out = tmp_path / "prop.csv"
         run(["proposition-sweep", "--n", "2", "--alpha", "0.05", "--a-frac", "1",
@@ -142,7 +155,7 @@ class TestDipole:
         out = tmp_path / "dip.json"
         code = run(["dipole-tradeoff", "--n", "2", "--alpha", "0.05",
                     "--delta", "0.3", "--rbox-factors", "1",
-                    "--nodes-r", "33", "--nodes-z", "33", "--maxiter", "2000",
+                    "--nodes-r", "33", "--nodes-z", "33",
                     "--format", "json", "--out", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
@@ -154,6 +167,21 @@ class TestDipole:
     def test_bad_delta_exit_2(self):
         assert run(["dipole-tradeoff", "--delta", "0.7"]) == 2
 
+    @pytest.mark.parametrize("factor", ["-1", "0", "nan"])
+    def test_non_positive_rbox_factor_exit_2(self, capsys, factor):
+        assert run(["dipole-tradeoff", "--rbox-factors", factor, "--nodes-r", "5",
+                    "--nodes-z", "5", "--delta", "0.2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_workers_bit_identical(self, tmp_path):
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["dipole-tradeoff", "--n", "1", "--delta", "0.2,0.3", "--rbox-factors", "1,2",
+                "--nodes-r", "17", "--nodes-z", "17"]
+        assert run(args + ["--out", str(out1)]) == 0
+        assert run(args + ["--out", str(out2), "--workers", "2"]) == 0
+        assert out1.read_text() == out2.read_text()
+
     def test_clamped_boxes_solved_once(self, tmp_path, monkeypatch):
         calls = []
         inner = cli.minimize_meridian_energy
@@ -164,8 +192,7 @@ class TestDipole:
 
         monkeypatch.setattr(cli, "minimize_meridian_energy", counted)
         args = ["dipole-tradeoff", "--n", "2", "--alpha", "0.05", "--delta", "0.5",
-                "--nodes-r", "17", "--nodes-z", "17", "--maxiter", "200",
-                "--format", "json"]
+                "--nodes-r", "17", "--nodes-z", "17", "--format", "json"]
         assert run(args + ["--rbox-factors", "2"]) in (0, 3)
         ladder = list(calls)
         calls.clear()
@@ -218,7 +245,7 @@ class TestHalfBox:
 
         monkeypatch.setattr(cli, "minimize_meridian_energy", unrelaxed)
         monkeypatch.setattr(cli, "meridian_hessian_definite", recorded)
-        _, fine = cli._dipole_point(n, alpha, delta, r_box, 65, nodes_z, maxiter=10)
+        _, fine = cli._dipole_point(n, alpha, delta, r_box, 65, nodes_z)
         rungs = self.full_ladder(65, nodes_z)
         assert len(calls) == len(rungs) == 3
         for (r, z, phi_init, fixed), (nr, nz) in zip(calls, rungs):
@@ -259,6 +286,15 @@ class TestSigma:
         assert row["mass"] == pytest.approx(4.0, abs=1e-12)
         assert row["primal_dual_gap"] < 1e-9
         assert row["bruteforce"] == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("multiplicity", [2.7, True, "2"])
+    def test_non_integer_multiplicity_exit_2(self, tmp_path, capsys, multiplicity):
+        cfg = tmp_path / "charges.json"
+        cfg.write_text(json.dumps({"multiplicity": multiplicity, "positives": [[0, 0, -1]],
+                                   "negatives": [[0, 0, 1]]}))
+        assert run(["sigma", "--spec", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_square_example(self, tmp_path):
         cfg = tmp_path / "charges.json"
@@ -345,10 +381,9 @@ class TestParameters:
                               "nodes": 16385, "r_min": 1e-6}),
         ("proposition-sweep", {"n": 2, "alpha": [0.25, 0.1, 0.05, 0.02],
                                "a_frac": [1.0, 0.5, 0.1], "c0": [1.0, 5.0, 20.0],
-                               "s_tilde": ["2s", "mid", "1"], "nodes": 256, "b": 0.5}),
+                               "s_tilde": ["2s", "mid", "1"], "nodes": 256}),
         ("dipole-tradeoff", {"n": 2, "alpha": 0.25, "delta": [0.1, 0.2, 0.3, 0.4, 0.5],
-                             "rbox_factors": [1.0, 2.0, 4.0], "nodes_r": 65, "nodes_z": 65,
-                             "maxiter": 3000}),
+                             "rbox_factors": [1.0, 2.0, 4.0], "nodes_r": 65, "nodes_z": 65}),
         ("sigma", {"config": None}),
     ])
     def test_defaults(self, command, params):
@@ -379,8 +414,18 @@ class TestParameters:
         from_spec = resolve(["dipole-tradeoff", "--spec", spec_file(tmp_path, {"workers": "2"})])
         assert repr(from_spec) == repr(resolve(["dipole-tradeoff", "--workers", "2"]))
 
+    @pytest.mark.parametrize("args", [
+        ["t0-energy", "--workers", "2"], ["relaxation-check", "--workers", "2"],
+        ["proposition-sweep", "--workers", "2"], ["sigma", "--workers", "2"],
+        ["proposition-sweep", "--b", "0.5"], ["dipole-tradeoff", "--maxiter", "10"],
+    ])
+    def test_removed_flags_exit_2(self, args):
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("args, overrides", [
-        (["t0-energy"], {"workers": "x"}),
+        (["dipole-tradeoff"], {"workers": "x"}),
         (["dipole-tradeoff"], {"seed": "x"}),
         (["t0-energy"], {"command": "sigma"}),
         (["t0-energy"], {"spec": "other.json"}),
@@ -402,11 +447,14 @@ class TestParameters:
         # removed parameters are unknown keys
         (["dipole-tradeoff"], {"jitter": 0.0}),
         (["t0-energy"], {"seed": 0}),
+        (["dipole-tradeoff"], {"maxiter": 3000}),
+        (["proposition-sweep"], {"b": 0.5}),
+        (["t0-energy"], {"workers": 1}),
     ], ids=["spec-workers-x", "spec-seed-x", "spec-command", "spec-spec", "spec-int-9.7",
             "spec-int-inf", "spec-not-object", "flag-int-abc", "flag-int-9.7",
             "flag-empty-float-list", "flag-empty-word-list", "flag-unknown-word",
             "flag-format-xml", "flag-nodes-r-2", "flag-nodes-z-2", "flag-nodes-z-even",
-            "spec-jitter", "spec-seed"])
+            "spec-jitter", "spec-seed", "spec-maxiter", "spec-b", "spec-workers-t0"])
     def test_bad_value_exit_2(self, tmp_path, capsys, args, overrides):
         if overrides is not None:
             args = args + ["--spec", spec_file(tmp_path, overrides)]
@@ -466,8 +514,7 @@ class TestStrictJson:
         (["proposition-sweep", "--alpha", "0.25", "--a-frac", "1", "--c0", "20",
           "--s-tilde", "2s", "--nodes", "128"], "t0"),
         (["dipole-tradeoff", "--n", "2", "--alpha", "0.05", "--delta", "0.3",
-          "--rbox-factors", "1", "--nodes-r", "17", "--nodes-z", "17",
-          "--maxiter", "200"], None),
+          "--rbox-factors", "1", "--nodes-r", "17", "--nodes-z", "17"], None),
         (["sigma"], "bruteforce"),
     ])
     def test_output_parses_strictly(self, tmp_path, args, null_column):
@@ -497,7 +544,7 @@ class TestNumericalExit:
         assert len(err) == 1 and err[0].startswith("numerical error:")
 
     def test_bound_chain_violation(self, monkeypatch, capsys):
-        monkeypatch.setattr("axisphere.variational.weighted_gap", lambda r, g, n: 0.0)
+        monkeypatch.setattr("axisphere.variational._I_and_gap", lambda r, g, n: (1.0, 0.0))
         self.assert_exit_4(["proposition-sweep", "--alpha", "0.05", "--a-frac", "1",
                             "--c0", "1", "--s-tilde", "2s", "--nodes", "64"], capsys)
 

@@ -148,6 +148,18 @@ class TestConfig:
         assert cfg.multiplicity == 2
         assert cfg.k == 1
 
+    @pytest.mark.parametrize("multiplicity", [2, np.int64(2)])
+    def test_integer_multiplicity_accepted(self, multiplicity):
+        cfg = SingularityConfig(positives=[[0, 0, 0]], negatives=[[0, 0, 1]],
+                                multiplicity=multiplicity)
+        assert type(cfg.multiplicity) is int and cfg.multiplicity == 2
+
+    @pytest.mark.parametrize("multiplicity", [0, -1, 2.7, 2.0, True, np.True_, "2", None])
+    def test_non_integer_multiplicity_rejected(self, multiplicity):
+        with pytest.raises(ValueError, match="multiplicity must be an integer >= 1"):
+            SingularityConfig(positives=[[0, 0, 0]], negatives=[[0, 0, 1]],
+                              multiplicity=multiplicity)
+
     @pytest.mark.parametrize("text", [
         '{"positives": [[0,0,0,1,1,1]], "negatives": [[0,0,1],[1,0,0]]}',
         '{"positives": [0,0,1], "negatives": [[0,0,1]]}',

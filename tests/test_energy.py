@@ -27,13 +27,20 @@ from axisphere.energy import (
     meridian_hessian_definite,
     minimize_meridian_energy,
     monotone_area_bound,
-    slice_areas,
-    slice_energies,
-    z_derivative_energy,
 )
 from axisphere.geometry import RadialProfile, geometric_grid, u0_profile, u_eps_profile
 
 FOUR_PI = 4.0 * math.pi
+
+
+def field_cells(fld):
+    """Slice energies, slice areas and the z-derivative part of a field, as
+    energy_3d's pass computes them."""
+    return energy._cells(fld.r_grid, fld.phi, fld.n, 1.0 / np.diff(fld.z_grid))
+
+
+def slice_profile(fld, j):
+    return RadialProfile(grid=fld.r_grid, phi=fld.phi[:, j], n=fld.n)
 
 
 # r = (1, 2), phi = (0.84, 1.88), n = 2: its discrete E - A is -0.78, from
@@ -284,11 +291,12 @@ class TestMeridianField:
         w_z[:-1] += np.diff(z) / 2.0
         w_z[1:] += np.diff(z) / 2.0
         per_slice = np.array(
-            [dirichlet_energy_radial(fld.slice_profile(j)) for j in range(z.size)]
+            [dirichlet_energy_radial(slice_profile(fld, j)) for j in range(z.size)]
         )
-        pieces = float(per_slice @ w_z) + z_derivative_energy(fld) + rep.mass_term
+        energies, _, e_z = field_cells(fld)
+        pieces = float(per_slice @ w_z) + e_z + rep.mass_term
         assert rep.total == pytest.approx(pieces, rel=1e-9)
-        assert np.allclose(per_slice, slice_energies(fld), rtol=1e-12)
+        assert np.allclose(per_slice, energies, rtol=1e-12)
 
 
 def trapezoid(x):
@@ -380,9 +388,10 @@ class TestFieldKernel:
     def check_field(fld):
         z = fld.z_grid
         energies, areas, e_z, E, A = separate_sweeps(fld)
-        np.testing.assert_allclose(slice_energies(fld), energies, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(slice_areas(fld), areas, rtol=1e-13, atol=0.0)
-        assert z_derivative_energy(fld) == pytest.approx(e_z, rel=1e-13, abs=0.0)
+        kernel_energies, kernel_areas, kernel_e_z = field_cells(fld)
+        np.testing.assert_allclose(kernel_energies, energies, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(kernel_areas, areas, rtol=1e-13, atol=0.0)
+        assert kernel_e_z == pytest.approx(e_z, rel=1e-13, abs=0.0)
         rep = energy_3d(fld)
         assert rep.E == pytest.approx(E, rel=1e-13, abs=0.0)
         assert rep.A == pytest.approx(A, rel=1e-13, abs=0.0)
@@ -491,9 +500,9 @@ class TestFieldProperties:
     @settings(max_examples=150, deadline=None)
     @given(fields())
     def test_slice_gap_is_conformality_gap(self, fld):
-        energies, areas = slice_energies(fld), slice_areas(fld)
+        energies, areas, _ = field_cells(fld)
         for j in range(fld.z_grid.size):
-            gap = conformality_gap(fld.slice_profile(j))
+            gap = conformality_gap(slice_profile(fld, j))
             assert abs(energies[j] - areas[j] - gap) <= 1e-13 * (energies[j] + areas[j])
 
     @settings(max_examples=150, deadline=None)
@@ -518,7 +527,7 @@ class TestFieldProperties:
         # only, so near a pole (the other examples) its angular term can
         # vanish: the bound adds KERNEL_ULPS ulps per node of the angular
         # weights n^2 t_i / r_i and per cell of the area to the relative part.
-        energies, areas = slice_energies(fld), slice_areas(fld)
+        energies, areas, _ = field_cells(fld)
         rest = energies - areas - angular_trapezoid_excess(fld)
         r, n = fld.r_grid, fld.n
         kernel_error = KERNEL_ULPS * np.finfo(float).eps * math.pi * (
@@ -528,9 +537,9 @@ class TestFieldProperties:
     @settings(max_examples=150, deadline=None)
     @given(fields())
     def test_slices_match_radial_functionals(self, fld):
-        energies, areas = slice_energies(fld), slice_areas(fld)
+        energies, areas, _ = field_cells(fld)
         for j in range(fld.z_grid.size):
-            p = fld.slice_profile(j)
+            p = slice_profile(fld, j)
             assert dirichlet_energy_radial(p) == pytest.approx(energies[j], rel=1e-13, abs=0.0)
             assert area_radial(p) == pytest.approx(areas[j], rel=1e-13, abs=0.0)
 

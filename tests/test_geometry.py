@@ -15,7 +15,6 @@ from axisphere.geometry import (
     ConeDipoleMap,
     RadialProfile,
     chart_to_colatitude,
-    colatitude_to_chart,
     degree_from_flux,
     geometric_grid,
     u0_profile,
@@ -36,14 +35,11 @@ class TestChartConversions:
         f = np.geomspace(1e-8, 1e8, 400)
         phi = np.array([chart_to_colatitude(v) for v in f])
         assert np.all(np.diff(phi) > 0.0)
-        back = np.array([colatitude_to_chart(p) for p in phi])
+        back = np.tan(0.5 * phi)
         # the colatitude resolution near the far pole floors the recovery
         # error at ~ f * eps, which overtakes 1e-12 relative beyond f ~ 5e3
         tol = np.maximum(1e-12, 4.0 * np.finfo(float).eps * f)
         assert np.all(np.abs(back - f) <= tol * f)
-
-    def test_pi_maps_to_infinity(self):
-        assert math.isinf(colatitude_to_chart(math.pi))
 
 
 class TestProfiles:

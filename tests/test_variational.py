@@ -8,6 +8,7 @@ from axisphere.geometry import NumericalError
 from axisphere.variational import (
     ConeConstraint,
     I_functional,
+    _I_and_gap,
     _segment_gradient,
     _segment_quadratic,
     _solve_segment,
@@ -17,7 +18,6 @@ from axisphere.variational import (
     g0_construct,
     gap_lower_bound,
     minimize_I_numerical,
-    weighted_gap,
     zeta_profile,
 )
 
@@ -428,11 +428,15 @@ class TestSegmentSolve:
         g, objective, converged, count, residual = _solve_segment(r, lo, hi, n)
         tight = np.flatnonzero(np.diff(g) == 0.0)
         assert nodes - tight.size - 2 == interior
-        assert converged and residual <= 1e-10
+        assert converged is True and residual <= 1e-10
         assert count == changes + 1
         ref = dense_kkt_solution(r, lo, hi, n, tight)
         np.testing.assert_allclose(g, ref, rtol=1e-12, atol=0.0)
         assert objective == pytest.approx(I_functional(r, ref, n), rel=1e-12)
+
+    def test_flat_segment_converged_is_a_bool(self):
+        *_, converged, count, residual = _solve_segment(np.geomspace(0.2, 1.0, 9), 0.1, 0.1, 2)
+        assert converged is True and count == 0 and residual == 0.0
 
     def test_singular_subproblem_raises(self, monkeypatch):
         def singular(dl, d, du, b):
@@ -512,4 +516,6 @@ class TestGapBound:
         grid = np.unique(np.concatenate([np.geomspace(c.s, 1.0, 513), [c.s_tilde]]))
         for _ in range(50):
             g = random_cone_profile(rng, c, grid)
-            assert weighted_gap(grid, g, 2) >= math.pi * I_functional(grid, g, 2) - 1e-12
+            i_disc, gap = _I_and_gap(grid, g, 2)
+            assert i_disc == I_functional(grid, g, 2)
+            assert gap >= math.pi * i_disc - 1e-12
