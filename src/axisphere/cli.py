@@ -31,7 +31,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -497,8 +497,16 @@ _COMMANDS: dict[str, tuple[str, dict[str, tuple[Callable[[Any], Any], Any]]]] = 
 _HELP = {"s_tilde": "comma list from {2s, mid, 1}", "out": "output file path"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An unknown flag or missing value exits 2 with one ``error:`` line,
+    like a bad value does, not with argparse's usage block."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="axisphere",
         description="energies, minimal connections, and profile minimizers "
                     "of n-axially symmetric sphere-valued maps",

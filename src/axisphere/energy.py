@@ -21,9 +21,12 @@ The discrete E - A is the integral above plus the angular term's trapezoid
 error, so it is not bounded below by 0: a conformal profile's is O(dr^2) and
 of either sign.  One kernel applies these rules in a pass over blocks of
 r-rows: to a profile as a single column, and to all of a field's slices
-together with its z-derivative part.  It evaluates one cosine per node and
-forms the angular term's sin^2 phi from it as (1 - cos phi)(1 + cos phi),
-which is accurate in absolute terms (~2e-16), not relative to sin^2 phi.
+together with its z-derivative part.  A field whose columns are all equal
+(an extruded profile) is evaluated on its first column alone, with z-part
+0; any other field takes the blocked pass.  The kernel evaluates one cosine
+per node and forms the angular term's sin^2 phi from it as
+(1 - cos phi)(1 + cos phi), which is accurate in absolute terms (~2e-16),
+not relative to sin^2 phi.
 """
 
 from __future__ import annotations
@@ -310,11 +313,20 @@ def energy_3d(field: MeridianField) -> EnergyReport:
     pi (phi_r^2 + phi_z^2 + n^2 sin^2 phi / r^2) r over the cylinder
     (trapezoid weights in z over the radial cell rule, plus the z-derivative
     part); A integrates the slice areas over z; the mass term is
-    4 pi n * (total defect length); total = E + mass_term.  All three
-    parts come from one blocked pass over the field.
+    4 pi n * (total defect length); total = E + mass_term.
+
+    A field whose columns all equal the first (an extruded profile) is
+    evaluated on that one column: its energy and area stand for every
+    slice, and the z-derivative part is exactly 0.  Any other field takes
+    one blocked pass over all its slices and its z-differences.
     """
-    energies, areas, e_z = _cells(field.r_grid, field.phi, field.n, 1.0 / np.diff(field.z_grid))
+    phi = field.phi
     w_z = _trapezoid_weights(field.z_grid)
+    if (phi == phi[:, :1]).all():
+        energy, area, e_z = _cells(field.r_grid, phi[:, :1], field.n, np.empty(0))
+        energies, areas = np.broadcast_to(energy, w_z.shape), np.broadcast_to(area, w_z.shape)
+    else:
+        energies, areas, e_z = _cells(field.r_grid, phi, field.n, 1.0 / np.diff(field.z_grid))
     E = float(energies @ w_z) + e_z
     A = float(areas @ w_z)
     mass_term = _FOUR_PI * field.n * field.defect_length()

@@ -424,6 +424,18 @@ class TestParameters:
             run(args)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["t0-energy", "--workers", "2"], ["sigma", "--r-nodes", "9"],
+        ["t0-energy", "--z-nodes"], ["no-such-command"], [],
+    ], ids=["removed-flag", "foreign-flag", "missing-value", "unknown-command", "no-command"])
+    def test_usage_error_is_one_line(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and captured.out == ""
+
     @pytest.mark.parametrize("args, overrides", [
         (["dipole-tradeoff"], {"workers": "x"}),
         (["dipole-tradeoff"], {"seed": "x"}),

@@ -424,6 +424,59 @@ class TestFieldKernel:
             tracemalloc.stop()
         assert peak < 5e6
 
+    def test_memory_is_block_sized_off_the_extruded_case(self):
+        # the same size with every column distinct: the blocked pass over all
+        # slices, not the one-column evaluation of an extruded field
+        profile = u0_profile(0.25, 2, geometric_grid(1e-4, 1.0, 32769))
+        z = np.linspace(-1.0, 1.0, 65)
+        fld = MeridianField(profile.grid, z, profile.phi[:, None] * (1.0 - 0.1 * z ** 2), 2,
+                            defects=[(-1.0, 1.0)])
+        assert field_cells(fld)[2] > 0.0
+        tracemalloc.start()
+        try:
+            energy_3d(fld)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+
+class TestExtrudedField:
+    """A field whose columns all equal the first is evaluated on one column;
+    moving a single entry sends it back to the blocked pass."""
+
+    @staticmethod
+    def blocked_pass(fld):
+        """E, A and z-part of a field as the blocked pass over all slices gives them."""
+        energies, areas, e_z = field_cells(fld)
+        w_z = energy._trapezoid_weights(fld.z_grid)
+        return float(energies @ w_z) + e_z, float(areas @ w_z), e_z
+
+    @staticmethod
+    def criterion_7_field(n, alpha):
+        profile = u0_profile(alpha, n, geometric_grid(1e-4, 1.0, 32769))
+        return meridian_from_profile(profile, np.linspace(-1.0, 1.0, 65), defects=[(-1.0, 1.0)])
+
+    @pytest.mark.parametrize("n, alpha", [(1, 0.1), (2, 0.25), (3, 0.0)])
+    def test_matches_the_blocked_pass(self, n, alpha):
+        fld = self.criterion_7_field(n, alpha)
+        E, A, e_z = self.blocked_pass(fld)
+        assert e_z == 0.0
+        rep = energy_3d(fld)
+        assert rep.E == pytest.approx(E, rel=1e-14, abs=0.0)
+        assert rep.A == pytest.approx(A, rel=1e-14, abs=0.0)
+
+    def test_one_moved_entry_takes_the_blocked_pass(self):
+        fld = self.criterion_7_field(2, 0.25)
+        phi = fld.phi.copy()
+        phi[16384, 7] += 1e-9
+        moved = MeridianField(fld.r_grid, fld.z_grid, phi, fld.n, fld.defects)
+        E, A, e_z = self.blocked_pass(moved)
+        assert e_z > 0.0
+        rep = energy_3d(moved)
+        assert (rep.E, rep.A) == (E, A)
+        assert rep.E != energy_3d(fld).E
+
 
 class TestFieldConstruction:
     def test_extruded_phi_is_an_owned_copy(self):
