@@ -21,12 +21,12 @@ The discrete E - A is the integral above plus the angular term's trapezoid
 error, so it is not bounded below by 0: a conformal profile's is O(dr^2) and
 of either sign.  One kernel applies these rules in a pass over blocks of
 r-rows: to a profile as a single column, and to all of a field's slices
-together with its z-derivative part.  A field whose columns are all equal
-(an extruded profile) is evaluated on its first column alone, with z-part
-0; any other field takes the blocked pass.  The kernel evaluates one cosine
-per node and forms the angular term's sin^2 phi from it as
-(1 - cos phi)(1 + cos phi), which is accurate in absolute terms (~2e-16),
-not relative to sin^2 phi.
+together with its z-derivative part.  A field stored as one column
+broadcast along z (an extruded profile, z-stride 0) is evaluated on that
+column alone, with z-part 0; any other field takes the blocked pass.  The
+kernel evaluates one cosine per node and forms the angular term's sin^2 phi
+from it as (1 - cos phi)(1 + cos phi), which is accurate in absolute terms
+(~2e-16), not relative to sin^2 phi.
 """
 
 from __future__ import annotations
@@ -89,8 +89,11 @@ def _clamped_cells(
 
     The lower endpoint is clamped up to the first grid node (an interval
     starting at 0 means "from the axis", which the stored grid represents by
-    its innermost node).  An upper endpoint beyond the grid is an error.  An
-    interval of zero length gives a single node, which has no cells.
+    its innermost node).  An upper endpoint beyond the grid is an error; one
+    within 1e-12 relative past the last node is clamped down to it.  An
+    interval that covers the whole grid returns ``grid`` and ``phi``
+    themselves, so it gives the same value as no interval.  An interval of
+    zero length gives a single node, which has no cells.
     """
     if interval is None:
         return grid, phi
@@ -101,6 +104,8 @@ def _clamped_cells(
         raise ValueError(f"interval end {r_b} beyond grid range {grid[-1]}")
     if r_b < grid[0]:
         raise ValueError(f"interval [{r_a}, {r_b}] below grid range")
+    if r_a <= grid[0] and r_b >= grid[-1]:
+        return grid, phi
     r_a = max(r_a, grid[0])
     r_b = min(r_b, grid[-1])
     if r_b <= r_a:
@@ -178,10 +183,15 @@ class MeridianField:
     """An axially symmetric configuration on a cylinder: a colatitude field
     phi(r, z) plus the vertical defect intervals on the axis.
 
-    ``phi`` has shape ``(len(r_grid), len(z_grid))``.  Each defect interval
-    carries multiplicity n.  On the axis the map hits a pole: near the
-    innermost radius, phi is close to 0 over defect intervals (the graph
-    closes through the vertical part there) and close to pi off them.
+    ``phi`` has shape ``(len(r_grid), len(z_grid))`` and is a clipped copy
+    of the given values, never a view of the caller's memory.  A ``phi``
+    with z-stride 0 (one column broadcast along z) is checked and clipped as
+    that one column and stored as a read-only broadcast view of the clipped
+    column, z-stride 0 again; any other ``phi`` is stored as an owned,
+    writeable copy.  Each defect interval carries multiplicity n.  On the
+    axis the map hits a pole: near the innermost radius, phi is close to 0
+    over defect intervals (the graph closes through the vertical part there)
+    and close to pi off them.
     """
 
     r_grid: np.ndarray
@@ -200,7 +210,11 @@ class MeridianField:
             raise ValueError("grids must be strictly increasing")
         if phi.shape != (r.size, z.size):
             raise ValueError(f"phi must have shape {(r.size, z.size)}, got {phi.shape}")
-        phi = _checked_colatitudes(phi)
+        if phi.strides[1] == 0:
+            # every column is the same memory: checking one checks them all
+            phi = np.broadcast_to(_checked_colatitudes(phi[:, 0])[:, None], phi.shape)
+        else:
+            phi = _checked_colatitudes(phi)
         if int(self.n) < 1:
             raise ValueError("winding number n must be >= 1")
         ivs = sorted((float(a), float(b)) for a, b in self.defects)
@@ -227,9 +241,14 @@ def meridian_from_profile(
     z_grid: np.ndarray,
     defects: Sequence[tuple[float, float]] = (),
 ) -> MeridianField:
-    """z-independent field built by extruding a radial profile."""
+    """z-independent field built by extruding a radial profile.
+
+    The field's ``phi`` is a read-only view with z-stride 0 of one clipped
+    copy of ``profile.phi``: one column of memory, whatever the z grid, and
+    no later write to the profile reaches it.  :func:`energy_3d` evaluates
+    such a field on that one column.
+    """
     z_grid = np.asarray(z_grid, dtype=float)
-    # a read-only view; the field's colatitude check makes the one copy
     phi = np.broadcast_to(profile.phi[:, None], (profile.phi.size, z_grid.size))
     return MeridianField(r_grid=profile.grid, z_grid=z_grid, phi=phi,
                          n=profile.n, defects=tuple(defects))
@@ -315,14 +334,17 @@ def energy_3d(field: MeridianField) -> EnergyReport:
     part); A integrates the slice areas over z; the mass term is
     4 pi n * (total defect length); total = E + mass_term.
 
-    A field whose columns all equal the first (an extruded profile) is
-    evaluated on that one column: its energy and area stand for every
-    slice, and the z-derivative part is exactly 0.  Any other field takes
-    one blocked pass over all its slices and its z-differences.
+    A field whose ``phi`` has z-stride 0 (as :func:`meridian_from_profile`
+    builds it) is one column in memory and is evaluated on that column: its
+    energy and area stand for every slice, and the z-derivative part is
+    exactly 0.  The test reads the stride, not the values, so it costs
+    nothing.  Any other field, an owned array with equal columns included,
+    takes one blocked pass over all its slices and its z-differences, which
+    agrees with the column to rounding.
     """
     phi = field.phi
     w_z = _trapezoid_weights(field.z_grid)
-    if (phi == phi[:, :1]).all():
+    if phi.strides[1] == 0:
         energy, area, e_z = _cells(field.r_grid, phi[:, :1], field.n, np.empty(0))
         energies, areas = np.broadcast_to(energy, w_z.shape), np.broadcast_to(area, w_z.shape)
     else:

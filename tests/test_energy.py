@@ -223,6 +223,14 @@ class TestConformalityGap:
             self.assert_dominates_up_to_angular_quadrature(p)
         assert dirichlet_energy_radial(COUNTEREXAMPLE) - area_radial(COUNTEREXAMPLE) < -0.7
 
+    def test_whole_grid_interval_is_no_interval(self):
+        p = random_profile(np.random.default_rng(16))
+        grid = p.grid
+        for interval in [(0.0, grid[-1]), (grid[0] / 2, grid[-1]),
+                         (0.0, grid[-1] * (1.0 + 1e-13))]:
+            for functional in (dirichlet_energy_radial, area_radial, conformality_gap):
+                assert functional(p, interval) == functional(p)
+
     def test_zero_length_interval_is_zero(self):
         p = random_profile(np.random.default_rng(15))
         for interval in [(0.3, 0.3), (0.0, p.grid[0]), (p.grid[-1], p.grid[-1])]:
@@ -424,6 +432,19 @@ class TestFieldKernel:
             tracemalloc.stop()
         assert peak < 5e6
 
+    def test_memory_of_building_and_evaluating_is_block_sized(self):
+        # building the criterion-7 field keeps one column, not a 17 MB copy
+        profile = u0_profile(0.25, 2, geometric_grid(1e-4, 1.0, 32769))
+        z = np.linspace(-1.0, 1.0, 65)
+        tracemalloc.start()
+        try:
+            fld = meridian_from_profile(profile, z, defects=[(-1.0, 1.0)])
+            energy_3d(fld)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
     def test_memory_is_block_sized_off_the_extruded_case(self):
         # the same size with every column distinct: the blocked pass over all
         # slices, not the one-column evaluation of an extruded field
@@ -442,8 +463,8 @@ class TestFieldKernel:
 
 
 class TestExtrudedField:
-    """A field whose columns all equal the first is evaluated on one column;
-    moving a single entry sends it back to the blocked pass."""
+    """A field stored as one broadcast column is evaluated on that column;
+    an owned copy with a single entry moved takes the blocked pass."""
 
     @staticmethod
     def blocked_pass(fld):
@@ -479,15 +500,64 @@ class TestExtrudedField:
 
 
 class TestFieldConstruction:
-    def test_extruded_phi_is_an_owned_copy(self):
+    def test_extruded_phi_is_a_read_only_column_view(self):
         profile = u0_profile(0.25, 2, geometric_grid(1e-3, 1.0, 65))
         z = np.linspace(-1.0, 1.0, 9)
         fld = meridian_from_profile(profile, z, defects=[(-1.0, 1.0)])
         assert np.array_equal(fld.phi, np.tile(profile.phi[:, None], (1, z.size)))
-        assert fld.phi.flags.owndata and fld.phi.flags.writeable
-        assert fld.phi.flags.c_contiguous
-        fld.phi[0, 0] = 0.0
-        assert profile.phi[0] != 0.0
+        assert fld.phi.strides[1] == 0
+        with pytest.raises(ValueError):
+            fld.phi[0, 0] = 0.0
+        before = fld.phi.copy()
+        profile.phi[0] = 0.0
+        assert np.array_equal(fld.phi, before)
+
+    @staticmethod
+    def column_view(column, z_nodes=5):
+        return np.broadcast_to(np.asarray(column, dtype=float)[:, None], (len(column), z_nodes))
+
+    @pytest.mark.parametrize("column,message", [
+        ([0.0, 1.0, math.nan], "NaN"),
+        ([0.0, 1.0, math.pi + 1e-9], r"\[0, pi\]"),
+        ([-1e-9, 1.0, 2.0], r"\[0, pi\]"),
+    ])
+    def test_column_view_errors_match_the_owned_array(self, column, message):
+        r, z = np.array([0.1, 0.5, 1.0]), np.linspace(-1.0, 1.0, 5)
+        view = self.column_view(column)
+        assert view.strides[1] == 0
+        for phi in (view, view.copy()):
+            with pytest.raises(ValueError, match=message):
+                MeridianField(r, z, phi, 1)
+
+    def test_column_view_is_clipped_in_every_column(self):
+        r, z = np.array([0.1, 0.5, 1.0]), np.linspace(-1.0, 1.0, 5)
+        view = self.column_view([-1e-13, 1.0, math.pi + 1e-13])
+        fld = MeridianField(r, z, view, 1)
+        owned = MeridianField(r, z, view.copy(), 1)
+        assert np.array_equal(fld.phi, owned.phi)
+        assert np.all(fld.phi[0] == 0.0) and np.all(fld.phi[2] == math.pi)
+        assert view[0, 0] == -1e-13
+
+    def test_owned_equal_columns_take_the_blocked_pass(self, monkeypatch):
+        profile = u0_profile(0.25, 2, geometric_grid(1e-4, 1.0, 4097))
+        z = np.linspace(-1.0, 1.0, 33)
+        view = meridian_from_profile(profile, z, defects=[(-1.0, 1.0)])
+        tiled = MeridianField(profile.grid, z, np.tile(profile.phi[:, None], (1, z.size)),
+                              profile.n, defects=view.defects)
+        assert tiled.phi.strides[1] != 0
+        columns = []
+        cells = energy._cells
+
+        def counted(r, phi, n, inv_dz):
+            columns.append(phi.shape[1])
+            return cells(r, phi, n, inv_dz)
+
+        monkeypatch.setattr(energy, "_cells", counted)
+        rep_view, rep_tiled = energy_3d(view), energy_3d(tiled)
+        assert columns == [1, z.size]
+        assert field_cells(tiled)[2] == 0.0
+        assert rep_tiled.E == pytest.approx(rep_view.E, rel=1e-14, abs=0.0)
+        assert rep_tiled.A == pytest.approx(rep_view.A, rel=1e-14, abs=0.0)
 
     def test_clip_leaves_the_input(self):
         phi = np.array([[-1e-13, 1.0], [2.0, math.pi + 1e-13]])
