@@ -42,10 +42,9 @@ from .connection import (
     min_connection_bruteforce,
 )
 from .energy import (
-    area_radial,
+    _radial_energy_area,
     dipole_half_box,
     dipole_ladder,
-    dirichlet_energy_radial,
     energy_3d,
     meridian_from_profile,
     meridian_hessian_definite,
@@ -155,7 +154,9 @@ def run_t0_energy(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
         profile = u0_profile(alpha, n, geometric_grid(r_min, 1.0, r_nodes))
         fld = meridian_from_profile(profile, z_grid, defects=[(-1.0, 1.0)])
         rep = energy_3d(fld)
-        slice_quad = dirichlet_energy_radial(profile)
+        # the field is one column along z, so E is the slice energy times
+        # the z-length, from energy_3d's single column pass
+        slice_quad = rep.E / (z_grid[-1] - z_grid[0])
         slice_closed = _FOUR_PI * n * alpha ** 2 / (1.0 + alpha ** 2)
         total_closed = 2.0 * (slice_closed + _FOUR_PI * n)
         return {
@@ -197,8 +198,7 @@ def run_relaxation_check(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
             profile = u_eps_profile(alpha, n, eps, geometric_grid(r_min, 1.0, nodes))
             # both branches are conformal, so the slice energy equals the
             # area, which the cell rule integrates exactly branch by branch
-            e_area = area_radial(profile)
-            e_quad = dirichlet_energy_radial(profile)
+            e_quad, e_area = _radial_energy_area(profile, None)
             deficit = limit - e_area
             deficits.append(deficit)
             rows.append({

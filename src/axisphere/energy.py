@@ -26,7 +26,9 @@ broadcast along z (an extruded profile, z-stride 0) is evaluated on that
 column alone, with z-part 0; any other field takes the blocked pass.  The
 kernel evaluates one cosine per node and forms the angular term's sin^2 phi
 from it as (1 - cos phi)(1 + cos phi), which is accurate in absolute terms
-(~2e-16), not relative to sin^2 phi.
+(~2e-16), not relative to sin^2 phi.  Its r-weights are formed per block
+too, and every block temporary stays under glibc's 128 KiB mmap threshold,
+so it reuses the heap memory of the block before instead of new pages.
 """
 
 from __future__ import annotations
@@ -118,6 +120,15 @@ def _clamped_cells(
     return nodes, values
 
 
+def _radial_energy_area(profile: RadialProfile,
+                        interval: tuple[float, float] | None) -> tuple[float, float]:
+    """Dirichlet energy and area of ``profile`` over ``interval`` from one
+    pass of the radial cell rules, as a single column with z-part 0."""
+    r, phi = _clamped_cells(profile.grid, profile.phi, interval)
+    energy, area, _ = _cells(r, phi[:, None], profile.n, np.empty(0))
+    return float(energy[0]), float(area[0])
+
+
 def dirichlet_energy_radial(
     profile: RadialProfile, interval: tuple[float, float] | None = None
 ) -> float:
@@ -126,8 +137,7 @@ def dirichlet_energy_radial(
     Equals half the squared-gradient integral of the generated map over the
     annulus.  Invariant under grid dilation r -> lambda r.
     """
-    r, phi = _clamped_cells(profile.grid, profile.phi, interval)
-    return float(_cells(r, phi[:, None], profile.n, np.empty(0))[0][0])
+    return _radial_energy_area(profile, interval)[0]
 
 
 def area_radial(
@@ -173,9 +183,8 @@ def conformality_gap(
     exactly on conformal profiles f = c r^{+-n}; the discrete value keeps the
     angular term's trapezoid error, O(dr^2) and of either sign.
     """
-    r, phi = _clamped_cells(profile.grid, profile.phi, interval)
-    energy, area, _ = _cells(r, phi[:, None], profile.n, np.empty(0))
-    return float(energy[0] - area[0])
+    energy, area = _radial_energy_area(profile, interval)
+    return energy - area
 
 
 @dataclass(frozen=True)
@@ -255,10 +264,12 @@ def meridian_from_profile(
 
 
 # Entries of phi per block of the radial quadrature: an m-column block has
-# _BLOCK_CELLS // m rows, so its temporaries (0.27 MB each) stay in a 2 MB L2
-# cache.  The default 65-node z grid takes 512 rows (256 to 1024 time alike
-# there); a single profile column takes 33280.
-_BLOCK_CELLS = 512 * 65
+# _BLOCK_CELLS // m rows, so each temporary holds at most _BLOCK_CELLS + m
+# doubles, under glibc's default 128 KiB (16384 doubles) mmap threshold while
+# m < 384.  Above it, until a larger block is freed, every allocation is
+# mapped and faulted in anew; below it, each block reuses the heap memory the
+# block before freed.  A 65-node z grid takes 246 rows, a profile 16000.
+_BLOCK_CELLS = 16000
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -288,13 +299,9 @@ def _cells(r: np.ndarray, phi: np.ndarray, n: int,
     of 0.
 
     Blocks share their seam row: a block's node terms stop before its last
-    row, which the next block takes.  Temporaries are of block size.
+    row, which the next block takes.  Temporaries, the r-weights included,
+    are of block size.
     """
-    t_r = _trapezoid_weights(r)
-    w_kin = (r[1:] ** 2 - r[:-1] ** 2) / (2.0 * np.diff(r) ** 2)
-    w_ang = np.zeros_like(r)
-    np.divide(n ** 2 * t_r, r, out=w_ang, where=r > 0.0)
-    w_z = r * t_r
     m = phi.shape[1]
     # a single column is contracted by einsum's own loop: BLAS sends an
     # (N, 1) product to its threaded gemv, which on 2 CPUs took a 32769-node
@@ -308,16 +315,21 @@ def _cells(r: np.ndarray, phi: np.ndarray, n: int,
         hi = min(lo + rows, last)
         top = last + 1 if hi == last else hi  # end of the block's node rows
         block, nodes = phi[lo:hi + 1], phi[lo:top]
+        r_cells, r_nodes = r[lo:hi + 1], r[lo:top]
+        before = max(lo - 1, 0)  # the node rows' trapezoid weights need the cell before
+        t = _trapezoid_weights(r[before:top + 1])[lo - before:top - before]
+        w_kin = (r_cells[1:] ** 2 - r_cells[:-1] ** 2) / (2.0 * np.diff(r_cells) ** 2)
+        w_ang = np.divide(n ** 2 * t, r_nodes, out=np.zeros_like(t), where=r_nodes > 0.0)
         d = block[1:] - block[:-1]
-        kin += weigh(w_kin[lo:hi], np.multiply(d, d, out=d))
+        kin += weigh(w_kin, np.multiply(d, d, out=d))
         c = np.cos(block)
         area += np.abs(np.subtract(c[1:], c[:-1], out=d), out=d).sum(axis=0)
         c = c[:top - lo]
         s2 = np.add(1.0, c)
-        ang += weigh(w_ang[lo:top], np.multiply(s2, np.subtract(1.0, c, out=c), out=s2))
+        ang += weigh(w_ang, np.multiply(s2, np.subtract(1.0, c, out=c), out=s2))
         if inv_dz.size:
             d_z = nodes[:, 1:] - nodes[:, :-1]
-            e_z += float(w_z[lo:top] @ (np.multiply(d_z, d_z, out=d_z) @ inv_dz))
+            e_z += float((r_nodes * t) @ (np.multiply(d_z, d_z, out=d_z) @ inv_dz))
     return math.pi * (kin + ang), 2.0 * math.pi * n * area, math.pi * e_z
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .geometry import NumericalError
+from .geometry import NumericalError, geometric_grid
 
 __all__ = [
     "ClosedFormProfile",
@@ -475,12 +475,12 @@ def minimize_I_numerical(c: ConeConstraint, n: int, nodes: int = 256) -> Minimiz
         n1 = min(n1, nodes + 1 - 9)
         n2 = nodes + 1 - n1
 
-    r1 = np.geomspace(s, st, n1)
+    r1 = geometric_grid(s, st, n1)
     g1, obj1, conv1, it1, res1 = _solve_segment(r1, b, a, n)
     if n2 == 0:
         return MinimizeIResult(r=r1, g=g1, objective=obj1, converged=conv1,
                                iterations=it1, residual=res1)
-    r2 = np.geomspace(st, 1.0, n2 + 1)
+    r2 = geometric_grid(st, 1.0, n2 + 1)
     g2, obj2, conv2, it2, res2 = _solve_segment(r2, a, alpha, n)
     return MinimizeIResult(
         r=np.concatenate([r1, r2[1:]]), g=np.concatenate([g1, g2[1:]]),
@@ -543,9 +543,9 @@ def gap_lower_bound(c: ConeConstraint, n: int) -> GapBound:
     vacuous = t0 >= tau0
     log_bound = 0.0 if vacuous else math.pi * n * n * a * a * math.log(tau0 / t0)
 
-    grid = np.geomspace(s, 1.0, _CHECK_NODES)
+    grid = geometric_grid(s, 1.0, _CHECK_NODES)
     if c.s_tilde not in grid:
-        grid = np.sort(np.append(grid, c.s_tilde))
+        grid = np.insert(grid, np.searchsorted(grid, c.s_tilde), c.s_tilde)
     I_disc, gap = _I_and_gap(grid, g0.sample(grid), n)
     rhs = 8.0 * math.pi * n * a * a / (1.0 + a * a)
 

@@ -7,7 +7,7 @@ import pytest
 
 from axisphere import cli, energy
 from axisphere.cli import main
-from axisphere.geometry import NumericalError
+from axisphere.geometry import NumericalError, geometric_grid, u0_profile, u_eps_profile
 
 
 def run(args):
@@ -94,6 +94,33 @@ class TestRelaxationCheck:
         assert run(["relaxation-check", "--eps", eps]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+
+class TestSliceColumns:
+    """The slice columns come from one cell pass per profile and agree with
+    the public radial functionals."""
+
+    def test_t0_slice_energy(self, tmp_path):
+        out = tmp_path / "t0.json"
+        assert run(["t0-energy", "--n", "1,3", "--alpha", "0.1,0.25", "--r-nodes", "32769",
+                    "--z-nodes", "9", "--format", "json", "--out", str(out)]) == 0
+        for row in json.loads(out.read_text())["rows"]:
+            profile = u0_profile(row["alpha"], row["n"], geometric_grid(1e-4, 1.0, 32769))
+            assert row["slice_energy"] == pytest.approx(
+                energy.dirichlet_energy_radial(profile), rel=1e-14, abs=0.0)
+
+    def test_relaxation_slice_columns(self, tmp_path):
+        out = tmp_path / "relax.json"
+        assert run(["relaxation-check", "--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 12
+        for row in rows:
+            profile = u_eps_profile(row["alpha"], row["n"], row["eps"],
+                                    geometric_grid(1e-6, 1.0, 16385))
+            assert row["slice_energy"] == pytest.approx(
+                energy.area_radial(profile), rel=1e-14, abs=0.0)
+            assert row["slice_energy_quadrature"] == pytest.approx(
+                energy.dirichlet_energy_radial(profile), rel=1e-14, abs=0.0)
 
 
 class TestPropositionSweep:
@@ -587,5 +614,5 @@ class TestNumericalExit:
     def test_under_resolved_quadrature(self, monkeypatch, capsys):
         def under_resolved(*args, **kwargs):
             raise NumericalError("quadrature residual 0.3")
-        monkeypatch.setattr(cli, "dirichlet_energy_radial", under_resolved)
+        monkeypatch.setattr(cli, "energy_3d", under_resolved)
         self.assert_exit_4(["t0-energy", "--r-nodes", "257", "--z-nodes", "9"], capsys)

@@ -419,6 +419,22 @@ class TestFieldKernel:
         assert dirichlet_energy_radial(p) == pytest.approx(e, rel=1e-13, abs=0.0)
         assert abs(conformality_gap(p) - gap) <= 1e-13 * e
 
+    @pytest.mark.parametrize("z_nodes", [1, 17])
+    def test_many_blocks_match_one_block(self, z_nodes, monkeypatch):
+        # at the module's block size: a 65537-node column spans 5 blocks and
+        # a z-dependent 6000 x 17 field 7; one block holds either whole
+        r = geometric_grid(1e-6, 1.0, 65537 if z_nodes == 1 else 6000)
+        z = np.linspace(-1.0, 1.0, z_nodes)
+        phi = 2.0 * np.arctan(0.25 * r[:, None] ** 2 * (1.0 + 0.5 * z ** 2))
+        inv_dz = 1.0 / np.diff(z)
+        assert math.ceil((r.size - 1) / block_rows(z_nodes)) >= 5
+        blocked = energy._cells(r, phi, 2, inv_dz)
+        monkeypatch.setattr(energy, "_BLOCK_CELLS", r.size * z_nodes)
+        whole = energy._cells(r, phi, 2, inv_dz)
+        for got, want in zip(blocked, whole):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert (blocked[2] > 0.0) == (z_nodes > 1)
+
     def test_memory_is_block_sized(self):
         # the criterion-7 field: 32769 x 65 doubles, 17 MB; whole-field
         # sweeps allocate several arrays of that size

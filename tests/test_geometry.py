@@ -80,6 +80,11 @@ class TestProfiles:
         pe = u_eps_profile(0.25, 2, 0.1, grid)
         assert pe.phi[0] > math.pi - 1e-3
 
+    def test_u_eps_inserts_eps_in_order(self):
+        grid = geometric_grid(1e-6, 1.0, 1025)
+        profile = u_eps_profile(0.25, 2, 0.1, grid)
+        np.testing.assert_array_equal(profile.grid, np.sort(np.append(grid, 0.1)))
+
     def test_u_eps_rejects_bad_eps(self):
         for eps in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
@@ -102,6 +107,18 @@ class TestProfiles:
     def test_value_errors(self, values, message):
         with pytest.raises(ValueError, match=message):
             RadialProfile(grid=np.array([0.1, 0.5, 1.0]), phi=np.array(values), n=1)
+
+
+class TestGeometricGrid:
+    @pytest.mark.parametrize("nodes", [2, 256, 8193, 16385, 32769, 65537])
+    @pytest.mark.parametrize("r_min,r_max", [(1e-6, 1.0), (1e-4, 1.0), (0.3, 0.9)])
+    def test_matches_geomspace(self, r_min, r_max, nodes):
+        grid = geometric_grid(r_min, r_max, nodes)
+        assert grid.shape == (nodes,)
+        assert grid[0] == r_min and grid[-1] == r_max
+        assert np.all(np.diff(grid) > 0.0)
+        reference = np.geomspace(r_min, r_max, nodes)
+        assert np.max(np.abs(grid - reference) / reference) <= 4e-15
 
 
 class TestConeDipoleMap:
