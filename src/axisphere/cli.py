@@ -278,15 +278,19 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
     rows = [one(alpha, frac, c0, choice) for alpha in alphas for frac in a_fracs
             for c0 in c0s for choice in choices]
 
-    # empirical alpha0 per C0: the largest swept alpha whose feasible points
-    # all satisfy the replacement-gain inequality
+    # empirical alpha0 per C0: the largest swept alpha at and below which
+    # every feasible point satisfies the replacement-gain inequality; 0.0 when
+    # the smallest alpha fails, and an alpha without feasible points is skipped
     alpha0: dict[str, float] = {}
     for c0 in c0s:
         best = 0.0
-        for alpha in alphas:
+        for alpha in sorted(set(alphas)):
             sel = [r for r in rows if r["C0"] == c0 and r["alpha"] == alpha and r["feasible"]]
-            if sel and all(r["holds"] for r in sel):
-                best = max(best, alpha)
+            if not sel:
+                continue
+            if not all(r["holds"] for r in sel):
+                break
+            best = alpha
         alpha0[_fmt(c0)] = best
     fast_path_consistent = all(r["holds"] for r in rows if r["feasible"] and r["holds_fast"])
     bad = [r for r in rows if r["feasible"] and not r["converged"]]

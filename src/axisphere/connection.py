@@ -48,13 +48,15 @@ _BRUTEFORCE_MAX = 9
 
 
 def _point_rows(points, name: str) -> np.ndarray:
-    """``points`` as a ``(k, 3)`` array; an empty class has k = 0, and any
-    other shape raises ValueError rather than being re-cut into rows."""
-    pts = np.asarray(points, dtype=float)
+    """``points`` as a read-only ``(k, 3)`` copy; an empty class has k = 0,
+    and any other shape raises ValueError rather than being re-cut into
+    rows."""
+    pts = np.array(points, dtype=float)
     if pts.size == 0:
-        return pts.reshape(0, 3)
-    if pts.ndim != 2 or pts.shape[1] != 3:
+        pts = pts.reshape(0, 3)
+    elif pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"{name} must be a list of [x, y, z] rows, got shape {pts.shape}")
+    pts.flags.writeable = False
     return pts
 
 
@@ -68,7 +70,8 @@ class SingularityConfig:
     negative (a removable pair).  Every positive-negative distance must be
     finite in floating point (below about 1.3e154).  All charges carry the
     same absolute degree ``multiplicity``, a Python or numpy integer >= 1
-    (not a bool).
+    (not a bool).  The points are stored as read-only copies, so the
+    distance matrix built here stays theirs.
     """
 
     positives: np.ndarray
@@ -85,26 +88,39 @@ class SingularityConfig:
         for name, pts in (("positives", pos), ("negatives", neg)):
             if not np.all(np.isfinite(pts)):
                 raise ValueError(f"non-finite coordinate in {name}")
-            unique, counts = np.unique(pts, axis=0, return_counts=True)
-            if np.any(counts > 1):
-                raise ValueError(f"duplicate point in {name}: {unique[np.argmax(counts > 1)]}")
+            ordered = pts[np.lexsort(pts.T[::-1])]  # rows sorted by x, then y, then z
+            repeats = np.flatnonzero((ordered[1:] == ordered[:-1]).all(axis=1))
+            if repeats.size:
+                raise ValueError(f"duplicate point in {name}: {ordered[repeats[0]]}")
         mult = self.multiplicity
         if isinstance(mult, bool) or not isinstance(mult, (int, np.integer)) or mult < 1:
             raise ValueError(f"multiplicity must be an integer >= 1, got {mult!r}")
         object.__setattr__(self, "positives", pos)
         object.__setattr__(self, "negatives", neg)
         object.__setattr__(self, "multiplicity", int(self.multiplicity))
+        # |P_i - N_j| one coordinate at a time: the same operations, in the
+        # same order, as sqrt(sum(diff ** 2, axis=-1)) over a (k, k, 3) diff
         with np.errstate(over="ignore"):
-            if not np.all(np.isfinite(self.distance_matrix())):
-                raise ValueError("a positive-negative distance overflows to inf")
+            dist = np.subtract.outer(pos[:, 0], neg[:, 0])
+            dist *= dist
+            for c in (1, 2):
+                diff = np.subtract.outer(pos[:, c], neg[:, c])
+                diff *= diff
+                dist += diff
+            np.sqrt(dist, out=dist)
+        if not np.all(np.isfinite(dist)):
+            raise ValueError("a positive-negative distance overflows to inf")
+        dist.flags.writeable = False
+        object.__setattr__(self, "_dist", dist)
 
     @property
     def k(self) -> int:
         return self.positives.shape[0]
 
     def distance_matrix(self) -> np.ndarray:
-        diff = self.positives[:, None, :] - self.negatives[None, :, :]
-        return np.sqrt(np.sum(diff ** 2, axis=-1))
+        """The read-only ``(k, k)`` matrix of |P_i - N_j|, built once at
+        construction and shared by every route."""
+        return self._dist
 
     @classmethod
     def from_json(cls, text: str) -> "SingularityConfig":
@@ -185,13 +201,18 @@ def _shortest_augmenting_paths(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray
     rows, so only v is stored.  It starts from v_j = min_i dist[i, j] and
     matches each row to the first column whose minimum it holds.  Each
     unmatched row then grows a Dijkstra tree over the columns on reduced
-    costs, one vectorised pass per column it reaches, until it reaches an
-    unmatched column; v moves by the tree's distances, which keeps the
-    reduced costs nonnegative and makes the tree's path tight, and the path
-    is flipped.  Finally u is read off the matching, u_i = dist[i,
-    matching[i]] - v[matching[i]], and v is recomputed from u as v_j =
-    min_i (dist[i, j] - u_i).  O(k^3) time, O(k^2) memory (``dist``).  A
-    non-finite tentative distance raises NumericalError.
+    costs until it reaches an unmatched column.  ``red`` holds dist[i, j] -
+    v_j, with inf in the columns the tree has reached, so each scanned row
+    takes three calls: its costs ``red[i] + offset``, their elementwise
+    minimum with the tentative distances, and the argmin.  v moves by the
+    tree's distances, which keeps the reduced costs nonnegative and makes the
+    tree's path tight; the path is flipped, and ``red`` is rebuilt from v.
+    Along the path, each column's predecessor is the first scanned row whose
+    cost equals the column's distance, the row that set it.  Finally u is
+    read off the matching, u_i = dist[i, matching[i]] - v[matching[i]], and v
+    is recomputed from u as v_j = min_i (dist[i, j] - u_i).  O(k^3) time,
+    O(k^2) memory (``dist`` and ``red``).  A non-finite tentative distance
+    raises NumericalError.
     """
     k = dist.shape[0]
     v = dist.min(axis=0)
@@ -199,40 +220,46 @@ def _shortest_augmenting_paths(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray
     row_of = np.full(k, -1)
     rows, cols = np.unique(dist.argmin(axis=0), return_index=True)
     matching[rows], row_of[cols] = cols, rows
+    row_of = row_of.tolist()
+    red = dist - v
+    cost = np.empty(k)
     tentative = np.empty(k)  # distance to each column not yet reached; inf once reached
-    reached = np.empty(k)  # distance at which each column was reached
-    open_ = np.empty(k, dtype=bool)
-    pred = np.empty(k, dtype=np.intp)  # the row each column was last relaxed from
-    for free in np.flatnonzero(matching < 0):
+    for free in np.flatnonzero(matching < 0).tolist():
         tentative.fill(np.inf)
-        open_.fill(True)
         i, offset = free, 0.0  # tree distance to row i minus u_i; u = 0 on a free row
+        scanned, offsets, reached, labels = [], [], [], []  # in scan order
         while True:
-            cost = dist[i] - v
-            cost += offset
-            closer = cost < tentative
-            closer &= open_
-            np.copyto(tentative, cost, where=closer)
-            np.copyto(pred, i, where=closer)
+            scanned.append(i)
+            offsets.append(offset)
+            np.add(red[i], offset, out=cost)
+            np.minimum(tentative, cost, out=tentative)
             j = int(tentative.argmin())
-            dj = tentative[j]
-            if not (dj < np.inf and open_[j]):  # also rejects NaN
+            dj = tentative.item(j)
+            if not dj < np.inf:  # also rejects NaN
                 raise NumericalError(
                     f"Kantorovich search found no finite augmenting path from positive {free}"
                 )
-            open_[j], reached[j], tentative[j] = False, dj, np.inf
-            if row_of[j] < 0:
-                break
+            reached.append(j)
+            labels.append(dj)
+            tentative[j] = red[:, j] = np.inf
             i = row_of[j]
-            offset = dj - dist[i, j] + v[j]
-        closed = ~open_
-        v[closed] += reached[closed] - dj
-        while True:  # flip the path back to the free row
-            i = pred[j]
-            row_of[j] = i
-            matching[i], j = j, matching[i]
-            if i == free:
+            if i < 0:
                 break
+            offset = dj - dist.item(i, j) + v.item(j)
+        t = len(reached) - 1
+        while True:  # flip the path back to the free row, scanned[0]
+            j, vj = reached[t], v.item(reached[t])
+            s = 0
+            while (dist.item(scanned[s], j) - vj) + offsets[s] != labels[t]:
+                s += 1
+            i = scanned[s]
+            row_of[j], matching[i] = i, j
+            if s == 0:
+                break
+            t = s - 1  # scanned[s] was reached through column reached[s - 1]
+        closed = np.array(reached)
+        v[closed] += np.array(labels) - dj
+        np.subtract(dist, v, out=red)
     u = dist[np.arange(k), matching] - v[matching]
     # the largest v that u allows: equal to v in exact arithmetic, but the
     # rounding of the updates above drops out of the pair constraints

@@ -142,6 +142,20 @@ class TestPropositionSweep:
         assert data["summary"]["fast_path_consistent"]
         assert data["summary"]["empirical_alpha0_by_C0"]["1"] == 0.05
 
+    def test_threshold_stops_at_first_failing_alpha(self, tmp_path):
+        # alpha 0.25 holds on its one feasible row, but the row at alpha 0.1,
+        # a_frac 0.5 fails, so no swept alpha has every smaller one holding
+        out = tmp_path / "prop.json"
+        code = run(["proposition-sweep", "--n", "2", "--alpha", "0.25,0.1",
+                    "--a-frac", "0.5,0.1", "--c0", "5", "--s-tilde", "mid",
+                    "--nodes", "128", "--format", "json", "--out", str(out)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        failing = [r for r in data["rows"] if r["feasible"] and not r["holds"]]
+        assert [(r["alpha"], r["a"]) for r in failing] == [(0.1, 0.05)]
+        assert any(r["alpha"] == 0.25 and r["feasible"] and r["holds"] for r in data["rows"])
+        assert data["summary"]["empirical_alpha0_by_C0"]["5"] == 0.0
+
     def test_infeasible_rows_marked(self, tmp_path):
         out = tmp_path / "prop.csv"
         # C0 = 20 with a = 0.25 puts the crossing radius past the annulus

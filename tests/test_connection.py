@@ -141,6 +141,34 @@ class TestConfig:
                 negatives=[[0, 1, 0], [1, 1, 0]],
             )
 
+    def test_distance_matrix_built_once_read_only(self):
+        rng = np.random.default_rng(12)
+        positives, negatives = rng.uniform(-1.0, 1.0, (2, 9, 3))
+        cfg = SingularityConfig(positives=positives, negatives=negatives)
+        assert cfg.distance_matrix() is cfg.distance_matrix()
+        assert not cfg.distance_matrix().flags.writeable
+        # the points are copies the caller cannot move under the stored matrix
+        positives[0] = negatives[0]
+        assert cfg.distance_matrix()[0, 0] > 0.0
+        assert not cfg.positives.flags.writeable and not cfg.negatives.flags.writeable
+
+    @pytest.mark.parametrize("case", ["k0", "k1", "k9", "k120", "coincident", "spread-1e8"])
+    def test_distance_matrix_bitwise_equals_difference_formula(self, case):
+        rng = np.random.default_rng(13)
+        if case == "coincident":
+            pts = rng.uniform(-1.0, 1.0, (9, 3))
+            cfg = SingularityConfig(positives=pts, negatives=np.vstack([pts[:5], -pts[5:]]))
+        elif case == "spread-1e8":
+            cfg = random_config(rng, 40)
+            cfg = SingularityConfig(positives=1e8 * cfg.positives, negatives=1e8 * cfg.negatives)
+        else:
+            cfg = random_config(rng, int(case[1:]))
+        diff = cfg.positives[:, None, :] - cfg.negatives[None, :, :]
+        expected = np.sqrt(np.sum(diff ** 2, axis=-1))
+        dist = cfg.distance_matrix()
+        assert dist.shape == expected.shape == (cfg.k, cfg.k)
+        assert dist.tobytes() == expected.tobytes()
+
     def test_json_ingestion_format(self):
         cfg = SingularityConfig.from_json(
             '{"multiplicity": 2, "positives": [[0,0,-1]], "negatives": [[0,0,1]]}'
@@ -359,7 +387,61 @@ class TestKantorovichDual:
             kantorovich_dual(cfg)
 
 
+def reference_search(dist):
+    """Reference for ``_shortest_augmenting_paths``: a fresh cost row per
+    scanned row, and a predecessor array rewritten wherever that row is
+    strictly closer, so ties keep the first scanned row."""
+    k = dist.shape[0]
+    v = dist.min(axis=0)
+    matching = np.full(k, -1)
+    row_of = np.full(k, -1)
+    rows, cols = np.unique(dist.argmin(axis=0), return_index=True)
+    matching[rows], row_of[cols] = cols, rows
+    tentative = np.empty(k)
+    reached = np.empty(k)
+    open_ = np.empty(k, dtype=bool)
+    pred = np.empty(k, dtype=np.intp)
+    for free in np.flatnonzero(matching < 0):
+        tentative.fill(np.inf)
+        open_.fill(True)
+        i, offset = free, 0.0
+        while True:
+            cost = dist[i] - v
+            cost += offset
+            closer = cost < tentative
+            closer &= open_
+            np.copyto(tentative, cost, where=closer)
+            np.copyto(pred, i, where=closer)
+            j = int(tentative.argmin())
+            dj = tentative[j]
+            assert dj < np.inf and open_[j]
+            open_[j], reached[j], tentative[j] = False, dj, np.inf
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+            offset = dj - dist[i, j] + v[j]
+        closed = ~open_
+        v[closed] += reached[closed] - dj
+        while True:
+            i = pred[j]
+            row_of[j] = i
+            matching[i], j = j, matching[i]
+            if i == free:
+                break
+    u = dist[np.arange(k), matching] - v[matching]
+    v = (dist - u[:, None]).min(axis=0)
+    return matching, u, v
+
+
 class TestAugmentingPathSearch:
+    def test_matches_reference_search(self):
+        rng = np.random.default_rng(18)
+        for k in [*range(1, 10)] * 4 + [40, 120] * 2:
+            for cfg in (lattice_config(rng, k), random_config(rng, k)):
+                dist = cfg.distance_matrix()
+                for got, want in zip(_shortest_augmenting_paths(dist), reference_search(dist)):
+                    np.testing.assert_array_equal(got, want)
+
     def test_lattice_ties_match_assignment_and_bruteforce(self):
         rng = np.random.default_rng(15)
         for k in [*range(1, 10)] * 5 + [*rng.integers(10, 120, 12)] + [120]:
