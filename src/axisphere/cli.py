@@ -312,9 +312,10 @@ def _dipole_point(
     n: int, alpha: float, delta: float, r_box: float,
     nodes_r: int, nodes_z: int,
 ) -> tuple[dict, dict]:
-    """Relax the meridian energy in the box [0, r_box] x [-delta, delta] with
-    the vertical defect removed inside, at the coarse level (nodes_r, nodes_z)
-    and the fine level (2 nodes_r - 1, 2 nodes_z - 1), for odd nodes_z.
+    """Relax the meridian energy in the box [r_box 1e-3, r_box] x
+    [-delta, delta] with the vertical defect removed inside, at the coarse
+    level (nodes_r, nodes_z) and the fine level (2 nodes_r - 1,
+    2 nodes_z - 1), for odd nodes_z.
 
     Each rung of the ladder relaxes the upper half box, warm-started from
     the rung below; the full energy of the even field is twice the half's.

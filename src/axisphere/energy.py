@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -424,6 +425,89 @@ _STENCIL_Z = np.array([-1.0, -1.0, 1.0, 1.0])
 _ACTIVE_EPS = 1e-3
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-12
+# Band patterns kept, one per recent mask (a dipole ladder has a few rungs).
+_PATTERNS_KEPT = 8
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class _BandPattern:
+    """Where the Hessian's cell terms land in the lower band over the free
+    nodes of one mask; read-only, shared by the systems built on it.
+
+    The band is stored flat in LAPACK's column-major layout: entry (p, q),
+    p >= q, at ``band[p - q, q]``, flat index ``q * ldab + p - q``.  Corner
+    pair (k, l) of a cell adds to entry (corner k, corner l) where both are
+    free and corner k's number is not below corner l's, and each entry sums
+    its terms in the order of (k, l, cell).
+    """
+    free: np.ndarray            # (nr, nz) mask of the free nodes
+    index: np.ndarray           # flat grid index of each free node, in order
+    shape: tuple[int, int]      # (ldab, number of free nodes)
+    entries: np.ndarray         # flat band index of each corner pair
+    cells: np.ndarray           # flat cell index of each corner pair
+    sign_r: np.ndarray          # a_k a_l of each corner pair, +-1 as int8
+    sign_z: np.ndarray          # b_k b_l of each corner pair, +-1 as int8
+    # from a node's diagonal entry to its column and its row left of it
+    offsets: np.ndarray
+
+
+@lru_cache(maxsize=_PATTERNS_KEPT)
+def _cached_pattern(shape: tuple[int, int], mask: bytes) -> _BandPattern:
+    free = ~np.frombuffer(mask, dtype=bool).reshape(shape)
+    size = int(np.count_nonzero(free))
+    nr, nz = shape
+    ids = np.full(shape, -1)
+    ids[free] = np.arange(size)
+    corners = [ids[di:nr - 1 + di, dj:nz - 1 + dj].ravel() for di, dj in _CORNERS]
+    rows, cols, cells = [], [], []
+    for k in range(4):
+        for l in range(4):
+            cell = np.flatnonzero((corners[l] >= 0) & (corners[k] >= corners[l]))
+            rows.append(corners[k][cell])
+            cols.append(corners[l][cell])
+            cells.append(cell)
+    row, col = np.concatenate(rows), np.concatenate(cols)
+    ldab = int(np.max(row - col, initial=0)) + 1
+    entries = col * ldab + (row - col)
+    # bincount adds the terms in list order.  Each entry's j-th term in
+    # (k, l, cell) order goes to sweep j, and each sweep is in band order:
+    # every sum rounds as in (k, l, cell) order, the scatter walks the band
+    # forward, and no two adds in a row hit one entry
+    order = np.argsort(entries, kind="stable")
+    start = np.flatnonzero(np.diff(entries[order], prepend=-1))
+    term = np.arange(entries.size) - np.repeat(start, np.diff(start, append=entries.size))
+    order = order[np.argsort(term, kind="stable")]
+    counts = [cell.size for cell in cells]
+
+    def signs(stencil: np.ndarray) -> np.ndarray:
+        pairs = np.repeat(np.outer(stencil, stencil).ravel(), counts)
+        return _read_only(pairs[order].astype(np.int8))
+
+    # 4-byte indices halve what is kept, and take and bincount read them as
+    # fast; a grid or band too large for them would not fit in memory
+    index_type = np.int32 if max(ldab * size, nr * nz) <= np.iinfo(np.int32).max else np.intp
+    return _BandPattern(
+        free=_read_only(free),
+        index=_read_only(np.flatnonzero(free).astype(index_type)),
+        shape=(ldab, size),
+        entries=_read_only(entries[order].astype(index_type)),
+        cells=_read_only(np.concatenate(cells)[order].astype(index_type)),
+        sign_r=signs(_STENCIL_R),
+        sign_z=signs(_STENCIL_Z),
+        offsets=_read_only(np.concatenate([np.arange(ldab), -(ldab - 1) * np.arange(1, ldab)])),
+    )
+
+
+def _band_pattern(fixed: np.ndarray) -> _BandPattern:
+    """The band pattern of the free nodes of the mask ``fixed``, built once
+    per mask contents."""
+    fixed = np.asarray(fixed, dtype=bool)
+    return _cached_pattern(fixed.shape, fixed.tobytes())
 
 
 class _MeridianSystem:
@@ -439,7 +523,8 @@ class _MeridianSystem:
 
     The free nodes are numbered along z within each r-row, so the Hessian is
     banded, one row of free nodes plus one wide.  It is kept as LAPACK's
-    lower band: entry (p, q), p >= q, at ``band[p - q, q]``.
+    lower band in column-major order: entry (p, q), p >= q, at
+    ``band[p - q, q]``.
     """
 
     def __init__(self, r: np.ndarray, z: np.ndarray, fixed: np.ndarray, n: int) -> None:
@@ -447,102 +532,101 @@ class _MeridianSystem:
         self.c_r = math.pi * w / (4.0 * dr ** 2)
         self.c_z = math.pi * w / (4.0 * dz ** 2)
         self.c_m = math.pi * w * n ** 2 / r_mid ** 2
+        self._c_r2 = 2.0 * self.c_r
+        self._c_z2 = 2.0 * self.c_z
 
-        free = ~fixed
-        self.free = free
-        size = int(np.count_nonzero(free))
-        nr, nz = fixed.shape
-        ids = np.full((nr, nz), -1)
-        ids[free] = np.arange(size)
-        # each cell adds to the entries between its free corners, of which
-        # the band keeps those on or below the diagonal
-        corners = [ids[di:nr - 1 + di, dj:nz - 1 + dj].ravel() for di, dj in _CORNERS]
-        rows, cols, kinetic, cells = [], [], [], []
-        for k in range(4):
-            for l in range(4):
-                cell = np.flatnonzero((corners[l] >= 0) & (corners[k] >= corners[l]))
-                rows.append(corners[k][cell])
-                cols.append(corners[l][cell])
-                kinetic.append(2.0 * (_STENCIL_R[k] * _STENCIL_R[l] * self.c_r.ravel()[cell]
-                                      + _STENCIL_Z[k] * _STENCIL_Z[l] * self.c_z.ravel()[cell]))
-                cells.append(cell)
-        row, col = np.concatenate(rows), np.concatenate(cols)
-        self._shape = (int(np.max(row - col, initial=0)) + 1, size)
-        self._entries = (row - col) * size + col
-        self._cells = np.concatenate(cells)
-        self._kinetic = np.bincount(self._entries, weights=np.concatenate(kinetic),
-                                    minlength=self._shape[0] * size)
-        self.kinetic_diag = self._kinetic[:size]
+        pattern = self._pattern = _band_pattern(fixed)
+        self.free, self.index = pattern.free, pattern.index
+        ldab, size = pattern.shape
+        kinetic = pattern.sign_r * self.c_r.take(pattern.cells)
+        kinetic += pattern.sign_z * self.c_z.take(pattern.cells)
+        kinetic *= 2.0
+        self._kinetic = np.bincount(pattern.entries, weights=kinetic, minlength=ldab * size)
+        self.kinetic_diag = self._kinetic[::ldab].copy()
 
     def evaluate(self, phi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Energy, gradient over all nodes and cell curvatures cos(2 phi_m),
         in one pass over the cells."""
         p00 = phi[:-1, :-1]; p10 = phi[1:, :-1]; p01 = phi[:-1, 1:]; p11 = phi[1:, 1:]
-        d_r = p10 + p11 - p00 - p01
-        d_z = p01 + p11 - p00 - p10
-        phi_m = (p00 + p10 + p01 + p11) / 4.0
-        sin_m, cos_m = np.sin(phi_m), np.cos(phi_m)
-        sin2 = sin_m ** 2
-        energy = float(np.sum(self.c_r * d_r ** 2 + self.c_z * d_z ** 2 + self.c_m * sin2))
-        gr = 2.0 * self.c_r * d_r
-        gz = 2.0 * self.c_z * d_z
-        gm = self.c_m * sin_m * cos_m / 2.0
-        grad = np.zeros_like(phi)
-        grad[:-1, :-1] += -gr - gz + gm
-        grad[1:, :-1] += gr - gz + gm
-        grad[:-1, 1:] += -gr + gz + gm
-        grad[1:, 1:] += gr + gz + gm
-        return energy, grad, 1.0 - 2.0 * sin2
+        d_r = p10 + p11
+        d_r -= p00
+        d_r -= p01
+        d_z = p01 + p11
+        d_z -= p00
+        d_z -= p10
+        phi_m = p00 + p10
+        phi_m += p01
+        phi_m += p11
+        phi_m /= 4.0
+        sin_m = np.sin(phi_m)
+        cos_m = np.cos(phi_m, out=phi_m)
+        sin2 = np.square(sin_m)
+        dens = np.square(d_r)
+        dens *= self.c_r
+        term = np.square(d_z)
+        term *= self.c_z
+        dens += term
+        dens += np.multiply(self.c_m, sin2, out=term)
+        energy = float(dens.sum())
+        # the cell's gradient parts, in place, and its corner terms
+        # -gr - gz + gm, gr - gz + gm, -gr + gz + gm and gr + gz + gm
+        gr, gz, gm = d_r, d_z, sin_m
+        gr *= self._c_r2
+        gz *= self._c_z2
+        gm *= self.c_m
+        gm *= cos_m
+        gm /= 2.0
+        both = gr + gz
+        diff = np.subtract(gr, gz, out=gz)
+        grad = np.zeros(phi.shape)
+        grad[:-1, :-1] += np.subtract(gm, both, out=gr)
+        grad[1:, :-1] += np.add(diff, gm, out=gr)
+        grad[:-1, 1:] += np.subtract(gm, diff, out=diff)
+        both += gm
+        grad[1:, 1:] += both
+        sin2 *= 2.0
+        return energy, grad, np.subtract(1.0, sin2, out=sin2)
 
     def band(self, cos2: np.ndarray, convex: bool = False,
              active: np.ndarray | None = None) -> np.ndarray:
         """The lower band of the Hessian over the free nodes, for cell
-        curvatures ``cos2``.
+        curvatures ``cos2``, as a new column-major array.
 
         ``convex`` clips the curvature term at 0, which leaves a positive
         semidefinite sum of rank-one cell terms.  Rows and columns of the
         ``active`` free nodes are replaced by the kinetic diagonal.
         """
-        q = self.c_m * cos2 / 8.0
+        pattern = self._pattern
+        q = np.multiply(self.c_m, cos2)
+        q /= 8.0
         if convex:
-            q = np.maximum(q, 0.0)
-        band = np.bincount(self._entries, weights=q.ravel()[self._cells],
+            np.maximum(q, 0.0, out=q)
+        band = np.bincount(pattern.entries, weights=q.take(pattern.cells),
                            minlength=self._kinetic.size)
         band += self._kinetic
-        band = band.reshape(self._shape)
+        ldab, size = pattern.shape
         if active is not None and active.any():
-            a = np.flatnonzero(active)
-            offsets = np.arange(1, self._shape[0])
-            band[:, a] = 0.0
-            # row a left of the diagonal; a negative column wraps to an entry
-            # whose row is past the matrix's last, unused and 0 already
-            band[offsets, a[:, None] - offsets] = 0.0
-            band[0, a] = self.kinetic_diag[a]
-        return band
-
-    def hessian(self, cos2: np.ndarray, convex: bool = False,
-                active: np.ndarray | None = None) -> np.ndarray:
-        """The dense Hessian over the free nodes whose lower band is
-        :meth:`band`."""
-        band = self.band(cos2, convex, active)
-        size = band.shape[1]
-        d, q = np.nonzero(np.arange(band.shape[0])[:, None] + np.arange(size) < size)
-        dense = np.zeros((size, size))
-        dense[q + d, q] = dense[q, q + d] = band[d, q]
-        return dense
+            diagonal = np.flatnonzero(active) * ldab
+            # the column of each active node a and its row left of the
+            # diagonal; a negative index wraps to an entry whose row is past
+            # the matrix's last, unused and 0 already
+            band[diagonal[:, None] + pattern.offsets] = 0.0
+            band[diagonal] = self.kinetic_diag[active]
+        return band.reshape(size, ldab).T
 
     def solve(self, g: np.ndarray, cos2: np.ndarray, convex: bool,
               active: np.ndarray) -> np.ndarray:
-        """``hessian(cos2, convex, active)`` solved against ``g``: by banded
-        Cholesky, or by banded LU where the matrix is not positive
+        """The Hessian ``band(cos2, convex, active)`` solved against ``g``:
+        by banded Cholesky, or by banded LU where the matrix is not positive
         definite."""
-        band = self.band(cos2, convex, active)
-        _, x, info = dpbsv(band, g, lower=1)
+        _, x, info = dpbsv(self.band(cos2, convex, active), g, lower=1, overwrite_ab=1)
         if info == 0:
             return x
-        # LU takes the upper band too, superdiagonal d being subdiagonal d
-        # shifted right by d, below ``width`` rows for the fill of pivoting;
-        # in Fortran order, which LAPACK would otherwise copy it into
+        # the failed factorization overwrote its band.  LU takes the upper
+        # band too, superdiagonal d being subdiagonal d shifted right by d,
+        # below ``width`` rows for the fill of pivoting; in Fortran order,
+        # which LAPACK would otherwise copy it into
+        band = self.band(cos2, convex, active)
         width = band.shape[0] - 1
         full = np.zeros((3 * width + 1, band.shape[1]), order="F")
         full[2 * width:] = band
@@ -586,25 +670,27 @@ def minimize_meridian_energy(
     projected gradient is at most ``gtol``.
     """
     system = _MeridianSystem(r, z, fixed, n)
-    free = system.free
+    free = system.index
     phi = np.array(phi_init, dtype=float)
-    phi[free] = np.clip(phi[free], 0.0, math.pi)
+    phi.put(free, np.clip(phi.take(free), 0.0, math.pi))
     energy, grad, cos2 = system.evaluate(phi)
     trial = phi.copy()
     message = "iteration limit reached"
     iterations = 0
     while True:
-        x, g = phi[free], grad[free]
-        blocked = ((x <= 0.0) & (g > 0.0)) | ((x >= math.pi) & (g < 0.0))
-        grad_norm = float(np.max(np.abs(g[~blocked]), initial=0.0))
+        x, g = phi.take(free), grad.take(free)
+        # where the gradient pushes a node up, and where down
+        up, down = g < 0.0, g > 0.0
+        blocked = ((x <= 0.0) & down) | ((x >= math.pi) & up)
+        grad_norm = float(np.abs(g[~blocked]).max(initial=0.0))
         if grad_norm <= gtol:
             message = "projected gradient below gtol"
             break
         if iterations >= maxiter:
             break
-        width = np.max(np.abs(x - np.clip(x - g / system.kinetic_diag, 0.0, math.pi)))
+        width = np.abs(x - np.clip(x - g / system.kinetic_diag, 0.0, math.pi)).max()
         eps = min(_ACTIVE_EPS, width)
-        active = ((x <= eps) & (g > 0.0)) | ((x >= math.pi - eps) & (g < 0.0))
+        active = ((x <= eps) & down) | ((x >= math.pi - eps) & up)
         for convex in (False, True):
             step = -system.solve(g, cos2, convex, active)
             if g @ step < 0.0:
@@ -612,7 +698,7 @@ def minimize_meridian_energy(
         t = 1.0
         while t >= _MIN_STEP:
             x_new = np.clip(x + t * step, 0.0, math.pi)
-            trial[free] = x_new
+            trial.put(free, x_new)
             e_new, g_new, c_new = system.evaluate(trial)
             if e_new <= energy + _ARMIJO * (g @ (x_new - x)):
                 break
@@ -645,9 +731,9 @@ def meridian_hessian_definite(
     phi = np.asarray(phi, dtype=float)
     system = _MeridianSystem(r, z, fixed, n)
     _, grad, cos2 = system.evaluate(phi)
-    x, g = phi[system.free], grad[system.free]
+    x, g = phi.take(system.index), grad.take(system.index)
     active = ((x <= 0.0) & (g > 0.0)) | ((x >= math.pi) & (g < 0.0))
-    _, info = dpbtrf(system.band(cos2, active=active), lower=1)
+    _, info = dpbtrf(system.band(cos2, active=active), lower=1, overwrite_ab=1)
     return info == 0
 
 

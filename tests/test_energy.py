@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -728,6 +730,17 @@ def box_mask(shape):
     return fixed
 
 
+def dense_hessian(system, cos2, convex=False, active=None):
+    """The dense Hessian over the free nodes whose lower band is
+    ``system.band(cos2, convex, active)``."""
+    band = system.band(cos2, convex, active)
+    size = band.shape[1]
+    d, q = np.nonzero(np.arange(band.shape[0])[:, None] + np.arange(size) < size)
+    dense = np.zeros((size, size))
+    dense[q + d, q] = dense[q, q + d] = band[d, q]
+    return dense
+
+
 class TestMeridianKernel:
     """The fused energy/gradient/curvature pass and the banded Hessian of
     the relaxation, against the reference cell functions."""
@@ -771,7 +784,7 @@ class TestMeridianKernel:
         system = _MeridianSystem(r, z, fixed, n)
         _, _, cos2 = system.evaluate(phi)
         assert np.any(cos2 > 0.1) and np.any(cos2 < -0.1)
-        hess = system.hessian(cos2)
+        hess = dense_hessian(system, cos2)
         h = 1e-5
         for _ in range(4):
             v = rng.normal(size=phi.shape)
@@ -783,9 +796,9 @@ class TestMeridianKernel:
             assert np.max(np.abs(hv - fd)) <= 1e-7 * np.max(np.abs(hv))
         # clipping the curvature at 0 leaves a positive definite matrix, and
         # active nodes keep only their kinetic diagonal
-        assert np.min(np.linalg.eigvalsh(system.hessian(cos2, convex=True))) > 0.0
+        assert np.min(np.linalg.eigvalsh(dense_hessian(system, cos2, convex=True))) > 0.0
         active = rng.random(system.kinetic_diag.size) < 0.3
-        masked = system.hessian(cos2, active=active)
+        masked = dense_hessian(system, cos2, active=active)
         assert np.array_equal(np.diag(masked)[active], system.kinetic_diag[active])
         off = masked - np.diag(np.diag(masked))
         assert not off[active].any() and not off[:, active].any()
@@ -795,6 +808,130 @@ class TestMeridianKernel:
         # its neighbour one r-row out and one z-node up
         free_per_row = z.size - 2
         assert system.band(cos2).shape[0] - 1 == free_per_row + 1
+
+
+def pair_loop_band(system, fixed, cos2, convex=False):
+    """The lower band of ``system``'s Hessian in row-major band storage,
+    summed by ``np.bincount`` corner pair by corner pair: for each pair
+    (k, l) in order, the terms of every cell whose corners k and l are both
+    free, k's number not below l's."""
+    free = ~fixed
+    size = int(np.count_nonzero(free))
+    nr, nz = fixed.shape
+    ids = np.full(fixed.shape, -1)
+    ids[free] = np.arange(size)
+    corners = [ids[di:nr - 1 + di, dj:nz - 1 + dj].ravel()
+               for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    a, b = (-1.0, 1.0, -1.0, 1.0), (-1.0, -1.0, 1.0, 1.0)
+    q = system.c_m * cos2 / 8.0
+    if convex:
+        q = np.maximum(q, 0.0)
+    rows, cols, curvature, kinetic = [], [], [], []
+    for k in range(4):
+        for l in range(4):
+            cell = np.flatnonzero((corners[l] >= 0) & (corners[k] >= corners[l]))
+            rows.append(corners[k][cell])
+            cols.append(corners[l][cell])
+            curvature.append(q.ravel()[cell])
+            kinetic.append(2.0 * (a[k] * a[l] * system.c_r.ravel()[cell]
+                                  + b[k] * b[l] * system.c_z.ravel()[cell]))
+    row, col = np.concatenate(rows), np.concatenate(cols)
+    width = int(np.max(row - col)) + 1
+    entries = (row - col) * size + col
+    band = np.bincount(entries, weights=np.concatenate(curvature), minlength=width * size)
+    band += np.bincount(entries, weights=np.concatenate(kinetic), minlength=width * size)
+    return band.reshape(width, size)
+
+
+class TestBandPattern:
+    """Systems on masks with equal contents share one read-only band
+    pattern, and their bands are bit-identical to bands built with no
+    pattern kept and to bands summed corner pair by corner pair."""
+
+    @staticmethod
+    def rows_fixed(fixed, j):
+        """``fixed`` with its r-rows 1 to j + 1 fixed as well."""
+        mask = fixed.copy()
+        mask[1:2 + j] = True
+        return mask
+
+    @staticmethod
+    def bands(r, z, phi, fixed):
+        """The plain, convex and masked bands of the system on ``fixed``."""
+        system = _MeridianSystem(r, z, fixed, 2)
+        cos2 = system.evaluate(phi)[2]
+        size = system.kinetic_diag.size
+        active = np.random.default_rng(size).random(size) < 0.2
+        return [system.band(cos2), system.band(cos2, convex=True),
+                system.band(cos2, active=active)]
+
+    @staticmethod
+    def fresh_bands(r, z, phi, fixed):
+        energy._cached_pattern.cache_clear()
+        return TestBandPattern.bands(r, z, phi, fixed)
+
+    def test_bands_match_bands_without_kept_pattern(self):
+        # the box mask, and the half box's with its z = 0 row free
+        r, z, phi, half = half_box(2, 0.05, 17)
+        box = box_mask(half.shape)
+        mutated = half.copy()
+        energy._cached_pattern.cache_clear()
+        kept = [self.bands(r, z, phi, fixed) for fixed in (box, half, mutated, box)]
+        # a mask changed in place after a system was built on it
+        mutated[3, 0] = True
+        kept.append(self.bands(r, z, phi, mutated))
+        assert kept[0][0].shape != kept[1][0].shape
+        assert kept[4][0].shape[1] == kept[1][0].shape[1] - 1
+        for got, fixed in zip(kept, (box, half, half, box, mutated)):
+            for a, b in zip(got, self.fresh_bands(r, z, phi, fixed)):
+                assert a.shape == b.shape
+                assert a.tobytes(order="F") == b.tobytes(order="F")
+
+    def test_shared_arrays_reject_writes(self):
+        r, z, _, fixed = half_box(2, 0.05, 17)
+        first, second = _MeridianSystem(r, z, fixed, 1), _MeridianSystem(r, z, fixed.copy(), 2)
+        pattern = first._pattern
+        assert second._pattern is pattern
+        for name in ("free", "index", "entries", "cells", "sign_r", "sign_z", "offsets"):
+            with pytest.raises(ValueError):
+                getattr(pattern, name)[...] = 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_band_matches_pair_loop(self, n):
+        r, z, phi, half = half_box(n, 0.25 if n == 1 else 0.05, 33)
+        for fixed in (half, box_mask(half.shape)):
+            system = _MeridianSystem(r, z, fixed, n)
+            cos2 = system.evaluate(phi)[2]
+            for convex in (False, True):
+                got, want = system.band(cos2, convex), pair_loop_band(system, fixed, cos2, convex)
+                assert got.shape == want.shape
+                assert got.tobytes(order="C") == want.tobytes()
+
+    def test_kept_patterns_bounded(self):
+        r, z, _, fixed = half_box(2, 0.05, 17)
+        energy._cached_pattern.cache_clear()
+        for j in range(energy._PATTERNS_KEPT + 2):
+            _MeridianSystem(r, z, self.rows_fixed(fixed, j), 2)
+        assert energy._cached_pattern.cache_info().currsize == energy._PATTERNS_KEPT
+
+    def test_threads_share_patterns(self):
+        # more masks than are kept, so that threads also evict and rebuild
+        r, z, phi, half = half_box(2, 0.05, 17)
+        masks = [self.rows_fixed(half, j) for j in range(energy._PATTERNS_KEPT + 2)]
+        want = [self.fresh_bands(r, z, phi, fixed) for fixed in masks]
+        energy._cached_pattern.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(self.bands, r, z, phi, masks[k % len(masks)])
+                           for k in range(80)]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, bands in enumerate(got):
+            for a, b in zip(bands, want[k % len(masks)]):
+                assert a.tobytes(order="F") == b.tobytes(order="F")
 
 
 def full_box(n, alpha, delta, r_box, nodes_r, nodes_z):
@@ -807,9 +944,10 @@ def full_box(n, alpha, delta, r_box, nodes_r, nodes_z):
 
 
 def dipole_box(rng, n, nodes, jitter=0.1):
-    """The dipole-tradeoff box [0, r_box] x [-delta, delta]: the background
-    profile pinned on the outer edge and the z ends, the axis flipped to pi,
-    and the interior started from the background plus seeded noise."""
+    """The full dipole-tradeoff box [r_box 1e-3, r_box] x [-delta, delta] at
+    r_box = delta: the background profile pinned on the outer edge and the
+    z ends, the axis flipped to pi, and the interior started from the
+    background plus seeded noise."""
     alpha, delta = (0.25, 0.35) if n == 1 else (0.05, 0.35)
     r, z, phi, fixed = full_box(n, alpha, delta, delta, nodes, nodes)
     phi[0, 1:-1] = math.pi
@@ -836,7 +974,7 @@ class TestBandedNewtonSolve:
         def checked(system, g, cos2, convex, active):
             before = len(lu_calls)
             x = solve(system, g, cos2, convex, active)
-            solves.append((system.hessian(cos2, convex=convex, active=active), g, x,
+            solves.append((dense_hessian(system, cos2, convex=convex, active=active), g, x,
                            len(lu_calls) > before, active.any()))
             return x
 
@@ -872,7 +1010,7 @@ class TestFixedColumnOrder:
 
         def checked(system, g, cos2, convex, active):
             x = solve(system, g, cos2, convex, active)
-            solves.append((system, system.hessian(cos2, convex=convex, active=active),
+            solves.append((system, dense_hessian(system, cos2, convex=convex, active=active),
                            g, x, active.any()))
             return x
 
