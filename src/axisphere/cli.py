@@ -47,7 +47,6 @@ from .energy import (
     dipole_ladder,
     energy_3d,
     meridian_from_profile,
-    meridian_hessian_definite,
     minimize_meridian_energy,
 )
 from .geometry import NumericalError, geometric_grid, u0_profile, u_eps_profile
@@ -319,7 +318,8 @@ def _dipole_point(
 
     Each rung of the ladder relaxes the upper half box, warm-started from
     the rung below; the full energy of the even field is twice the half's.
-    ``stable`` tests the half box's Hessian with the z = 0 row free, which
+    ``stable`` is the relaxation's own second-order test of the state it
+    stops at: the half box's Hessian with the z = 0 row free, which
     certifies the full box's on both parities.
     Returns the coarse and fine results; ``iterations`` counts the Newton
     steps of the ladder up to the level.
@@ -332,18 +332,17 @@ def _dipole_point(
             n, alpha, delta, r_box, nr, nz, None if res is None else res.phi)
         res = minimize_meridian_energy(r, z, phi_init, fixed, n)
         total_it += res.iterations
-        levels.append((r, z, fixed, e_base, res, total_it))
+        levels.append((e_base, res, total_it))
 
     mass_saving = _FOUR_PI * n * 2.0 * delta
     out = []
-    for r, z, fixed, e_base, res, iterations in levels[-2:]:
+    for e_base, res, iterations in levels[-2:]:
         e_new = 2.0 * res.energy
         out.append({
             "E_base": e_base, "E_new": e_new, "delta_E": e_new - e_base,
             "mass_saving": mass_saving, "net": mass_saving - (e_new - e_base),
             "converged": res.converged, "iterations": iterations,
-            "grad_norm": res.grad_norm,
-            "stable": meridian_hessian_definite(r, z, res.phi, fixed, n),
+            "grad_norm": res.grad_norm, "stable": res.stable,
         })
     return out[0], out[1]
 

@@ -57,7 +57,6 @@ __all__ = [
     "meridian_cell_energy",
     "meridian_cell_energy_grad",
     "minimize_meridian_energy",
-    "meridian_hessian_definite",
     "dipole_ladder",
     "dipole_half_box",
 ]
@@ -304,10 +303,6 @@ def _cells(r: np.ndarray, phi: np.ndarray, n: int,
     are of block size.
     """
     m = phi.shape[1]
-    # a single column is contracted by einsum's own loop: BLAS sends an
-    # (N, 1) product to its threaded gemv, which on 2 CPUs took a 32769-node
-    # profile from ~2 ms to a p90 of 24 ms
-    weigh = np.matmul if m > 1 else _column_weigh
     kin, ang, area = (np.zeros(m) for _ in range(3))
     e_z = 0.0
     last = r.size - 1
@@ -319,23 +314,21 @@ def _cells(r: np.ndarray, phi: np.ndarray, n: int,
         r_cells, r_nodes = r[lo:hi + 1], r[lo:top]
         before = max(lo - 1, 0)  # the node rows' trapezoid weights need the cell before
         t = _trapezoid_weights(r[before:top + 1])[lo - before:top - before]
-        w_kin = (r_cells[1:] ** 2 - r_cells[:-1] ** 2) / (2.0 * np.diff(r_cells) ** 2)
+        # (r1^2 - r0^2) / (2 dr^2) without the squares, which underflow near r = 1e-160
+        w_kin = (r_cells[1:] + r_cells[:-1]) / (2.0 * np.diff(r_cells))
         w_ang = np.divide(n ** 2 * t, r_nodes, out=np.zeros_like(t), where=r_nodes > 0.0)
         d = block[1:] - block[:-1]
-        kin += weigh(w_kin, np.multiply(d, d, out=d))
+        # einsum, not BLAS: a threaded gemv took one 32769-node column 2 -> 24 ms
+        kin += np.einsum("i,ij->j", w_kin, np.multiply(d, d, out=d))
         c = np.cos(block)
         area += np.abs(np.subtract(c[1:], c[:-1], out=d), out=d).sum(axis=0)
         c = c[:top - lo]
         s2 = np.add(1.0, c)
-        ang += weigh(w_ang, np.multiply(s2, np.subtract(1.0, c, out=c), out=s2))
+        ang += np.einsum("i,ij->j", w_ang, np.multiply(s2, np.subtract(1.0, c, out=c), out=s2))
         if inv_dz.size:
             d_z = nodes[:, 1:] - nodes[:, :-1]
             e_z += float((r_nodes * t) @ (np.multiply(d_z, d_z, out=d_z) @ inv_dz))
     return math.pi * (kin + ang), 2.0 * math.pi * n * area, math.pi * e_z
-
-
-def _column_weigh(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.einsum("i,ij->j", w, a)
 
 
 def energy_3d(field: MeridianField) -> EnergyReport:
@@ -473,20 +466,13 @@ def _cached_pattern(shape: tuple[int, int], mask: bytes) -> _BandPattern:
             cells.append(cell)
     row, col = np.concatenate(rows), np.concatenate(cols)
     ldab = int(np.max(row - col, initial=0)) + 1
+    # bincount adds each entry's terms in list order, (k, l, cell)
     entries = col * ldab + (row - col)
-    # bincount adds the terms in list order.  Each entry's j-th term in
-    # (k, l, cell) order goes to sweep j, and each sweep is in band order:
-    # every sum rounds as in (k, l, cell) order, the scatter walks the band
-    # forward, and no two adds in a row hit one entry
-    order = np.argsort(entries, kind="stable")
-    start = np.flatnonzero(np.diff(entries[order], prepend=-1))
-    term = np.arange(entries.size) - np.repeat(start, np.diff(start, append=entries.size))
-    order = order[np.argsort(term, kind="stable")]
     counts = [cell.size for cell in cells]
 
     def signs(stencil: np.ndarray) -> np.ndarray:
         pairs = np.repeat(np.outer(stencil, stencil).ravel(), counts)
-        return _read_only(pairs[order].astype(np.int8))
+        return _read_only(pairs.astype(np.int8))
 
     # 4-byte indices halve what is kept, and take and bincount read them as
     # fast; a grid or band too large for them would not fit in memory
@@ -495,19 +481,12 @@ def _cached_pattern(shape: tuple[int, int], mask: bytes) -> _BandPattern:
         free=_read_only(free),
         index=_read_only(np.flatnonzero(free).astype(index_type)),
         shape=(ldab, size),
-        entries=_read_only(entries[order].astype(index_type)),
-        cells=_read_only(np.concatenate(cells)[order].astype(index_type)),
+        entries=_read_only(entries.astype(index_type)),
+        cells=_read_only(np.concatenate(cells).astype(index_type)),
         sign_r=signs(_STENCIL_R),
         sign_z=signs(_STENCIL_Z),
         offsets=_read_only(np.concatenate([np.arange(ldab), -(ldab - 1) * np.arange(1, ldab)])),
     )
-
-
-def _band_pattern(fixed: np.ndarray) -> _BandPattern:
-    """The band pattern of the free nodes of the mask ``fixed``, built once
-    per mask contents."""
-    fixed = np.asarray(fixed, dtype=bool)
-    return _cached_pattern(fixed.shape, fixed.tobytes())
 
 
 class _MeridianSystem:
@@ -535,7 +514,8 @@ class _MeridianSystem:
         self._c_r2 = 2.0 * self.c_r
         self._c_z2 = 2.0 * self.c_z
 
-        pattern = self._pattern = _band_pattern(fixed)
+        fixed = np.asarray(fixed, dtype=bool)
+        pattern = self._pattern = _cached_pattern(fixed.shape, fixed.tobytes())
         self.free, self.index = pattern.free, pattern.index
         ldab, size = pattern.shape
         kinetic = pattern.sign_r * self.c_r.take(pattern.cells)
@@ -640,12 +620,25 @@ class _MeridianSystem:
 
 @dataclass(frozen=True)
 class MeridianRelaxResult:
+    """The state :func:`minimize_meridian_energy` stops at and what it knows
+    of it.
+
+    ``energy`` is the cell energy of ``phi``; ``grad_norm`` the infinity
+    norm of its projected gradient over the free nodes, and ``converged``
+    whether that is at most gtol.  ``iterations`` counts Newton steps and
+    ``message`` says why the loop stopped.  ``stable`` is the second-order
+    test of ``phi``: whether the 9-point Hessian is positive definite over
+    the free nodes that are not blocked (on a bound of [0, pi] with the
+    gradient pushing onto it).  All of them describe ``phi``, on every exit.
+    """
+
     phi: np.ndarray
     energy: float
     converged: bool
     iterations: int
     grad_norm: float
     message: str
+    stable: bool
 
 
 def minimize_meridian_energy(
@@ -668,6 +661,12 @@ def minimize_meridian_energy(
     along the projection onto [0, pi] sets its length.  ``iterations``
     counts Newton steps; ``converged`` means the infinity norm of the
     projected gradient is at most ``gtol``.
+
+    ``stable`` comes from one banded Cholesky factorization (LAPACK dpbtrf)
+    of the Hessian at the returned state, with its blocked nodes keeping
+    only their kinetic diagonal, which is positive and so does not change
+    the answer: it succeeds exactly when the Hessian is positive definite
+    over the directions the bounds leave open.
     """
     system = _MeridianSystem(r, z, fixed, n)
     free = system.index
@@ -709,32 +708,13 @@ def minimize_meridian_energy(
         phi, trial = trial, phi
         energy, grad, cos2 = e_new, g_new, c_new
         iterations += 1
+    # phi, grad, cos2 and blocked are the returned state's on every exit
+    _, info = dpbtrf(system.band(cos2, active=blocked), lower=1, overwrite_ab=1)
     return MeridianRelaxResult(
         phi=phi, energy=energy, converged=grad_norm <= gtol,
         iterations=iterations, grad_norm=grad_norm, message=message,
+        stable=info == 0,
     )
-
-
-def meridian_hessian_definite(
-    r: np.ndarray, z: np.ndarray, phi: np.ndarray, fixed: np.ndarray, n: int
-) -> bool:
-    """Whether the Hessian of :func:`meridian_cell_energy` at ``phi`` is
-    positive definite over the nodes that are neither ``fixed`` nor strictly
-    active (on a bound of [0, pi] with the gradient pushing onto it).
-
-    A second-order test of a relaxed state over the directions its bounds
-    leave open.  A banded Cholesky factorization (LAPACK dpbtrf) of the
-    9-point Hessian succeeds exactly when it is positive definite.  Strictly
-    active nodes keep only their kinetic diagonal, which is positive, so they
-    do not change the answer.
-    """
-    phi = np.asarray(phi, dtype=float)
-    system = _MeridianSystem(r, z, fixed, n)
-    _, grad, cos2 = system.evaluate(phi)
-    x, g = phi.take(system.index), grad.take(system.index)
-    active = ((x <= 0.0) & (g > 0.0)) | ((x >= math.pi) & (g < 0.0))
-    _, info = dpbtrf(system.band(cos2, active=active), lower=1, overwrite_ab=1)
-    return info == 0
 
 
 def dipole_ladder(nodes_r: int, nodes_z: int) -> list[tuple[int, int]]:

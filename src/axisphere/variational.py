@@ -94,6 +94,8 @@ def eta_profile(t: float, s: float, a: float, b: float, n: int) -> ClosedFormPro
     if a <= 0.0 or b <= 0.0:
         raise ValueError("endpoint values must be positive")
     den = t ** (2 * n) - s ** (2 * n)
+    if den == 0.0:
+        raise NumericalError(f"t**{2 * n} - s**{2 * n} underflows to 0 at s={s}, t={t}")
     c_plus = (a * t ** n - b * s ** n) / den
     c_minus = s ** n * t ** n * (b * t ** n - a * s ** n) / den
     return ClosedFormProfile(c_plus=c_plus, c_minus=c_minus, r_lo=s, r_hi=t, n=n)

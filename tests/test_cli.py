@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -269,24 +270,28 @@ class TestHalfBox:
         fixed[:, [0, -1]] = True
         return r, z, phi, fixed
 
-    @pytest.mark.parametrize("nodes_z", [17, 33, 49, 65])
-    def test_rungs_are_upper_halves(self, nodes_z, monkeypatch):
-        n, alpha, delta, r_box = 2, 0.05, 0.3, 0.3
-        calls, certified = [], []
+    @staticmethod
+    def unrelaxed(calls, flags):
+        """A relaxation that returns its start unchanged, with the next of
+        ``flags`` as its ``stable``."""
+        flags = iter(flags)
 
-        def unrelaxed(r, z, phi_init, fixed, n, **kwargs):
+        def fake(r, z, phi_init, fixed, n, **kwargs):
             calls.append((r, z, phi_init, fixed))
             return energy.MeridianRelaxResult(
                 phi=phi_init, energy=energy.meridian_cell_energy(r, z, phi_init, n),
-                converged=True, iterations=0, grad_norm=0.0, message="")
+                converged=True, iterations=0, grad_norm=0.0, message="",
+                stable=next(flags))
 
-        def recorded(r, z, phi, fixed, n):
-            certified.append((r, z, phi, fixed))
-            return True
+        return fake
 
-        monkeypatch.setattr(cli, "minimize_meridian_energy", unrelaxed)
-        monkeypatch.setattr(cli, "meridian_hessian_definite", recorded)
-        _, fine = cli._dipole_point(n, alpha, delta, r_box, 65, nodes_z)
+    @pytest.mark.parametrize("nodes_z", [17, 33, 49, 65])
+    def test_rungs_are_upper_halves(self, nodes_z, monkeypatch):
+        n, alpha, delta, r_box = 2, 0.05, 0.3, 0.3
+        calls = []
+        monkeypatch.setattr(cli, "minimize_meridian_energy",
+                            self.unrelaxed(calls, [True, False, True]))
+        coarse, fine = cli._dipole_point(n, alpha, delta, r_box, 65, nodes_z)
         rungs = self.full_ladder(65, nodes_z)
         assert len(calls) == len(rungs) == 3
         for (r, z, phi_init, fixed), (nr, nz) in zip(calls, rungs):
@@ -300,15 +305,26 @@ class TestHalfBox:
             boundary = phi_full[upper].copy()
             boundary[0, :-1] = math.pi
             assert np.array_equal(phi_init[fixed], boundary[fixed])
-        # stable factors each level's half box with its z = 0 row free
-        assert len(certified) == 2
-        for recorded_call, call in zip(certified, calls[-2:]):
-            assert all(a is b for a, b in zip(recorded_call, call))
+        # each level reports its own relaxation's stable
+        assert (coarse["stable"], fine["stable"]) == (False, True)
         # the fine level reports the full box's energies of the even field
         even = np.concatenate([phi_init[:, :0:-1], phi_init], axis=1)
         assert fine["E_new"] == pytest.approx(
             energy.meridian_cell_energy(r_full, z_full, even, n), rel=1e-12)
         assert fine["E_base"] == energy.meridian_cell_energy(r_full, z_full, phi_full, n)
+
+    @pytest.mark.parametrize("coarse, fine", itertools.product((False, True), repeat=2))
+    def test_row_stable_is_both_levels(self, coarse, fine, monkeypatch):
+        calls = []
+        # two boxes of two rungs each, solved in order
+        monkeypatch.setattr(cli, "minimize_meridian_energy",
+                            self.unrelaxed(calls, [coarse, fine] * 2))
+        spec = cli.ExperimentSpec(command="dipole-tradeoff", params={
+            "n": 2, "alpha": 0.05, "delta": [0.2, 0.3], "rbox_factors": [1.0],
+            "nodes_r": 5, "nodes_z": 5})
+        rows, _, _ = cli.run_dipole_tradeoff(spec)
+        assert len(calls) == 4 and len(rows) == 2
+        assert all(row["stable"] is (coarse and fine) for row in rows)
 
 
 class TestSigma:
@@ -588,6 +604,22 @@ class TestStrictJson:
         assert dict(zip(header.split(","), row.split(",")))["t0"] == "nan"
 
 
+class TestTinyInnerRadius:
+    """An inner radius whose square underflows still gives finite rows."""
+
+    @pytest.mark.parametrize("args", [
+        ["t0-energy", "--r-nodes", "257", "--z-nodes", "9"],
+        ["relaxation-check", "--n", "2", "--eps", "0.2,0.1", "--nodes", "2049"],
+    ])
+    def test_rows_finite(self, tmp_path, args):
+        out = tmp_path / "out.json"
+        assert run(args + ["--r-min", "1e-300", "--format", "json", "--out", str(out)]) == 0
+        rows = strict_load(out)["rows"]
+        assert rows
+        for row in rows:
+            assert all(value is not None for value in row.values()), row
+
+
 class TestNumericalExit:
     """Numerical failures end with exit code 4 and a one-line message."""
 
@@ -624,6 +656,11 @@ class TestNumericalExit:
         monkeypatch.setattr("axisphere.variational._gtsv", singular)
         self.assert_exit_4(["proposition-sweep", "--alpha", "0.05", "--a-frac", "1",
                             "--c0", "1", "--s-tilde", "2s", "--nodes", "64"], capsys)
+
+    @pytest.mark.parametrize("alpha", ["1e-100", "1e-300"])
+    def test_underflowing_arc(self, alpha, capsys):
+        # on the s_tilde = 2s arc, t^2n - s^2n underflows to 0
+        self.assert_exit_4(["proposition-sweep", "--nodes", "64", "--alpha", alpha], capsys)
 
     def test_under_resolved_quadrature(self, monkeypatch, capsys):
         def under_resolved(*args, **kwargs):

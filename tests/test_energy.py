@@ -26,7 +26,6 @@ from axisphere.energy import (
     meridian_cell_energy,
     meridian_cell_energy_grad,
     meridian_from_profile,
-    meridian_hessian_definite,
     minimize_meridian_energy,
     monotone_area_bound,
 )
@@ -1134,6 +1133,18 @@ class TestDipoleLadder:
             dipole_half_box(2, 0.05, 0.3, 0.3, nodes + 1, nodes, coarse)
 
 
+def stable_at(r, z, phi, fixed, n):
+    """The relaxation's second-order test of ``phi`` itself: no Newton step
+    is taken."""
+    return minimize_meridian_energy(r, z, phi, fixed, n, maxiter=0).stable
+
+
+def blocked_nodes(r, z, phi, n):
+    """The nodes on a bound of [0, pi] whose gradient pushes onto it."""
+    g = meridian_cell_energy_grad(r, z, phi, n)
+    return ((phi <= 0.0) & (g > 0.0)) | ((phi >= math.pi) & (g < 0.0))
+
+
 class TestHalfBox:
     """An even field's full-box energy is twice its upper half's, and so is
     the relaxed energy of the half box with its z = 0 row free."""
@@ -1149,8 +1160,7 @@ class TestHalfBox:
         assert full.converged and half.converged
         assert 2.0 * half.energy == pytest.approx(full.energy, rel=1e-9)
         # both relaxed states are stable, the full box's on both parities
-        assert meridian_hessian_definite(r, z, full.phi, fixed, n)
-        assert meridian_hessian_definite(r, z[mid:], half.phi, fixed[:, mid:], n)
+        assert full.stable and half.stable
 
 
 class TestStable:
@@ -1165,10 +1175,10 @@ class TestStable:
         r, z, phi0, fixed = half_box(n, alpha, nodes)
         _, z_full, _, fixed_full = full_box(n, alpha, 0.35, 0.35, nodes, nodes)
         relaxed = minimize_meridian_energy(r, z, phi0, fixed, n)
-        assert relaxed.converged
+        assert relaxed.converged and relaxed.stable
         for phi, expected in ((relaxed.phi, True), (phi0, None if n == 1 else False)):
-            stable = meridian_hessian_definite(r, z, phi, fixed, n)
-            assert stable == meridian_hessian_definite(r, z_full, mirrored(phi), fixed_full, n)
+            stable = stable_at(r, z, phi, fixed, n)
+            assert stable == stable_at(r, z_full, mirrored(phi), fixed_full, n)
             assert expected is None or stable == expected
 
 
@@ -1197,14 +1207,43 @@ class TestHessianDefinite:
         pinned_z0 = free_z0.copy()
         pinned_z0[:, 0] = True
         for fixed in (free_z0, pinned_z0):
-            assert not meridian_hessian_definite(r, z, phi0, fixed, 2)
+            assert not stable_at(r, z, phi0, fixed, 2)
             assert self.smallest_eigenvalue(r, z, phi0, fixed, 2) < 0.0
             # so is a symmetric interior at the equator
             equator = np.where(fixed, phi0, math.pi / 2)
-            assert not meridian_hessian_definite(r, z, equator, fixed, 2)
+            assert not stable_at(r, z, equator, fixed, 2)
 
     def test_relaxed_state_definite(self):
         r, z, phi0, fixed = half_box(2, 0.05, 17)
         res = minimize_meridian_energy(r, z, phi0, fixed, 2)
-        assert meridian_hessian_definite(r, z, res.phi, fixed, 2)
+        assert res.stable and stable_at(r, z, res.phi, fixed, 2)
         assert self.smallest_eigenvalue(r, z, res.phi, fixed, 2) > 0.0
+
+
+class TestStableAtExit:
+    """``stable`` describes the state the relaxation returns, on an early
+    exit too: it agrees with the central-difference Hessian at the returned
+    ``phi`` over the free nodes that are not blocked."""
+
+    @staticmethod
+    def early_exits():
+        r, z, phi0, fixed = half_box(2, 0.05, 17)
+        # the spindle start is indefinite; one step is not enough, two are
+        for maxiter, stable in ((1, False), (2, True)):
+            res = minimize_meridian_energy(r, z, phi0, fixed, 2, maxiter=maxiter)
+            yield r, z, fixed, res, stable
+        # the 5x5 rung of the 3x3 -> 5x5 ladder at delta = r_box = 0.3
+        r, z, phi0, fixed, _ = dipole_half_box(2, 0.05, 0.3, 0.3, 3, 3)
+        coarse = minimize_meridian_energy(r, z, phi0, fixed, 2)
+        r, z, phi0, fixed, _ = dipole_half_box(2, 0.05, 0.3, 0.3, 5, 5, coarse.phi)
+        res = minimize_meridian_energy(r, z, phi0, fixed, 2)
+        assert res.message == "line search failed" and res.iterations == 2
+        yield r, z, fixed, res, False
+
+    def test_stable_describes_returned_phi(self):
+        for r, z, fixed, res, expected in self.early_exits():
+            assert not res.converged
+            assert res.stable == expected == stable_at(r, z, res.phi, fixed, 2)
+            unblocked = fixed | blocked_nodes(r, z, res.phi, 2)
+            lowest = TestHessianDefinite.smallest_eigenvalue(r, z, res.phi, unblocked, 2)
+            assert (lowest > 0.0) == expected
