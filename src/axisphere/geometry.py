@@ -102,7 +102,7 @@ class RadialProfile:
             raise ValueError("grid must be 1-D with at least 2 nodes")
         if phi.shape != grid.shape:
             raise ValueError("phi and grid must have the same shape")
-        if not np.all(np.diff(grid) > 0.0):
+        if not np.all(grid[1:] > grid[:-1]):
             raise ValueError("grid must be strictly increasing")
         if grid[0] < 0.0:
             raise ValueError("radii must be nonnegative")
@@ -114,11 +114,15 @@ class RadialProfile:
 
 
 def u0_profile(alpha: float, n: int, grid: np.ndarray) -> RadialProfile:
-    """Profile of the smooth map with chart value f(r) = alpha * r^n."""
+    """Profile of the smooth map with chart value f(r) = alpha * r^n.
+    phi = 2 arctan(alpha r^n) is formed in one array, in place."""
     if alpha < 0.0:
         raise ValueError("alpha must be nonnegative")
     grid = np.asarray(grid, dtype=float)
-    phi = 2.0 * np.arctan(alpha * grid ** n)
+    phi = np.power(grid, n)
+    np.multiply(phi, alpha, out=phi)
+    np.arctan(phi, out=phi)
+    np.multiply(phi, 2.0, out=phi)
     return RadialProfile(grid=grid, phi=phi, n=n)
 
 
@@ -129,14 +133,26 @@ def u_eps_profile(alpha: float, n: int, eps: float, grid: np.ndarray) -> RadialP
     f(r) = alpha r^n for r >= eps and f(r) = alpha eps^{2n} r^{-n} for
     r <= eps; the two branches agree at r = eps.  The radius eps is inserted
     in order into the grid if absent, so each branch is sampled monotonically.
+    Each branch is formed only on its part of the grid, in one array.  Near
+    r = 0 the inner branch's r^{-n} overflows to inf (below r ~ 1e-154 at
+    n = 2), and 2 arctan(inf) = pi is its exact limit, so the overflow is
+    not reported; nor is r^{-n} = inf at a node r = 0.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
     grid = np.asarray(grid, dtype=float)
-    if eps not in grid:
-        grid = np.insert(grid, np.searchsorted(grid, eps), eps)
-    f = np.where(grid >= eps, alpha * grid ** n, alpha * eps ** (2 * n) * grid ** (-n))
-    return RadialProfile(grid=grid, phi=2.0 * np.arctan(f), n=n)
+    k = int(np.searchsorted(grid, eps))  # the nodes r >= eps of a sorted grid are grid[k:]
+    if k == grid.size or grid[k] != eps:
+        grid = np.insert(grid, k, eps)
+    phi = np.empty_like(grid)  # the chart value f, then 2 arctan f in place
+    inner, outer = phi[:k], phi[k:]
+    np.multiply(np.power(grid[k:], n, out=outer), alpha, out=outer)
+    with np.errstate(over="ignore", divide="ignore"):
+        np.power(grid[:k], -n, out=inner)
+    np.multiply(inner, alpha * eps ** (2 * n), out=inner)
+    np.arctan(phi, out=phi)
+    np.multiply(phi, 2.0, out=phi)
+    return RadialProfile(grid=grid, phi=phi, n=n)
 
 
 @dataclass(frozen=True)

@@ -605,12 +605,14 @@ class TestStrictJson:
 
 
 class TestTinyInnerRadius:
-    """An inner radius whose square underflows still gives finite rows."""
+    """An inner radius whose square underflows still gives finite rows, and
+    no numpy warning (u_eps's r^-n overflows to inf there, which is exact)."""
 
     @pytest.mark.parametrize("args", [
         ["t0-energy", "--r-nodes", "257", "--z-nodes", "9"],
         ["relaxation-check", "--n", "2", "--eps", "0.2,0.1", "--nodes", "2049"],
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rows_finite(self, tmp_path, args):
         out = tmp_path / "out.json"
         assert run(args + ["--r-min", "1e-300", "--format", "json", "--out", str(out)]) == 0

@@ -149,6 +149,45 @@ class TestAreaAndBound:
             assert area_radial(p) > monotone_area_bound(f_a, f_b, n) + 1e-8
 
 
+    @pytest.mark.parametrize("nodes", [2, 1000, 16001])
+    def test_one_block_area_is_the_one_line_sum(self, nodes):
+        # up to 16001 nodes (16000 cells) the blocked sum is one block: the
+        # same bits as summing every increment at once
+        p = random_profile(np.random.default_rng(nodes), n=3, nodes=nodes)
+        one_line = 2.0 * math.pi * 3 * float(np.sum(np.abs(np.diff(np.cos(p.phi)))))
+        assert energy._BLOCK_CELLS == 16000
+        assert area_radial(p) == one_line
+
+    @pytest.mark.parametrize("interval", [None, (2e-3, 0.5)])
+    def test_multi_block_area_matches_the_kernel(self, interval):
+        # 40001 nodes are three blocks sharing two seam nodes
+        p = random_profile(np.random.default_rng(40001), nodes=40001)
+        reference = energy._radial_energy_area(p, interval)[1]
+        assert area_radial(p, interval) == pytest.approx(reference, rel=1e-14)
+
+    def test_multi_block_monotone_profile_attains_bound(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3):
+            f_a, f_b = sorted(rng.uniform(0.0, 3.0, 2))
+            steps = rng.uniform(0.0, 1.0, 40000)
+            f = f_a + (f_b - f_a) * np.concatenate(([0.0], np.cumsum(steps) / steps.sum()))
+            p = RadialProfile(grid=geometric_grid(1e-3, 1.0, f.size), phi=2.0 * np.arctan(f), n=n)
+            assert area_radial(p) == pytest.approx(monotone_area_bound(f_a, f_b, n),
+                                                   rel=1e-12, abs=1e-12)
+
+    def test_memory_is_block_sized(self):
+        # a 65537-node profile's cosines are 0.52 MB; the blocked sum keeps
+        # two block-sized arrays (0.13 MB each) at a time
+        p = u0_profile(0.25, 2, geometric_grid(1e-6, 1.0, 65537))
+        tracemalloc.start()
+        try:
+            area_radial(p)
+            area_radial(p, (0.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.52e6
+
 class TestAreaProperties:
     """Criterion 2 as properties, at its tolerance (relative 1e-8, and the
     1e-12 absolute floor of the unit tests above)."""
@@ -487,7 +526,7 @@ class TestExtrudedField:
     def blocked_pass(fld):
         """E, A and z-part of a field as the blocked pass over all slices gives them."""
         energies, areas, e_z = field_cells(fld)
-        w_z = energy._trapezoid_weights(fld.z_grid)
+        w_z = energy._trapezoid_weights(np.diff(fld.z_grid))
         return float(energies @ w_z) + e_z, float(areas @ w_z), e_z
 
     @staticmethod
@@ -671,7 +710,7 @@ class TestFieldProperties:
         rest = energies - areas - angular_trapezoid_excess(fld)
         r, n = fld.r_grid, fld.n
         kernel_error = KERNEL_ULPS * np.finfo(float).eps * math.pi * (
-            n ** 2 * np.sum(energy._trapezoid_weights(r) / r) + 2.0 * n * (r.size - 1))
+            n ** 2 * np.sum(energy._trapezoid_weights(np.diff(r)) / r) + 2.0 * n * (r.size - 1))
         assert np.all(rest >= -1e-12 * (energies + areas) - kernel_error)
 
     @settings(max_examples=150, deadline=None)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,64 @@ class TestProfiles:
         for eps in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 u_eps_profile(0.25, 2, eps, np.array([0.1, 1.0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.25, 3.0])
+    def test_u0_in_place_is_the_clipped_arctan(self, n, alpha):
+        grid = geometric_grid(1e-6, 1.0, 65537)
+        expected = np.clip(2.0 * np.arctan(alpha * grid ** n), 0.0, math.pi)
+        np.testing.assert_array_equal(u0_profile(alpha, n, grid).phi, expected)
+
+    @staticmethod
+    def where_formula(alpha, n, eps, grid):
+        """u_eps's colatitudes as both branches on the whole grid give them."""
+        f = np.where(grid >= eps, alpha * grid ** n, alpha * eps ** (2 * n) * grid ** (-n))
+        return np.clip(2.0 * np.arctan(f), 0.0, math.pi)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.2, 0.025, "node"])
+    def test_u_eps_branches_equal_the_where_formula(self, n, eps):
+        grid = geometric_grid(1e-6, 1.0, 65537)
+        eps = grid[30000] if eps == "node" else eps
+        pe = u_eps_profile(0.25, n, eps, grid)
+        assert pe.grid.size == (grid.size if eps in grid else grid.size + 1)
+        np.testing.assert_array_equal(pe.phi, self.where_formula(0.25, n, eps, pe.grid))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [2, 3])  # r^-1 does not overflow above 1e-300
+    def test_u_eps_is_pi_below_the_overflow_radius(self, n):
+        pe = u_eps_profile(0.25, n, 0.1, geometric_grid(1e-300, 1.0, 2049))
+        with np.errstate(over="ignore"):
+            overflows = np.isinf(pe.grid ** (-n))
+        assert overflows.any()
+        assert np.all(pe.phi[overflows] == math.pi)
+        inner = pe.grid < 0.1
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(pe.phi[inner],
+                                          self.where_formula(0.25, n, 0.1, pe.grid)[inner])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_u_eps_is_pi_at_an_axis_node(self):
+        pe = u_eps_profile(0.25, 2, 0.1, np.array([0.0, 0.05, 1.0]))
+        assert pe.phi[0] == math.pi
+
+    def test_u_eps_memory_is_its_outputs(self):
+        # the grid with eps inserted, phi and the profile's clipped copy,
+        # 0.52 MB each at 65537 nodes; no full-length temporary besides
+        grid = geometric_grid(1e-6, 1.0, 65537)
+        tracemalloc.start()
+        try:
+            u_eps_profile(0.25, 2, 0.1, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.7e6
+
+    def test_profile_keeps_its_own_copy(self):
+        grid, phi = np.array([0.1, 0.5, 1.0]), np.array([0.1, 0.2, 0.3])
+        p = RadialProfile(grid=grid, phi=phi, n=1)
+        phi[:] = 3.0
+        np.testing.assert_array_equal(p.phi, [0.1, 0.2, 0.3])
 
     def test_profile_invariants(self):
         with pytest.raises(ValueError):
