@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, NoReturn, Sequence
 
@@ -80,13 +79,15 @@ class ExperimentSpec:
     params: dict[str, Any]
     out: str | None = None
     fmt: str = "csv"
-    workers: int = 1  # threads over dipole-tradeoff's boxes; other commands run one
+    # every command runs in one thread; the field stays so that callers
+    # which pass workers=1, perfbench's runners among them, still build
+    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.fmt not in ("csv", "json"):
             raise InputError(f"unknown format {self.fmt!r}")
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
+        if self.workers != 1:
+            raise InputError("workers must be 1 (every command runs in one thread)")
         if self.out is not None:
             folder = os.path.dirname(os.path.abspath(self.out))
             if os.path.isdir(self.out) or not os.access(folder, os.W_OK | os.X_OK) or (
@@ -310,41 +311,54 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
 def _dipole_point(
     n: int, alpha: float, delta: float, r_box: float,
     nodes_r: int, nodes_z: int,
-) -> tuple[dict, dict]:
-    """Relax the meridian energy in the box [r_box 1e-3, r_box] x
-    [-delta, delta] with the vertical defect removed inside, at the coarse
-    level (nodes_r, nodes_z) and the fine level (2 nodes_r - 1,
-    2 nodes_z - 1), for odd nodes_z.
+) -> dict:
+    """The row of the box [r_box 1e-3, r_box] x [-delta, delta] with the
+    vertical defect removed inside, relaxed at the coarse level (nodes_r,
+    nodes_z) and the fine level (2 nodes_r - 1, 2 nodes_z - 1), for odd
+    nodes_z.
 
     Each rung of the ladder relaxes the upper half box, warm-started from
     the rung below; the full energy of the even field is twice the half's.
     ``stable`` is the relaxation's own second-order test of the state it
     stops at: the half box's Hessian with the z = 0 row free, which
-    certifies the full box's on both parities.
-    Returns the coarse and fine results; ``iterations`` counts the Newton
-    steps of the ladder up to the level.
+    certifies the full box's on both parities; the row is stable when both
+    levels are.  ``iterations`` counts the Newton steps of the whole ladder.
     """
     res = None
-    total_it = 0
-    levels = []
+    iterations = 0
+    rungs = []
     for nr, nz in dipole_ladder(nodes_r, nodes_z):
         r, z, phi_init, fixed, e_base = dipole_half_box(
             n, alpha, delta, r_box, nr, nz, None if res is None else res.phi)
         res = minimize_meridian_energy(r, z, phi_init, fixed, n)
-        total_it += res.iterations
-        levels.append((e_base, res, total_it))
+        iterations += res.iterations
+        rungs.append((e_base, res))
 
+    (e_base_coarse, coarse), (e_base, fine) = rungs[-2:]
     mass_saving = _FOUR_PI * n * 2.0 * delta
-    out = []
-    for e_base, res, iterations in levels[-2:]:
-        e_new = 2.0 * res.energy
-        out.append({
-            "E_base": e_base, "E_new": e_new, "delta_E": e_new - e_base,
-            "mass_saving": mass_saving, "net": mass_saving - (e_new - e_base),
-            "converged": res.converged, "iterations": iterations,
-            "grad_norm": res.grad_norm, "stable": res.stable,
-        })
-    return out[0], out[1]
+    e_new = 2.0 * fine.energy
+    net_coarse = mass_saving - (2.0 * coarse.energy - e_base_coarse)
+    net_fine = mass_saving - (e_new - e_base)
+    # the grid under-resolves the two axis singularities, deflating the
+    # relaxed energy; two-level extrapolation estimates the limit, and a
+    # sign disagreement between the finest level and the extrapolation
+    # marks the point inconclusive
+    net = 2.0 * net_fine - net_coarse
+    if net_fine > 0.0 and net > 0.0:
+        verdict = "positive"
+    elif net_fine <= 0.0 and net <= 0.0:
+        verdict = "negative"
+    else:
+        verdict = "inconclusive"
+    return {
+        "n": n, "alpha": alpha, "delta": delta, "r_box": r_box,
+        "E_base": e_base, "E_new": e_new, "delta_E": e_new - e_base,
+        "mass_saving": mass_saving, "net_coarse": net_coarse, "net_fine": net_fine,
+        "net": net, "verdict": verdict,
+        "converged": coarse.converged and fine.converged, "iterations": iterations,
+        "grad_norm": max(coarse.grad_norm, fine.grad_norm),
+        "stable": coarse.stable and fine.stable,
+    }
 
 
 def run_dipole_tradeoff(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
@@ -366,40 +380,9 @@ def run_dipole_tradeoff(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
         raise InputError("nodes-z must be odd (the half box needs a z = 0 row)")
 
     points = [(d, min(1.0, f * d)) for d in deltas for f in factors]
-
-    def one(point: tuple[float, float]) -> dict:
-        delta, r_box = point
-        coarse, fine = _dipole_point(n, alpha, delta, r_box, nodes_r, nodes_z)
-        # the grid under-resolves the two axis singularities, deflating the
-        # relaxed energy; two-level extrapolation estimates the limit, and a
-        # sign disagreement between the finest level and the extrapolation
-        # marks the point inconclusive
-        net_extrap = 2.0 * fine["net"] - coarse["net"]
-        if fine["net"] > 0.0 and net_extrap > 0.0:
-            verdict = "positive"
-        elif fine["net"] <= 0.0 and net_extrap <= 0.0:
-            verdict = "negative"
-        else:
-            verdict = "inconclusive"
-        return {
-            "n": n, "alpha": alpha, "delta": delta, "r_box": r_box,
-            "E_base": fine["E_base"], "E_new": fine["E_new"],
-            "delta_E": fine["delta_E"], "mass_saving": fine["mass_saving"],
-            "net_coarse": coarse["net"], "net_fine": fine["net"],
-            "net": net_extrap, "verdict": verdict,
-            "converged": coarse["converged"] and fine["converged"],
-            "iterations": max(coarse["iterations"], fine["iterations"]),
-            "grad_norm": max(coarse["grad_norm"], fine["grad_norm"]),
-            "stable": coarse["stable"] and fine["stable"],
-        }
-
     # factors whose boxes clamp to the same r_box share one solve
-    boxes = list(dict.fromkeys(points))
-    if spec.workers <= 1 or len(boxes) <= 1:
-        solved = {box: one(box) for box in boxes}
-    else:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            solved = dict(zip(boxes, pool.map(one, boxes)))
+    solved = {box: _dipole_point(n, alpha, *box, nodes_r, nodes_z)
+              for box in dict.fromkeys(points)}
     rows = [solved[point] for point in points]
     bad = [r for r in rows if not r["converged"]]
     summary = {
@@ -495,7 +478,7 @@ _COMMANDS: dict[str, tuple[str, dict[str, tuple[Callable[[Any], Any], Any]]]] = 
     "dipole-tradeoff": ("defect-removal energy trade-off", {
         "n": (_int, 2), "alpha": (float, 0.25),
         "delta": (_FLOATS, [0.1, 0.2, 0.3, 0.4, 0.5]), "rbox_factors": (_FLOATS, [1, 2, 4]),
-        "nodes_r": (_int, 65), "nodes_z": (_int, 65), "workers": (_int, 1)}),
+        "nodes_r": (_int, 65), "nodes_z": (_int, 65)}),
     "sigma": ("minimal connection of a charge configuration", {}),
 }
 _HELP = {"s_tilde": "comma list from {2s, mid, 1}", "out": "output file path"}
@@ -552,9 +535,8 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad value {value!r} for {name!r}: {exc}") from exc
     out, fmt = (resolved.pop(name) for name in _COMMON)
-    workers = resolved.pop("workers", 1)
     params = {"config": path} if command == "sigma" else resolved
-    return ExperimentSpec(command=command, params=params, out=out, fmt=fmt, workers=workers)
+    return ExperimentSpec(command=command, params=params, out=out, fmt=fmt)
 
 
 _RUNNERS = {

@@ -227,6 +227,8 @@ class MeridianField:
             raise ValueError("grids must be 1-D with at least 2 nodes")
         if not (np.all(r[1:] > r[:-1]) and np.all(z[1:] > z[:-1])):
             raise ValueError("grids must be strictly increasing")
+        if r[0] < 0.0:
+            raise ValueError("radii must be nonnegative")
         if phi.shape != (r.size, z.size):
             raise ValueError(f"phi must have shape {(r.size, z.size)}, got {phi.shape}")
         if phi.strides[1] == 0:

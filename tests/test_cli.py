@@ -216,14 +216,6 @@ class TestDipole:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
-    def test_workers_bit_identical(self, tmp_path):
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["dipole-tradeoff", "--n", "1", "--delta", "0.2,0.3", "--rbox-factors", "1,2",
-                "--nodes-r", "17", "--nodes-z", "17"]
-        assert run(args + ["--out", str(out1)]) == 0
-        assert run(args + ["--out", str(out2), "--workers", "2"]) == 0
-        assert out1.read_text() == out2.read_text()
-
     def test_clamped_boxes_solved_once(self, tmp_path, monkeypatch):
         calls = []
         inner = cli.minimize_meridian_energy
@@ -291,7 +283,7 @@ class TestHalfBox:
         calls = []
         monkeypatch.setattr(cli, "minimize_meridian_energy",
                             self.unrelaxed(calls, [True, False, True]))
-        coarse, fine = cli._dipole_point(n, alpha, delta, r_box, 65, nodes_z)
+        row = cli._dipole_point(n, alpha, delta, r_box, 65, nodes_z)
         rungs = self.full_ladder(65, nodes_z)
         assert len(calls) == len(rungs) == 3
         for (r, z, phi_init, fixed), (nr, nz) in zip(calls, rungs):
@@ -305,13 +297,13 @@ class TestHalfBox:
             boundary = phi_full[upper].copy()
             boundary[0, :-1] = math.pi
             assert np.array_equal(phi_init[fixed], boundary[fixed])
-        # each level reports its own relaxation's stable
-        assert (coarse["stable"], fine["stable"]) == (False, True)
-        # the fine level reports the full box's energies of the even field
+        # the row is stable only if both levels are, and the coarse one is not
+        assert row["stable"] is False
+        # the row reports the fine level's full-box energies of the even field
         even = np.concatenate([phi_init[:, :0:-1], phi_init], axis=1)
-        assert fine["E_new"] == pytest.approx(
+        assert row["E_new"] == pytest.approx(
             energy.meridian_cell_energy(r_full, z_full, even, n), rel=1e-12)
-        assert fine["E_base"] == energy.meridian_cell_energy(r_full, z_full, phi_full, n)
+        assert row["E_base"] == energy.meridian_cell_energy(r_full, z_full, phi_full, n)
 
     @pytest.mark.parametrize("coarse, fine", itertools.product((False, True), repeat=2))
     def test_row_stable_is_both_levels(self, coarse, fine, monkeypatch):
@@ -467,14 +459,17 @@ class TestParameters:
                         "--spec", spec_file(tmp_path, {"alpha": [0.2]})])
         assert spec.params["alpha"] == [0.2] and spec.params["z_nodes"] == 9
 
-    def test_string_workers_converted(self, tmp_path):
-        from_spec = resolve(["dipole-tradeoff", "--spec", spec_file(tmp_path, {"workers": "2"})])
-        assert repr(from_spec) == repr(resolve(["dipole-tradeoff", "--workers", "2"]))
+    def test_spec_workers_only_one(self):
+        spec = cli.ExperimentSpec(command="t0-energy", params={}, workers=1)
+        assert spec.workers == 1
+        with pytest.raises(cli.InputError, match="workers must be 1"):
+            cli.ExperimentSpec(command="dipole-tradeoff", params={}, workers=2)
 
     @pytest.mark.parametrize("args", [
         ["t0-energy", "--workers", "2"], ["relaxation-check", "--workers", "2"],
         ["proposition-sweep", "--workers", "2"], ["sigma", "--workers", "2"],
         ["proposition-sweep", "--b", "0.5"], ["dipole-tradeoff", "--maxiter", "10"],
+        ["dipole-tradeoff", "--workers", "2"],
     ])
     def test_removed_flags_exit_2(self, args):
         with pytest.raises(SystemExit) as exc:
@@ -519,11 +514,13 @@ class TestParameters:
         (["dipole-tradeoff"], {"maxiter": 3000}),
         (["proposition-sweep"], {"b": 0.5}),
         (["t0-energy"], {"workers": 1}),
+        (["dipole-tradeoff"], {"workers": 2}),
     ], ids=["spec-workers-x", "spec-seed-x", "spec-command", "spec-spec", "spec-int-9.7",
             "spec-int-inf", "spec-not-object", "flag-int-abc", "flag-int-9.7",
             "flag-empty-float-list", "flag-empty-word-list", "flag-unknown-word",
             "flag-format-xml", "flag-nodes-r-2", "flag-nodes-z-2", "flag-nodes-z-even",
-            "spec-jitter", "spec-seed", "spec-maxiter", "spec-b", "spec-workers-t0"])
+            "spec-jitter", "spec-seed", "spec-maxiter", "spec-b", "spec-workers-t0",
+            "spec-workers-dipole"])
     def test_bad_value_exit_2(self, tmp_path, capsys, args, overrides):
         if overrides is not None:
             args = args + ["--spec", spec_file(tmp_path, overrides)]

@@ -303,6 +303,11 @@ class TestMeridianField:
             MeridianField(r, z, phi, 2, defects=[(-1.0, 0.5), (0.0, 1.0)])
         with pytest.raises(ValueError):
             MeridianField(r, z, np.full((2, 2), np.nan), 2)
+        with pytest.raises(ValueError, match="radii must be nonnegative"):
+            MeridianField(np.array([-1.0, 0.5, 1.0]), z, np.ones((3, 2)), 1)
+        # a leading node on the axis stays allowed
+        fld = MeridianField(np.array([0.0, 0.5, 1.0]), z, np.ones((3, 2)), 1)
+        assert fld.r_grid[0] == 0.0 and math.isfinite(energy_3d(fld).E)
 
     def test_reference_total(self):
         # extruded smooth profile with the full axis as defect:
