@@ -44,7 +44,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbsv, dpbsv, dpbtrf
 
-from .geometry import RadialProfile, _checked_colatitudes
+from .geometry import RadialProfile, _checked_colatitudes, _winding_number
 
 __all__ = [
     "EnergyReport",
@@ -207,7 +207,9 @@ class MeridianField:
     with z-stride 0 (one column broadcast along z) is checked and clipped as
     that one column and stored as a read-only broadcast view of the clipped
     column, z-stride 0 again; any other ``phi`` is stored as an owned,
-    writeable copy.  Each defect interval carries multiplicity n.  On the
+    writeable copy.  The grids are strictly increasing and finite, the
+    radii nonnegative, and ``n`` is a Python or numpy integer >= 1 (not a
+    bool).  Each defect interval carries multiplicity n.  On the
     axis the map hits a pole: near the innermost radius, phi is close to 0
     over defect intervals (the graph closes through the vertical part there)
     and close to pi off them.
@@ -225,10 +227,13 @@ class MeridianField:
         phi = np.asarray(self.phi, dtype=float)
         if r.ndim != 1 or z.ndim != 1 or r.size < 2 or z.size < 2:
             raise ValueError("grids must be 1-D with at least 2 nodes")
-        if not (np.all(r[1:] > r[:-1]) and np.all(z[1:] > z[:-1])):
+        if not ((r[1:] > r[:-1]).all() and (z[1:] > z[:-1]).all()):
             raise ValueError("grids must be strictly increasing")
         if r[0] < 0.0:
             raise ValueError("radii must be nonnegative")
+        # increasing grids: their end nodes are their extremes
+        if not (r[-1] < math.inf and -math.inf < z[0] and z[-1] < math.inf):
+            raise ValueError("grid nodes must be finite")
         if phi.shape != (r.size, z.size):
             raise ValueError(f"phi must have shape {(r.size, z.size)}, got {phi.shape}")
         if phi.strides[1] == 0:
@@ -236,8 +241,7 @@ class MeridianField:
             phi = np.broadcast_to(_checked_colatitudes(phi[:, 0])[:, None], phi.shape)
         else:
             phi = _checked_colatitudes(phi)
-        if int(self.n) < 1:
-            raise ValueError("winding number n must be >= 1")
+        n = _winding_number(self.n)
         ivs = sorted((float(a), float(b)) for a, b in self.defects)
         for z0, z1 in ivs:
             if not z0 < z1:
@@ -250,7 +254,7 @@ class MeridianField:
         object.__setattr__(self, "r_grid", r)
         object.__setattr__(self, "z_grid", z)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "defects", tuple(ivs))
 
     def defect_length(self) -> float:

@@ -18,6 +18,7 @@ are written in the phi variable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,27 +54,54 @@ def chart_to_colatitude(f: float) -> float:
 
 def geometric_grid(r_min: float, r_max: float, nodes: int) -> np.ndarray:
     """Log-spaced radial grid; resolves power-law behaviour near the axis.
-    exp of a linspace in log r with exact endpoints: within 4e-15 relative of
-    ``np.geomspace``, which takes base-10 powers and is several times slower."""
-    if not (0.0 < r_min < r_max):
-        raise ValueError("need 0 < r_min < r_max")
+
+    ``exp(np.linspace(log r_min, log r_max, nodes))`` with exact endpoints,
+    bit for bit, formed by the operations ``np.linspace`` runs inside
+    (arange, times the step, plus log r_min) without its Python layer; within
+    4e-15 relative of ``np.geomspace``, which takes base-10 powers and is
+    several times slower.  ``nodes`` must be an integer (a float raises
+    TypeError, as in ``np.linspace``) and ``r_max`` finite.
+    """
+    nodes = operator.index(nodes)
+    if not 0.0 < r_min < r_max < math.inf:
+        raise ValueError("need 0 < r_min < r_max < inf")
     if nodes < 2:
         raise ValueError("need at least 2 nodes")
-    grid = np.linspace(math.log(r_min), math.log(r_max), nodes)
+    log_min = math.log(r_min)
+    grid = np.arange(nodes, dtype=float)
+    grid *= (math.log(r_max) - log_min) / (nodes - 1)
+    grid += log_min
     np.exp(grid, out=grid)
     grid[0], grid[-1] = r_min, r_max
     return grid
 
 
 def _checked_colatitudes(phi: np.ndarray) -> np.ndarray:
-    """A copy of the colatitudes ``phi`` clipped to [0, pi], after one
-    min/max scan that rejects NaN and values more than 1e-12 outside."""
-    lo, hi = phi.min(), phi.max()  # a NaN propagates into both
+    """A copy of the colatitudes ``phi`` clipped to [0, pi], never a view.
+
+    One min and one max scan.  When both lie in [0, pi] the clip is the
+    identity, -0.0 included, and the result is a plain copy in the layout
+    ``np.clip`` would allocate: a "K"-order copy, or ``np.positive(phi)``
+    (a ufunc, as ``np.clip`` is) where an axis is broadcast with stride 0.
+    Otherwise NaN and values more than 1e-12 outside raise, and smaller
+    excursions are clipped.
+    """
+    lo = np.minimum.reduce(phi, axis=None)  # a NaN propagates into both
+    hi = np.maximum.reduce(phi, axis=None)
+    if 0.0 <= lo and hi <= math.pi:
+        return np.positive(phi) if 0 in phi.strides else phi.copy(order="K")
     if math.isnan(lo) or math.isnan(hi):
         raise ValueError("phi contains NaN")
     if lo < -1e-12 or hi > math.pi + 1e-12:
         raise ValueError("phi values must lie in [0, pi]")
     return np.clip(phi, 0.0, math.pi)
+
+
+def _winding_number(n) -> int:
+    """``n`` as an int: a Python or numpy integer >= 1, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"winding number n must be an integer >= 1, got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -83,12 +111,13 @@ class RadialProfile:
     Attributes
     ----------
     grid :
-        Strictly increasing radii, at least 2 nodes, all positive (a leading
-        node at r = 0 is allowed for fields reaching the axis).
+        Strictly increasing finite radii, at least 2 nodes, all positive (a
+        leading node at r = 0 is allowed for fields reaching the axis).
     phi :
         Colatitude values in [0, pi] at each node.
     n :
-        Winding number of the map, a positive integer.
+        Winding number of the map, a Python or numpy integer >= 1 (not a
+        bool), stored as an int.
     """
 
     grid: np.ndarray
@@ -102,15 +131,15 @@ class RadialProfile:
             raise ValueError("grid must be 1-D with at least 2 nodes")
         if phi.shape != grid.shape:
             raise ValueError("phi and grid must have the same shape")
-        if not np.all(grid[1:] > grid[:-1]):
+        if not (grid[1:] > grid[:-1]).all():
             raise ValueError("grid must be strictly increasing")
         if grid[0] < 0.0:
             raise ValueError("radii must be nonnegative")
+        if not grid[-1] < math.inf:  # increasing: the last node is the largest
+            raise ValueError("radii must be finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "phi", _checked_colatitudes(phi))
-        if int(self.n) < 1:
-            raise ValueError("winding number n must be >= 1")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _winding_number(self.n))
 
 
 def u0_profile(alpha: float, n: int, grid: np.ndarray) -> RadialProfile:
@@ -172,9 +201,7 @@ class ConeDipoleMap:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 0.25:
             raise ValueError("alpha must lie in (0, 1/4]")
-        if int(self.n) < 1:
-            raise ValueError("winding number n must be >= 1")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _winding_number(self.n))
 
     def chart_value(self, r: float, z: float) -> float:
         """Chart magnitude f(r, z); inf on the axis inside the cones."""

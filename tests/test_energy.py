@@ -309,6 +309,28 @@ class TestMeridianField:
         fld = MeridianField(np.array([0.0, 0.5, 1.0]), z, np.ones((3, 2)), 1)
         assert fld.r_grid[0] == 0.0 and math.isfinite(energy_3d(fld).E)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r,z", [
+        ([0.1, 1.0, math.inf], [-1.0, 1.0]),
+        ([0.1, 1.0, 2.0], [-math.inf, 1.0]),
+        ([0.1, 1.0, 2.0], [-1.0, math.inf]),
+        ([0.1, 1.0, 2.0], [-1.0, math.nan]),
+    ])
+    @pytest.mark.parametrize("column", [False, True])
+    def test_non_finite_nodes_rejected(self, r, z, column):
+        phi = np.broadcast_to(np.ones((3, 1)), (3, 2)) if column else np.ones((3, 2))
+        with pytest.raises(ValueError):
+            MeridianField(np.array(r), np.array(z), phi, 1)
+
+    @pytest.mark.parametrize("n", [1.5, 2.7, np.float64(2.0), True, 0, "2"])
+    def test_winding_number_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="winding number"):
+            MeridianField(np.array([0.1, 1.0]), np.array([-1.0, 1.0]), np.ones((2, 2)), n)
+
+    def test_numpy_integer_winding_number(self):
+        fld = MeridianField(np.array([0.1, 1.0]), np.array([-1.0, 1.0]), np.ones((2, 2)), np.int64(3))
+        assert fld.n == 3 and type(fld.n) is int
+
     def test_reference_total(self):
         # extruded smooth profile with the full axis as defect:
         # total = 2 (4 pi n alpha^2/(1+alpha^2) + 4 pi n)

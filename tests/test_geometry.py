@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import axisphere
+from axisphere.energy import MeridianField
 from axisphere.geometry import (
     INFINITY,
     ConeDipoleMap,
@@ -167,8 +168,136 @@ class TestProfiles:
         with pytest.raises(ValueError, match=message):
             RadialProfile(grid=np.array([0.1, 0.5, 1.0]), phi=np.array(values), n=1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("grid", [[0.1, 1.0, math.inf], [0.1, math.nan, 1.0], [math.nan, 0.5, 1.0]])
+    def test_non_finite_radius_rejected(self, grid):
+        with pytest.raises(ValueError):
+            RadialProfile(grid=np.array(grid), phi=np.array([0.1, 0.2, 0.3]), n=1)
+
+    @pytest.mark.parametrize("n", [1.5, 2.7, 2.0, np.float64(2.0), True, 0, -1, np.int64(0), "2"])
+    def test_winding_number_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="winding number"):
+            RadialProfile(grid=np.array([0.1, 0.5, 1.0]), phi=np.array([0.1, 0.2, 0.3]), n=n)
+
+    @pytest.mark.parametrize("n", [2, np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_winding_number(self, n):
+        p = RadialProfile(grid=np.array([0.1, 0.5, 1.0]), phi=np.array([0.1, 0.2, 0.3]), n=n)
+        assert p.n == 2 and type(p.n) is int
+
+
+# Each builder stores a 1-D column of colatitudes through one of the three
+# callers of the colatitude check and returns the stored array and the
+# array it checked: the profile itself, a field's broadcast column, or a
+# field's owned copy.
+def _profile_phi(col):
+    grid = np.linspace(0.1, 1.0, col.size)
+    return RadialProfile(grid=grid, phi=col, n=1).phi, col
+
+
+def _column_field_phi(col):
+    phi = np.broadcast_to(col[:, None], (col.size, 3))
+    fld = MeridianField(np.linspace(0.1, 1.0, col.size), np.linspace(-1.0, 1.0, 3), phi, 1)
+    assert fld.phi.strides[1] == 0
+    return fld.phi[:, 0], col
+
+
+def _owned_field_phi(col):
+    phi = np.tile(col[:, None], (1, 3))
+    fld = MeridianField(np.linspace(0.1, 1.0, col.size), np.linspace(-1.0, 1.0, 3), phi, 1)
+    assert fld.phi.flags.owndata
+    return fld.phi, phi
+
+
+_BUILDERS = pytest.mark.parametrize("build", [_profile_phi, _column_field_phi, _owned_field_phi])
+
+
+class TestCheckedColatitudes:
+    @_BUILDERS
+    def test_in_range_is_an_owned_copy(self, build):
+        col = np.array([0.1, 0.2, 0.3, 3.0])
+        stored, given_phi = build(col)
+        expected = stored.copy()
+        given_phi[...] = 1.0
+        np.testing.assert_array_equal(stored, expected)
+        assert not np.shares_memory(stored, col)
+
+    @_BUILDERS
+    def test_bounds_keep_their_bits(self, build):
+        col = np.array([-0.0, 0.5, math.pi, 0.0])
+        stored, _ = build(col)
+        column = stored if stored.ndim == 1 else stored[:, 0]
+        assert column.tobytes() == col.tobytes()
+        assert np.signbit(column[0]) and not np.signbit(column[3])
+
+    @_BUILDERS
+    def test_small_excursions_are_clipped(self, build):
+        stored, _ = build(np.array([-1e-13, 1.0, math.pi + 1e-13]))
+        column = stored if stored.ndim == 1 else stored[:, 0]
+        assert column.tolist() == [0.0, 1.0, math.pi]
+
+    # RadialProfile's own cases are TestProfiles.test_value_errors
+    @pytest.mark.parametrize("build", [_column_field_phi, _owned_field_phi])
+    @pytest.mark.parametrize("values,message", [
+        ([0.1, math.nan, 0.3], "NaN"),
+        ([math.nan, -1.0, 0.3], "NaN"),
+        ([0.1, 0.2, -1e-11], r"\[0, pi\]"),
+        ([0.1, math.pi + 1e-11, 0.3], r"\[0, pi\]"),
+    ])
+    def test_nan_and_larger_excursions_raise(self, build, values, message):
+        with pytest.raises(ValueError, match=message):
+            build(np.array(values))
+
+    @pytest.mark.parametrize("layout", ["F", "reversed", "strided", "broadcast row"])
+    @pytest.mark.parametrize("shift", [0.0, -1e-13])
+    def test_owned_field_keeps_the_clip_layout(self, layout, shift):
+        rng = np.random.default_rng(5)
+        base = rng.uniform(0.0, math.pi, (6, 4))
+        base[0, 0] = shift
+        phi = {"F": np.asfortranarray(base), "reversed": base[::-1, ::-1],
+               "strided": rng.uniform(0.0, math.pi, (6, 8))[:, ::2],
+               "broadcast row": np.broadcast_to(base[0], (6, 4))}[layout]
+        fld = MeridianField(np.linspace(0.1, 1.0, 6), np.linspace(-1.0, 1.0, 4), phi, 1)
+        clipped = np.clip(phi, 0.0, math.pi)
+        assert fld.phi.strides == clipped.strides
+        assert fld.phi.tobytes(order="A") == clipped.tobytes(order="A")
+
+    def test_profile_keeps_the_clip_layout(self):
+        col = np.linspace(0.0, math.pi, 11)[::-2]
+        phi = RadialProfile(grid=np.linspace(0.1, 1.0, col.size), phi=col, n=1).phi
+        assert phi.strides == np.clip(col, 0.0, math.pi).strides == (8,)
+
 
 class TestGeometricGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300), st.integers(2, 70000))
+    @example(1e-6, 1.0, 65537)
+    @example(1.0, 1.0 + 2.0 ** -52, 70000)
+    @example(1e10, 1e10 * (1.0 + 2.0 ** -52), 3)
+    def test_is_exp_of_linspace_bit_for_bit(self, r_min, r_max, nodes):
+        assume(r_min < r_max)
+        grid = geometric_grid(r_min, r_max, nodes)
+        reference = np.exp(np.linspace(math.log(r_min), math.log(r_max), nodes))
+        reference[0], reference[-1] = r_min, r_max
+        assert grid.dtype == np.float64 and grid.flags.c_contiguous
+        assert grid.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("nodes", [5.0, 2.5, np.float64(5.0), "5"])
+    def test_non_integer_nodes_raise_type_error(self, nodes):
+        with pytest.raises(TypeError):
+            geometric_grid(1e-3, 1.0, nodes)
+
+    def test_numpy_integer_nodes(self):
+        assert geometric_grid(1e-3, 1.0, np.int64(5)).tobytes() == geometric_grid(1e-3, 1.0, 5).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r_min,r_max,nodes", [
+        (1e-3, math.inf, 5), (1e-3, math.nan, 5), (math.nan, 1.0, 5),
+        (0.0, 1.0, 5), (1.0, 1.0, 5), (1.0, 0.5, 5), (1e-3, 1.0, 1),
+    ])
+    def test_value_errors(self, r_min, r_max, nodes):
+        with pytest.raises(ValueError):
+            geometric_grid(r_min, r_max, nodes)
+
     @pytest.mark.parametrize("nodes", [2, 256, 8193, 16385, 32769, 65537])
     @pytest.mark.parametrize("r_min,r_max", [(1e-6, 1.0), (1e-4, 1.0), (0.3, 0.9)])
     def test_matches_geomspace(self, r_min, r_max, nodes):
@@ -225,6 +354,11 @@ class TestConeDipoleMap:
             ConeDipoleMap(alpha=0.3, n=2)
         with pytest.raises(ValueError):
             ConeDipoleMap(alpha=0.0, n=2)
+
+    @pytest.mark.parametrize("n", [1.5, True, 0])
+    def test_winding_number_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="winding number"):
+            ConeDipoleMap(alpha=0.25, n=n)
 
 
 class TestDegreeFromFlux:
