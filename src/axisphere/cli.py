@@ -30,11 +30,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, NoReturn, Sequence
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
 from .connection import (
+    _BRUTEFORCE_MAX,
     SingularityConfig,
     kantorovich_dual,
     min_connection_assignment,
@@ -137,10 +138,14 @@ def _write_rows(rows: list[dict], summary: dict, spec: ExperimentSpec) -> None:
 # t0-energy
 # ---------------------------------------------------------------------------
 
+# criterion 7's z grid; the field is one column along z, so no result depends
+# on its node count
+_T0_Z_GRID = np.linspace(-1.0, 1.0, 65)
+
+
 def run_t0_energy(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
     p = spec.params
-    ns, alphas = p["n"], p["alpha"]
-    r_nodes, z_nodes, r_min = p["r_nodes"], p["z_nodes"], p["r_min"]
+    ns, alphas, r_nodes, r_min = p["n"], p["alpha"], p["r_nodes"], p["r_min"]
     for n in ns:
         if n < 1:
             raise InputError("n must be >= 1")
@@ -148,15 +153,13 @@ def run_t0_energy(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
         if not 0.0 <= alpha <= 0.25:
             raise InputError("alpha must lie in [0, 1/4]")
 
-    z_grid = np.linspace(-1.0, 1.0, z_nodes)
-
     def one(n: int, alpha: float) -> dict:
         profile = u0_profile(alpha, n, geometric_grid(r_min, 1.0, r_nodes))
-        fld = meridian_from_profile(profile, z_grid, defects=[(-1.0, 1.0)])
+        fld = meridian_from_profile(profile, _T0_Z_GRID, defects=[(-1.0, 1.0)])
         rep = energy_3d(fld)
         # the field is one column along z, so E is the slice energy times
         # the z-length, from energy_3d's single column pass
-        slice_quad = rep.E / (z_grid[-1] - z_grid[0])
+        slice_quad = rep.E / (_T0_Z_GRID[-1] - _T0_Z_GRID[0])
         slice_closed = _FOUR_PI * n * alpha ** 2 / (1.0 + alpha ** 2)
         total_closed = 2.0 * (slice_closed + _FOUR_PI * n)
         return {
@@ -419,11 +422,8 @@ def run_sigma(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
         "primal": primal.length, "dual": dual,
         "primal_dual_gap": abs(primal.length - dual),
     }
-    if cfg.k <= 9:
-        brute = min_connection_bruteforce(cfg)
-        row["bruteforce"] = brute.length
-    else:
-        row["bruteforce"] = float("nan")
+    row["bruteforce"] = (min_connection_bruteforce(cfg).length if cfg.k <= _BRUTEFORCE_MAX
+                         else float("nan"))
     summary = {"length": primal.length, "mass": primal.mass}
     return [row], summary, EXIT_OK
 
@@ -460,26 +460,35 @@ def _list_of(item: Callable[[Any], Any]) -> Callable[[Any], list]:
 _INTS, _FLOATS = _list_of(_int), _list_of(float)
 _WORDS = _list_of(lambda tok: str(tok).strip())
 
-# Each parameter once: name -> (conversion, default).  Its flag is the name
-# with "-" for "_"; a spec file key may be spelled either way.
+
+class _Command(NamedTuple):
+    """A command, declared once: its help line, its runner, and its
+    parameters as name -> (conversion, default).  A parameter's flag is its
+    name with "-" for "_"; a spec file key may be spelled either way."""
+
+    summary: str
+    run: Callable[[ExperimentSpec], tuple[list[dict], dict, int]]
+    params: dict[str, tuple[Callable[[Any], Any], Any]]
+
+
 _COMMON = {"out": (_text, None), "format": (_text, "csv")}
-_COMMANDS: dict[str, tuple[str, dict[str, tuple[Callable[[Any], Any], Any]]]] = {
-    "t0-energy": ("reference-configuration energy accounting", {
+_COMMANDS: dict[str, _Command] = {
+    "t0-energy": _Command("reference-configuration energy accounting", run_t0_energy, {
         "n": (_INTS, [2]), "alpha": (_FLOATS, [0.25]), "r_nodes": (_int, 16385),
-        "z_nodes": (_int, 65), "r_min": (float, 1e-4)}),
-    "relaxation-check": ("u_eps slice energies and deficit rate", {
+        "r_min": (float, 1e-4)}),
+    "relaxation-check": _Command("u_eps slice energies and deficit rate", run_relaxation_check, {
         "n": (_INTS, [1, 2, 3]), "alpha": (float, 0.25),
         "eps": (_FLOATS, [0.2, 0.1, 0.05, 0.025]), "nodes": (_int, 16385),
         "r_min": (float, 1e-6)}),
-    "proposition-sweep": ("constrained-minimizer bound sweep", {
+    "proposition-sweep": _Command("constrained-minimizer bound sweep", run_proposition_sweep, {
         "n": (_int, 2), "alpha": (_FLOATS, [0.25, 0.1, 0.05, 0.02]),
         "a_frac": (_FLOATS, [1, 0.5, 0.1]), "c0": (_FLOATS, [1, 5, 20]),
         "s_tilde": (_WORDS, ["2s", "mid", "1"]), "nodes": (_int, 256)}),
-    "dipole-tradeoff": ("defect-removal energy trade-off", {
+    "dipole-tradeoff": _Command("defect-removal energy trade-off", run_dipole_tradeoff, {
         "n": (_int, 2), "alpha": (float, 0.25),
         "delta": (_FLOATS, [0.1, 0.2, 0.3, 0.4, 0.5]), "rbox_factors": (_FLOATS, [1, 2, 4]),
         "nodes_r": (_int, 65), "nodes_z": (_int, 65)}),
-    "sigma": ("minimal connection of a charge configuration", {}),
+    "sigma": _Command("minimal connection of a charge configuration", run_sigma, {}),
 }
 _HELP = {"s_tilde": "comma list from {2s, mid, 1}", "out": "output file path"}
 
@@ -499,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "of n-axially symmetric sphere-valued maps",
     )
     subs = ap.add_subparsers(dest="command", required=True)
-    for command, (summary, params) in _COMMANDS.items():
+    for command, (summary, _, params) in _COMMANDS.items():
         sub = subs.add_parser(command, help=summary)
         for name in (*params, *_COMMON):
             sub.add_argument("--" + name.replace("_", "-"), dest=name,
@@ -513,7 +522,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     defaults of the rest; sigma's --spec is its charge file instead."""
     values = dict(vars(args))
     command, path = values.pop("command"), values.pop("spec")
-    table = {**_COMMANDS[command][1], **_COMMON}
+    table = {**_COMMANDS[command].params, **_COMMON}
     if path is not None and command != "sigma":
         try:
             with open(path) as fh:
@@ -539,20 +548,11 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return ExperimentSpec(command=command, params=params, out=out, fmt=fmt)
 
 
-_RUNNERS = {
-    "t0-energy": run_t0_energy,
-    "relaxation-check": run_relaxation_check,
-    "proposition-sweep": run_proposition_sweep,
-    "dipole-tradeoff": run_dipole_tradeoff,
-    "sigma": run_sigma,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
-        rows, summary, code = _RUNNERS[spec.command](spec)
+        rows, summary, code = _COMMANDS[spec.command].run(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -159,8 +159,6 @@ def min_connection_bruteforce(cfg: SingularityConfig) -> ConnectionResult:
     k = cfg.k
     if k > _BRUTEFORCE_MAX:
         raise ValueError(f"brute force limited to k <= {_BRUTEFORCE_MAX}, got {k}")
-    if k == 0:
-        return ConnectionResult(length=0.0, mass=0.0, matching=())
     dist = cfg.distance_matrix()
     masks = np.arange(1 << k)
     bits = 1 << np.arange(k)
@@ -182,8 +180,6 @@ def min_connection_bruteforce(cfg: SingularityConfig) -> ConnectionResult:
 
 def min_connection_assignment(cfg: SingularityConfig) -> ConnectionResult:
     """Minimal connection via the O(k^3) assignment solver."""
-    if cfg.k == 0:
-        return ConnectionResult(length=0.0, mass=0.0, matching=())
     dist = cfg.distance_matrix()
     rows, cols = linear_sum_assignment(dist)
     length = float(dist[rows, cols].sum())
@@ -285,8 +281,7 @@ def kantorovich_dual(cfg: SingularityConfig) -> float:
     reach ~1e7.  The assignment solver is never consulted.  A failed search
     or a violated pair constraint raises NumericalError.
     """
-    k = cfg.k
-    if k == 0:
+    if cfg.k == 0:  # the search's column minima of a 0 x 0 matrix would raise
         return 0.0
     dist = cfg.distance_matrix()
     _, u, v = _shortest_augmenting_paths(dist)

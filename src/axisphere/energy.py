@@ -93,15 +93,18 @@ def _clamped_cells(
 
     The lower endpoint is clamped up to the first grid node (an interval
     starting at 0 means "from the axis", which the stored grid represents by
-    its innermost node).  An upper endpoint beyond the grid is an error; one
-    within 1e-12 relative past the last node is clamped down to it.  An
-    interval that covers the whole grid returns ``grid`` and ``phi``
-    themselves, so it gives the same value as no interval.  An interval of
-    zero length gives a single node, which has no cells.
+    its innermost node).  A NaN endpoint, or an upper endpoint beyond the
+    grid, is an error; one within 1e-12 relative past the last node is
+    clamped down to it.  An interval that covers the whole grid returns
+    ``grid`` and ``phi`` themselves, so it gives the same value as no
+    interval.  An interval of zero length gives a single node, which has no
+    cells.
     """
     if interval is None:
         return grid, phi
     r_a, r_b = float(interval[0]), float(interval[1])
+    if math.isnan(r_a) or math.isnan(r_b):
+        raise ValueError(f"interval [{r_a}, {r_b}] has a NaN endpoint")
     if r_a > r_b:
         raise ValueError(f"empty interval [{r_a}, {r_b}]")
     if r_b > grid[-1] * (1.0 + 1e-12):
@@ -168,10 +171,12 @@ def monotone_area_bound(a: float, b: float, n: int) -> float:
     4 pi n |b^2/(1+b^2) - a^2/(1+a^2)|, with the convention inf^2/(1+inf^2)=1.
 
     Any profile with these endpoint values has at least this area; equality
-    holds exactly for monotone profiles.
+    holds exactly for monotone profiles.  ``n`` is a winding number, an
+    integer >= 1.
     """
-    if a < 0.0 or b < 0.0:
+    if not (a >= 0.0 and b >= 0.0):  # also rejects NaN
         raise ValueError("chart values must be nonnegative (or inf)")
+    n = _winding_number(n)
 
     def covered(v: float) -> float:
         if math.isinf(v):

@@ -47,7 +47,7 @@ class NumericalError(RuntimeError):
 
 def chart_to_colatitude(f: float) -> float:
     """Colatitude phi with tan(phi/2) = f.  Accepts f = inf (-> pi)."""
-    if f < 0.0:
+    if not f >= 0.0:  # also rejects NaN
         raise ValueError(f"chart value must be nonnegative, got {f!r}")
     return 2.0 * math.atan(f)
 

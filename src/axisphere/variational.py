@@ -217,36 +217,20 @@ class PiecewiseMinimizer:
 def g0_construct(c: ConeConstraint, n: int) -> PiecewiseMinimizer:
     """Build the explicit minimizer of I over the cone.
 
-    The descending arc stops with zero slope at t0 when t0 < s_tilde and is
-    otherwise the endpoint arc to s_tilde (the weak inequality t0 >= s_tilde
-    takes the endpoint branch); symmetrically for the ascending arc at tau0,
-    with tau0 = 1 (a = alpha) leaving the plateau running to the boundary.
+    The descending arc ends at min(t0, s_tilde): with zero slope at t0, or
+    as the endpoint arc to s_tilde.  Symmetrically the ascending arc starts
+    at tau0 clipped to [s_tilde, 1], and there is none when that is 1
+    (tau0 = 1 at a = alpha), which leaves the plateau running to the
+    boundary.
     """
     s, st, a, alpha, b = c.s, c.s_tilde, c.a, c.alpha, c.b
     t0 = compute_t0(s, a, b, n)
-    if st == 1.0:
-        tau0 = 1.0
-    else:
-        tau0 = compute_tau0(a, alpha, n)
-
-    if t0 >= st:
-        eta = eta_profile(st, s, a, b, n)
-        arc_end = st
-    else:
-        eta = eta_profile(t0, s, a, b, n)
-        arc_end = t0
-
-    zeta = None
-    plateau_end = 1.0
-    if st < 1.0:
-        if tau0 <= st:
-            zeta = zeta_profile(st, a, alpha, n)
-            plateau_end = st
-        elif tau0 < 1.0:
-            zeta = zeta_profile(tau0, a, alpha, n)
-            plateau_end = tau0
-        # tau0 == 1 (a == alpha): plateau to the boundary, no arc
-
+    tau0 = 1.0 if st == 1.0 else compute_tau0(a, alpha, n)
+    arc_end = min(t0, st)
+    # the outer min keeps a tau0 that rounds above 1 at the boundary
+    plateau_end = min(max(tau0, st), 1.0)
+    eta = eta_profile(arc_end, s, a, b, n)
+    zeta = zeta_profile(plateau_end, a, alpha, n) if plateau_end < 1.0 else None
     return PiecewiseMinimizer(
         constraint=c, n=n, eta=eta, zeta=zeta,
         arc_end=arc_end, plateau_end=plateau_end, t0=t0, tau0=tau0,

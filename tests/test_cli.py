@@ -19,7 +19,7 @@ class TestT0Energy:
     def test_closed_form_agreement(self, tmp_path, capsys):
         out = tmp_path / "t0.csv"
         code = run(["t0-energy", "--n", "2", "--alpha", "0.25",
-                    "--r-nodes", "4097", "--z-nodes", "17", "--out", str(out)])
+                    "--r-nodes", "4097", "--out", str(out)])
         assert code == 0
         header, row = out.read_text().splitlines()
         cols = dict(zip(header.split(","), row.split(",")))
@@ -30,8 +30,7 @@ class TestT0Energy:
     def test_alpha_zero_pure_mass(self, tmp_path):
         out = tmp_path / "t0.json"
         code = run(["t0-energy", "--n", "3", "--alpha", "0",
-                    "--r-nodes", "257", "--z-nodes", "9",
-                    "--format", "json", "--out", str(out)])
+                    "--r-nodes", "257", "--format", "json", "--out", str(out)])
         assert code == 0
         row = json.loads(out.read_text())["rows"][0]
         assert row["E"] == pytest.approx(0.0, abs=1e-12)
@@ -40,7 +39,7 @@ class TestT0Energy:
     def test_bit_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["t0-energy", "--n", "1,2", "--alpha", "0.1,0.25",
-                "--r-nodes", "1025", "--z-nodes", "9"]
+                "--r-nodes", "1025"]
         assert run(args + ["--out", str(out1)]) == 0
         assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_text() == out2.read_text()
@@ -58,7 +57,7 @@ class TestT0Energy:
 
     def test_spec_file_overrides(self, tmp_path):
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"alpha": [0.1], "r-nodes": 257, "z-nodes": 9}))
+        spec.write_text(json.dumps({"alpha": [0.1], "r-nodes": 257}))
         out = tmp_path / "out.csv"
         code = run(["t0-energy", "--spec", str(spec), "--out", str(out)])
         assert code == 0
@@ -104,7 +103,7 @@ class TestSliceColumns:
     def test_t0_slice_energy(self, tmp_path):
         out = tmp_path / "t0.json"
         assert run(["t0-energy", "--n", "1,3", "--alpha", "0.1,0.25", "--r-nodes", "32769",
-                    "--z-nodes", "9", "--format", "json", "--out", str(out)]) == 0
+                    "--format", "json", "--out", str(out)]) == 0
         for row in json.loads(out.read_text())["rows"]:
             profile = u0_profile(row["alpha"], row["n"], geometric_grid(1e-4, 1.0, 32769))
             assert row["slice_energy"] == pytest.approx(
@@ -368,7 +367,8 @@ class TestSigma:
         assert code == 0
         header, row = out.read_text().splitlines()
         cols = dict(zip(header.split(","), row.split(",")))
-        assert float(cols["length"]) == 0.0
+        for column in ("length", "primal", "dual", "bruteforce"):
+            assert cols[column] == "0", column
 
     def test_unbalanced_exit_2(self, tmp_path):
         cfg = tmp_path / "charges.json"
@@ -424,8 +424,7 @@ class TestParameters:
     """Flags and spec-file keys resolve through one table and one conversion."""
 
     @pytest.mark.parametrize("command, params", [
-        ("t0-energy", {"n": [2], "alpha": [0.25], "r_nodes": 16385, "z_nodes": 65,
-                       "r_min": 1e-4}),
+        ("t0-energy", {"n": [2], "alpha": [0.25], "r_nodes": 16385, "r_min": 1e-4}),
         ("relaxation-check", {"n": [1, 2, 3], "alpha": 0.25, "eps": [0.2, 0.1, 0.05, 0.025],
                               "nodes": 16385, "r_min": 1e-6}),
         ("proposition-sweep", {"n": 2, "alpha": [0.25, 0.1, 0.05, 0.02],
@@ -445,7 +444,7 @@ class TestParameters:
         ("t0-energy", "--n", "1,3", "n", [1, 3], [1, 3]),
         ("dipole-tradeoff", "--delta", "0.2,0.4", "delta", [0.2, 0.4], [0.2, 0.4]),
         ("proposition-sweep", "--s-tilde", "mid,1", "s-tilde", ["mid", "1"], ["mid", "1"]),
-        ("t0-energy", "--z-nodes", "17", "z_nodes", 17, 17),
+        ("t0-energy", "--r-nodes", "17", "r_nodes", 17, 17),
         ("relaxation-check", "--alpha", "0.1", "alpha", 0.1, 0.1),
     ])
     def test_spec_matches_flag(self, tmp_path, command, flag, text, key, value, expected):
@@ -455,9 +454,9 @@ class TestParameters:
         assert repr(from_flag.params[key.replace("-", "_")]) == repr(expected)
 
     def test_spec_overrides_flag(self, tmp_path):
-        spec = resolve(["t0-energy", "--alpha", "0.1", "--z-nodes", "9",
+        spec = resolve(["t0-energy", "--alpha", "0.1", "--r-nodes", "9",
                         "--spec", spec_file(tmp_path, {"alpha": [0.2]})])
-        assert spec.params["alpha"] == [0.2] and spec.params["z_nodes"] == 9
+        assert spec.params["alpha"] == [0.2] and spec.params["r_nodes"] == 9
 
     def test_spec_workers_only_one(self):
         spec = cli.ExperimentSpec(command="t0-energy", params={}, workers=1)
@@ -478,8 +477,9 @@ class TestParameters:
 
     @pytest.mark.parametrize("args", [
         ["t0-energy", "--workers", "2"], ["sigma", "--r-nodes", "9"],
-        ["t0-energy", "--z-nodes"], ["no-such-command"], [],
-    ], ids=["removed-flag", "foreign-flag", "missing-value", "unknown-command", "no-command"])
+        ["t0-energy", "--r-nodes"], ["no-such-command"], [], ["t0-energy", "--z-nodes", "9"],
+    ], ids=["removed-flag", "foreign-flag", "missing-value", "unknown-command", "no-command",
+            "removed-z-nodes"])
     def test_usage_error_is_one_line(self, capsys, args):
         with pytest.raises(SystemExit) as exc:
             run(args)
@@ -493,11 +493,11 @@ class TestParameters:
         (["dipole-tradeoff"], {"seed": "x"}),
         (["t0-energy"], {"command": "sigma"}),
         (["t0-energy"], {"spec": "other.json"}),
-        (["t0-energy"], {"z-nodes": 9.7}),
+        (["t0-energy"], {"r-nodes": 9.7}),
         (["t0-energy"], {"r-nodes": float("inf")}),
         (["t0-energy"], [0.1]),
         (["t0-energy", "--r-nodes", "abc"], None),
-        (["t0-energy", "--z-nodes", "9.7"], None),
+        (["t0-energy", "--r-nodes", "9.7"], None),
         (["dipole-tradeoff", "--rbox-factors", ""], None),
         (["proposition-sweep", "--s-tilde", ""], None),
         # every point infeasible (s >= 1/2), so no point reaches the choice
@@ -515,12 +515,13 @@ class TestParameters:
         (["proposition-sweep"], {"b": 0.5}),
         (["t0-energy"], {"workers": 1}),
         (["dipole-tradeoff"], {"workers": 2}),
+        (["t0-energy"], {"z-nodes": 9}),
     ], ids=["spec-workers-x", "spec-seed-x", "spec-command", "spec-spec", "spec-int-9.7",
             "spec-int-inf", "spec-not-object", "flag-int-abc", "flag-int-9.7",
             "flag-empty-float-list", "flag-empty-word-list", "flag-unknown-word",
             "flag-format-xml", "flag-nodes-r-2", "flag-nodes-z-2", "flag-nodes-z-even",
             "spec-jitter", "spec-seed", "spec-maxiter", "spec-b", "spec-workers-t0",
-            "spec-workers-dipole"])
+            "spec-workers-dipole", "spec-z-nodes"])
     def test_bad_value_exit_2(self, tmp_path, capsys, args, overrides):
         if overrides is not None:
             args = args + ["--spec", spec_file(tmp_path, overrides)]
@@ -554,8 +555,8 @@ class TestOutputPath:
     def no_computation(self, monkeypatch):
         def never(spec):
             raise AssertionError("computation started")
-        for name in cli._RUNNERS:
-            monkeypatch.setitem(cli._RUNNERS, name, never)
+        for name, command in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, name, command._replace(run=never))
 
     def assert_exit_2(self, args, capsys):
         assert run(args) == cli.EXIT_INPUT == 2
@@ -575,7 +576,7 @@ class TestOutputPath:
 class TestStrictJson:
     # each command with a row column that holds a non-finite value, if any
     @pytest.mark.parametrize("args, null_column", [
-        (["t0-energy", "--n", "2", "--r-nodes", "257", "--z-nodes", "9"], None),
+        (["t0-energy", "--n", "2", "--r-nodes", "257"], None),
         (["relaxation-check", "--n", "2", "--eps", "0.2,0.1", "--nodes", "2049"], None),
         (["proposition-sweep", "--alpha", "0.25", "--a-frac", "1", "--c0", "20",
           "--s-tilde", "2s", "--nodes", "128"], "t0"),
@@ -606,7 +607,7 @@ class TestTinyInnerRadius:
     no numpy warning (u_eps's r^-n overflows to inf there, which is exact)."""
 
     @pytest.mark.parametrize("args", [
-        ["t0-energy", "--r-nodes", "257", "--z-nodes", "9"],
+        ["t0-energy", "--r-nodes", "257"],
         ["relaxation-check", "--n", "2", "--eps", "0.2,0.1", "--nodes", "2049"],
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -665,4 +666,4 @@ class TestNumericalExit:
         def under_resolved(*args, **kwargs):
             raise NumericalError("quadrature residual 0.3")
         monkeypatch.setattr(cli, "energy_3d", under_resolved)
-        self.assert_exit_4(["t0-energy", "--r-nodes", "257", "--z-nodes", "9"], capsys)
+        self.assert_exit_4(["t0-energy", "--r-nodes", "257"], capsys)

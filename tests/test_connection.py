@@ -282,6 +282,15 @@ class TestBruteForce:
         cfg = SingularityConfig(positives=np.empty((0, 3)), negatives=np.empty((0, 3)))
         assert min_connection_bruteforce(cfg) == ConnectionResult(0.0, 0.0, ())
 
+    def test_empty_through_every_route(self):
+        # the general code of the two pairing routes handles k = 0 itself
+        cfg = SingularityConfig(positives=[], negatives=[])
+        for route in (min_connection_bruteforce, min_connection_assignment):
+            result = route(cfg)
+            assert result == ConnectionResult(0.0, 0.0, ())
+            assert type(result.length) is float and math.copysign(1.0, result.length) == 1.0
+        assert kantorovich_dual(cfg) == 0.0
+
 
 class TestAssignment:
     def test_matches_brute_on_named_examples(self):

@@ -122,6 +122,14 @@ class TestAreaAndBound:
         with pytest.raises(ValueError):
             monotone_area_bound(-0.1, 0.5, 1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b, n", [
+        (math.nan, 1.0, 1), (0.0, math.nan, 2), (0.0, 1.0, 1.5), (0.0, 1.0, 0), (0.0, 1.0, True),
+    ])
+    def test_nan_value_or_bad_winding_rejected(self, a, b, n):
+        with pytest.raises(ValueError):
+            monotone_area_bound(a, b, n)
+
     def test_monotone_profile_attains_bound(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -276,6 +284,15 @@ class TestConformalityGap:
         for interval in [(0.3, 0.3), (0.0, p.grid[0]), (p.grid[-1], p.grid[-1])]:
             for functional in (dirichlet_energy_radial, area_radial, conformality_gap):
                 assert functional(p, interval) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("interval", [(math.nan, 1.0), (0.5, math.nan), (math.nan, 0.5),
+                                          (math.nan, math.nan)])
+    def test_nan_interval_endpoint_rejected(self, interval):
+        p = random_profile(np.random.default_rng(17))
+        for functional in (dirichlet_energy_radial, area_radial, conformality_gap):
+            with pytest.raises(ValueError, match="NaN endpoint"):
+                functional(p, interval)
 
 
 class TestEnergyReport:

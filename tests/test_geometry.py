@@ -33,6 +33,12 @@ class TestChartConversions:
         with pytest.raises(ValueError):
             chart_to_colatitude(-0.1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_nan_rejected(self):
+        # inf stays valid: it is the south pole
+        with pytest.raises(ValueError):
+            chart_to_colatitude(math.nan)
+
     def test_monotone_and_invertible(self):
         f = np.geomspace(1e-8, 1e8, 400)
         phi = np.array([chart_to_colatitude(v) for v in f])

@@ -199,6 +199,36 @@ class TestExplicitMinimizer:
         assert g0.arc_end == c.s_tilde
         assert g0.eta.value(c.s_tilde) == pytest.approx(c.a, abs=1e-12)
 
+    def test_rising_arc_starts_at_s_tilde_when_tau0_below(self):
+        c = ConeConstraint(s=0.01, s_tilde=0.5, a=0.01, alpha=0.2)
+        g0 = g0_construct(c, 2)
+        assert g0.t0 < g0.tau0 <= c.s_tilde < 1.0
+        assert g0.plateau_end == c.s_tilde and g0.zeta.r_lo == c.s_tilde
+        assert g0.zeta.value(c.s_tilde) == pytest.approx(c.a, abs=1e-12)
+        assert g0.zeta.value(1.0) == pytest.approx(c.alpha, abs=1e-12)
+        # the corner at s_tilde: the arc leaves the plateau rising
+        assert g0.zeta.derivative(c.s_tilde) > 0.0
+
+    def test_breakpoints_clip_t0_and_tau0(self):
+        rng = np.random.default_rng(47)
+        reached = set()
+        for i in range(400):
+            c = random_cone(rng)
+            if i % 4 == 0:  # a = alpha: tau0 = 1, at s_tilde < 1 or = 1
+                s_tilde = 1.0 if i % 8 == 0 else c.s_tilde
+                c = ConeConstraint(s=c.s, s_tilde=s_tilde, a=c.alpha, alpha=c.alpha)
+            n = int(rng.integers(1, 4))
+            g0 = g0_construct(c, n)
+            t0 = compute_t0(c.s, c.a, c.b, n)
+            tau0 = 1.0 if c.s_tilde == 1.0 else compute_tau0(c.a, c.alpha, n)
+            assert (g0.t0, g0.tau0) == (t0, tau0)
+            assert g0.arc_end == min(t0, c.s_tilde)
+            assert g0.plateau_end == min(max(tau0, c.s_tilde), 1.0)
+            assert (g0.zeta is None) == (g0.plateau_end == 1.0)
+            reached.add((t0 < c.s_tilde, tau0 <= c.s_tilde, tau0 < 1.0, c.s_tilde < 1.0))
+        assert {key[:2] for key in reached} >= {(True, True), (True, False), (False, False)}
+        assert {key[2:] for key in reached} == {(True, True), (False, True), (False, False)}
+
     def test_continuity_and_cone_membership(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
