@@ -189,6 +189,10 @@ def run_relaxation_check(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
         raise InputError("eps values must lie in (0, 1)")
     if len(eps_list) < 2 or len(set(eps_list)) != len(eps_list):
         raise InputError("eps needs two or more distinct values, none repeated")
+    # at or below r_min, eps would be the grid's first node and its inner
+    # branch would cover no cell
+    if any(e <= r_min for e in eps_list):
+        raise InputError(f"eps values must exceed r_min = {r_min!r}")
     eps_list = sorted(eps_list, reverse=True)
 
     rows: list[dict] = []
@@ -238,8 +242,8 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
         raise InputError("alpha values must lie in (0, 1/4]")
     if any(not 0.0 < f <= 1.0 for f in a_fracs):
         raise InputError("a fractions must lie in (0, 1]")
-    if any(c0 <= 0.0 for c0 in c0s):
-        raise InputError("C0 values must be positive")
+    if any(not 0.0 < c0 < math.inf for c0 in c0s):
+        raise InputError("C0 values must be finite and positive")
     if any(choice not in _S_TILDE for choice in choices):
         raise InputError(f"unknown s_tilde choice in {choices} (use 2s, mid, 1)")
 

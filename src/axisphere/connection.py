@@ -125,10 +125,14 @@ class SingularityConfig:
     @classmethod
     def from_json(cls, text: str) -> "SingularityConfig":
         """Load ``{"multiplicity", "positives", "negatives"}``; each class is
-        a list of ``[x, y, z]`` rows, and an empty or missing class has none."""
+        a list of ``[x, y, z]`` rows, and an empty or missing class has none.
+        Any other key raises, so that a misspelled one is not read as absent."""
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError("charge configuration must be a JSON object")
+        unknown = sorted(set(d) - {"multiplicity", "positives", "negatives"})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} (use multiplicity, positives, negatives)")
         return cls(
             positives=d.get("positives", []),
             negatives=d.get("negatives", []),

@@ -467,7 +467,6 @@ class _BandPattern:
     free and corner k's number is not below corner l's, and each entry sums
     its terms in the order of (k, l, cell).
     """
-    free: np.ndarray            # (nr, nz) mask of the free nodes
     index: np.ndarray           # flat grid index of each free node, in order
     shape: tuple[int, int]      # (ldab, number of free nodes)
     entries: np.ndarray         # flat band index of each corner pair
@@ -503,15 +502,11 @@ def _cached_pattern(shape: tuple[int, int], mask: bytes) -> _BandPattern:
         pairs = np.repeat(np.outer(stencil, stencil).ravel(), counts)
         return _read_only(pairs.astype(np.int8))
 
-    # 4-byte indices halve what is kept, and take and bincount read them as
-    # fast; a grid or band too large for them would not fit in memory
-    index_type = np.int32 if max(ldab * size, nr * nz) <= np.iinfo(np.int32).max else np.intp
     return _BandPattern(
-        free=_read_only(free),
-        index=_read_only(np.flatnonzero(free).astype(index_type)),
+        index=_read_only(np.flatnonzero(free)),
         shape=(ldab, size),
-        entries=_read_only(entries.astype(index_type)),
-        cells=_read_only(np.concatenate(cells).astype(index_type)),
+        entries=_read_only(entries),
+        cells=_read_only(np.concatenate(cells)),
         sign_r=signs(_STENCIL_R),
         sign_z=signs(_STENCIL_Z),
         offsets=_read_only(np.concatenate([np.arange(ldab), -(ldab - 1) * np.arange(1, ldab)])),
@@ -545,7 +540,7 @@ class _MeridianSystem:
 
         fixed = np.asarray(fixed, dtype=bool)
         pattern = self._pattern = _cached_pattern(fixed.shape, fixed.tobytes())
-        self.free, self.index = pattern.free, pattern.index
+        self.index = pattern.index
         ldab, size = pattern.shape
         kinetic = pattern.sign_r * self.c_r.take(pattern.cells)
         kinetic += pattern.sign_z * self.c_z.take(pattern.cells)

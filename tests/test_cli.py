@@ -87,6 +87,17 @@ class TestRelaxationCheck:
     def test_eps_out_of_range_exit_2(self):
         assert run(["relaxation-check", "--eps", "0.2,1.5"]) == 2
 
+    @pytest.mark.parametrize("eps", [None, "0.2,0.001", "0.2,0.0005"])
+    def test_eps_at_or_below_r_min_exit_2(self, tmp_path, capsys, eps):
+        # eps <= r_min would be the grid's first node, its inner branch empty
+        out = tmp_path / "relax.csv"
+        args = ["relaxation-check", "--r-min", "0.5" if eps is None else "0.001",
+                "--out", str(out)]
+        assert run(args + ([] if eps is None else ["--eps", eps])) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: eps values must exceed r_min")
+        assert not out.exists()
+
     @pytest.mark.parametrize("eps", ["0.2", "0.1,0.1", "0.2,0.2,0.1"])
     def test_single_or_repeated_eps_exit_2(self, capsys, eps):
         # one distinct eps leaves the exponent fit underdetermined, and a
@@ -155,6 +166,14 @@ class TestPropositionSweep:
         assert [(r["alpha"], r["a"]) for r in failing] == [(0.1, 0.05)]
         assert any(r["alpha"] == 0.25 and r["feasible"] and r["holds"] for r in data["rows"])
         assert data["summary"]["empirical_alpha0_by_C0"]["5"] == 0.0
+
+    @pytest.mark.parametrize("c0", ["nan", "inf", "nan,5"])
+    def test_non_finite_c0_exit_2(self, tmp_path, capsys, c0):
+        out = tmp_path / "prop.csv"
+        assert run(["proposition-sweep", "--c0", c0, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: C0 values must be finite and positive"]
+        assert not out.exists()
 
     def test_infeasible_rows_marked(self, tmp_path):
         out = tmp_path / "prop.csv"
@@ -385,6 +404,19 @@ class TestSigma:
         cfg.write_text(json.dumps({"positives": [[0, 0, 0, 1, 1, 1]],
                                    "negatives": [[0, 0, 1], [1, 0, 0]]}))
         assert run(["sigma", "--spec", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("config", [
+        {"Positives": [[0, 0, 1]], "Negatives": [[0, 0, -1]]},
+        {"multiplicty": 2, "positives": [[0, 0, 1]], "negatives": [[0, 0, -1]]},
+    ])
+    def test_misspelled_key_exit_2(self, tmp_path, capsys, config):
+        cfg, out = tmp_path / "charges.json", tmp_path / "sigma.csv"
+        cfg.write_text(json.dumps(config))
+        assert run(["sigma", "--spec", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: cannot load charge configuration: unknown keys")
+        assert not out.exists()
 
     def test_missing_spec_exit_2(self):
         assert run(["sigma"]) == 2

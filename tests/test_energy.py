@@ -974,9 +974,16 @@ class TestBandPattern:
         first, second = _MeridianSystem(r, z, fixed, 1), _MeridianSystem(r, z, fixed.copy(), 2)
         pattern = first._pattern
         assert second._pattern is pattern
-        for name in ("free", "index", "entries", "cells", "sign_r", "sign_z", "offsets"):
+        for name in ("index", "entries", "cells", "sign_r", "sign_z", "offsets"):
             with pytest.raises(ValueError):
                 getattr(pattern, name)[...] = 0
+
+    def test_indices_are_intp(self):
+        # take, put and bincount would copy any other index type on each call
+        r, z, _, fixed = half_box(2, 0.05, 17)
+        pattern = _MeridianSystem(r, z, fixed, 2)._pattern
+        for name in ("index", "entries", "cells"):
+            assert getattr(pattern, name).dtype == np.intp
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_band_matches_pair_loop(self, n):
@@ -1105,7 +1112,8 @@ class TestFixedColumnOrder:
         assert len(solves) > 20
         assert any(has_active for *_, has_active in solves)
         systems = list({id(system): system for system, *_ in solves}.values())
-        assert [system.free.shape for system in systems] == [fixed.shape for fixed in grids]
+        assert ([system.c_r.shape for system in systems]
+                == [tuple(np.subtract(fixed.shape, 1)) for fixed in grids])
         for system, fixed in zip(systems, grids):
             # one row of free nodes plus one wide in the natural order
             width = int(np.count_nonzero(~fixed[1])) + 1
