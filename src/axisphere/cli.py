@@ -18,8 +18,8 @@ significant digits and re-runs are bit-identical; JSON output is strict,
 with non-finite values written as null.  Exit codes: 0 success, 2 input
 error (an output file that cannot be written included, caught before any
 computation), 3 optimizer non-convergence, 4 numerical failure (a failed
-Kantorovich search or certificate, a bound chain contradicting itself, or a
-singular segment subproblem).
+Kantorovich search or certificate, a current mass that overflows, a bound
+chain contradicting itself, or a singular segment subproblem).
 """
 
 from __future__ import annotations

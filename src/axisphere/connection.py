@@ -15,24 +15,28 @@ sum xi(P_i) - sum xi(N_j) over potentials with xi(P_i) - xi(N_j) <=
 |P_i - N_j| for every positive-negative pair.  Its optimum equals the
 all-pairs 1-Lipschitz form, because any bipartite-feasible potential extends
 to the 1-Lipschitz xi(x) = min_j (xi(N_j) + |x - N_j|) (McShane), which does
-not lower the objective.  ``kantorovich_dual`` finds optimal potentials by
-shortest augmenting paths (the Hungarian method with Dijkstra on reduced
-costs), its own search that never calls the assignment solver; it returns
-their value only once they pass the pair constraints, so the value is a
-certified lower bound on every pairing (weak duality).
-``min_connection_bruteforce`` is a third, exhaustive route for k <= 9: a
+not lower the objective.
+
+The package has one assignment solver: a shortest augmenting path search
+(the Hungarian method with Dijkstra on reduced costs), run at most once per
+configuration.  It ends with a permutation and potentials, and the
+potentials are checked against every pair constraint when it runs.
+``min_connection_assignment`` reports the permutation's length, an upper
+bound on the minimum, and ``kantorovich_dual`` the potentials' value, a lower
+bound by weak duality.  Where the two agree, the pairing is certified
+minimal, however the search found it.  ``min_connection_bruteforce`` is a
+third, exhaustive route for k <= 9 that shares no code with the search: a
 dynamic program over the 2^k subsets of negatives (O(k 2^k) time, 2^k
-memory) that calls neither the assignment solver nor the dual search.
-The current mass is multiplicity * length.
+memory).  The current mass is multiplicity * length.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import NumericalError
 
@@ -70,8 +74,9 @@ class SingularityConfig:
     negative (a removable pair).  Every positive-negative distance must be
     finite in floating point (below about 1.3e154).  All charges carry the
     same absolute degree ``multiplicity``, a Python or numpy integer >= 1
-    (not a bool).  The points are stored as read-only copies, so the
-    distance matrix built here stays theirs.
+    (not a bool) that a float can hold (below about 1.8e308).  The points
+    are stored as read-only copies, so the distance matrix built here, and
+    the one pairing search run on it, stay theirs.
     """
 
     positives: np.ndarray
@@ -95,6 +100,11 @@ class SingularityConfig:
         mult = self.multiplicity
         if isinstance(mult, bool) or not isinstance(mult, (int, np.integer)) or mult < 1:
             raise ValueError(f"multiplicity must be an integer >= 1, got {mult!r}")
+        try:
+            float(mult)
+        except OverflowError:
+            raise ValueError(f"multiplicity must be below about 1.8e308, got an integer "
+                             f"of {int(mult).bit_length()} bits") from None
         object.__setattr__(self, "positives", pos)
         object.__setattr__(self, "negatives", neg)
         object.__setattr__(self, "multiplicity", int(self.multiplicity))
@@ -112,6 +122,7 @@ class SingularityConfig:
             raise ValueError("a positive-negative distance overflows to inf")
         dist.flags.writeable = False
         object.__setattr__(self, "_dist", dist)
+        object.__setattr__(self, "_found", None)
 
     @property
     def k(self) -> int:
@@ -121,6 +132,34 @@ class SingularityConfig:
         """The read-only ``(k, k)`` matrix of |P_i - N_j|, built once at
         construction and shared by every route."""
         return self._dist
+
+    def _search(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only ``(matching, u, v)`` of the shortest augmenting path
+        search on the distance matrix, run on the first call and kept.
+
+        The search's pair constraints u_i + v_j <= d_ij are checked once, as
+        it runs, to 1e-9 * max(1, max d_ij).  The tolerance scales with the
+        distances: u, v and d each carry rounding errors of order 1e-16
+        max d_ij, which pass an absolute 1e-9 once the distances reach ~1e7.
+        A failed search or a violated constraint raises NumericalError and
+        keeps nothing, so the next call searches again.
+        """
+        if self._found is None:
+            dist = self._dist
+            if self.k == 0:  # the search's column minima of a 0 x 0 matrix would raise
+                found = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
+            else:
+                found = _shortest_augmenting_paths(dist)
+                _, u, v = found
+                violation = float(np.max(u[:, None] + v[None, :] - dist))
+                if not violation <= 1e-9 * max(1.0, float(dist.max())):  # also rejects NaN
+                    raise NumericalError(
+                        f"Kantorovich potentials violate a pair constraint by {violation:.3g}"
+                    )
+            for array in found:
+                array.flags.writeable = False
+            object.__setattr__(self, "_found", tuple(found))
+        return self._found
 
     @classmethod
     def from_json(cls, text: str) -> "SingularityConfig":
@@ -147,6 +186,18 @@ class ConnectionResult:
     length: float
     mass: float
     matching: tuple[int, ...]
+
+
+def _connection(cfg: SingularityConfig, matching: list[int] | np.ndarray) -> ConnectionResult:
+    """The pairing of positive i with negative ``matching[i]``: its length is
+    the matched distances summed in row order.  A mass that overflows raises
+    NumericalError."""
+    length = float(cfg.distance_matrix()[np.arange(cfg.k), matching].sum())
+    mass = cfg.multiplicity * length
+    if not math.isfinite(mass):
+        raise NumericalError(f"the current mass, multiplicity {float(cfg.multiplicity):.6g} "
+                             f"times length {length:.6g}, overflows")
+    return ConnectionResult(length=length, mass=mass, matching=tuple(int(j) for j in matching))
 
 
 def min_connection_bruteforce(cfg: SingularityConfig) -> ConnectionResult:
@@ -178,17 +229,17 @@ def min_connection_bruteforce(cfg: SingularityConfig) -> ConnectionResult:
         j = next(j for j in range(k) if free[m, j] and dist[i, j] + h[m | 1 << j] == h[m])
         matching.append(j)
         m |= 1 << j
-    length = float(dist[np.arange(k), matching].sum())
-    return ConnectionResult(length=length, mass=cfg.multiplicity * length, matching=tuple(matching))
+    return _connection(cfg, matching)
 
 
 def min_connection_assignment(cfg: SingularityConfig) -> ConnectionResult:
-    """Minimal connection via the O(k^3) assignment solver."""
-    dist = cfg.distance_matrix()
-    rows, cols = linear_sum_assignment(dist)
-    length = float(dist[rows, cols].sum())
-    matching = tuple(int(c) for c in cols[np.argsort(rows)])
-    return ConnectionResult(length=length, mass=cfg.multiplicity * length, matching=matching)
+    """Minimal connection: the pairing that the shortest augmenting path
+    search ends with, which ``kantorovich_dual``'s potentials from the same
+    search certify.  On tied inputs it may be another minimal pairing than
+    another solver's.  A failed search or certificate raises NumericalError.
+    """
+    matching, _, _ = cfg._search()
+    return _connection(cfg, matching)
 
 
 def _shortest_augmenting_paths(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -271,27 +322,16 @@ def kantorovich_dual(cfg: SingularityConfig) -> float:
     """Dual value: max sum xi(P_i) - sum xi(N_j) over potentials xi with
     xi(P_i) - xi(N_j) <= |P_i - N_j| for every positive-negative pair.
 
-    The potentials u_i = xi(P_i) and v_j = -xi(N_j) come from a shortest
+    The potentials u_i = xi(P_i) and v_j = -xi(N_j) come from the shortest
     augmenting path search on d_ij = |P_i - N_j| (the Hungarian method in
     its Dijkstra form), which keeps every reduced cost d_ij - u_i - v_j
     nonnegative and ends with a permutation sigma on which they are zero;
     u_i = d[i, sigma(i)] - v[sigma(i)], and v_j = min_i (d_ij - u_i) is
-    recomputed from u.  Their sum is returned only after the pair
-    constraints u_i + v_j <= d_ij hold to 1e-9 * max(1, max d_ij), so by
-    weak duality it is a lower bound on every pairing, and since sigma's
-    length equals it, it is the minimal-connection length.  The tolerance
-    scales with the distances: u, v and d each carry rounding errors of
-    order 1e-16 max d_ij, which pass an absolute 1e-9 once the distances
-    reach ~1e7.  The assignment solver is never consulted.  A failed search
-    or a violated pair constraint raises NumericalError.
+    recomputed from u.  The search runs once per configuration, and its pair
+    constraints u_i + v_j <= d_ij are checked then, to 1e-9 * max(1, max
+    d_ij), so by weak duality the sum is a lower bound on every pairing;
+    ``min_connection_assignment`` reports sigma, whose length meets it.  A
+    failed search or a violated pair constraint raises NumericalError.
     """
-    if cfg.k == 0:  # the search's column minima of a 0 x 0 matrix would raise
-        return 0.0
-    dist = cfg.distance_matrix()
-    _, u, v = _shortest_augmenting_paths(dist)
-    violation = float(np.max(u[:, None] + v[None, :] - dist))
-    if not violation <= 1e-9 * max(1.0, float(dist.max())):  # also rejects NaN duals
-        raise NumericalError(
-            f"Kantorovich potentials violate a pair constraint by {violation:.3g}"
-        )
+    _, u, v = cfg._search()
     return float(np.sum(u) + np.sum(v))

@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,7 +358,7 @@ class TestSigma:
         assert row["primal_dual_gap"] < 1e-9
         assert row["bruteforce"] == pytest.approx(2.0, abs=1e-12)
 
-    @pytest.mark.parametrize("multiplicity", [2.7, True, "2"])
+    @pytest.mark.parametrize("multiplicity", [2.7, True, "2", pytest.param(10 ** 400, id="10**400")])
     def test_non_integer_multiplicity_exit_2(self, tmp_path, capsys, multiplicity):
         cfg = tmp_path / "charges.json"
         cfg.write_text(json.dumps({"multiplicity": multiplicity, "positives": [[0, 0, -1]],
@@ -682,6 +686,13 @@ class TestNumericalExit:
         cfg.write_text(json.dumps({"positives": [[0, 0, -1]], "negatives": [[0, 0, 1]]}))
         self.assert_exit_4(["sigma", "--spec", str(cfg)], capsys)
 
+    def test_overflowing_mass(self, tmp_path, capsys):
+        # a multiplicity a float holds, times a length of 2e9, exceeds 1.8e308
+        cfg = tmp_path / "charges.json"
+        cfg.write_text(json.dumps({"multiplicity": 10 ** 300, "positives": [[0, 0, -1e9]],
+                                   "negatives": [[0, 0, 1e9]]}))
+        self.assert_exit_4(["sigma", "--spec", str(cfg)], capsys)
+
     def test_singular_segment_subproblem(self, monkeypatch, capsys):
         def singular(dl, d, du, b):
             return dl, d, du, b, 1
@@ -699,3 +710,15 @@ class TestNumericalExit:
             raise NumericalError("quadrature residual 0.3")
         monkeypatch.setattr(cli, "energy_3d", under_resolved)
         self.assert_exit_4(["t0-energy", "--r-nodes", "257"], capsys)
+
+
+def test_cli_import_leaves_heavy_scipy_modules_out():
+    """Every command pays for what ``import axisphere.cli`` loads; scipy's
+    optimize, sparse and integrate packages are not among it."""
+    heavy = ("scipy.optimize", "scipy.sparse", "scipy.integrate")
+    code = f"import sys, axisphere.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import threading
 import time
@@ -7,7 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from axisphere import connection
+from axisphere.cli import ExperimentSpec, run_sigma
 from axisphere.connection import (
     ConnectionResult,
     SingularityConfig,
@@ -17,6 +21,22 @@ from axisphere.connection import (
     min_connection_bruteforce,
 )
 from axisphere.geometry import NumericalError
+
+
+def oracle_length(cfg):
+    """The minimal length by scipy's assignment solver, an external oracle
+    that shares no code with the package's search."""
+    dist = cfg.distance_matrix()
+    rows, cols = linear_sum_assignment(dist)
+    return float(dist[rows, cols].sum())
+
+
+def charge_file(folder, cfg):
+    """``cfg`` as a ``sigma`` charge file in ``folder``."""
+    path = folder / "charges.json"
+    path.write_text(json.dumps({"positives": cfg.positives.tolist(),
+                                "negatives": cfg.negatives.tolist()}))
+    return path
 
 
 def random_config(rng, k, multiplicity=1):
@@ -182,6 +202,29 @@ class TestConfig:
                                 multiplicity=multiplicity)
         assert type(cfg.multiplicity) is int and cfg.multiplicity == 2
 
+    @pytest.mark.parametrize("multiplicity", [
+        pytest.param(10 ** 400, id="10**400"), pytest.param(2 ** 1024, id="2**1024"),
+        pytest.param(2 ** 1024 - 2 ** 970, id="rounds-to-2**1024"),
+    ])
+    def test_multiplicity_beyond_float_rejected(self, multiplicity):
+        with pytest.raises(ValueError, match="multiplicity must be below about 1.8e308"):
+            SingularityConfig(positives=[[0, 0, 0]], negatives=[[0, 0, 1]],
+                              multiplicity=multiplicity)
+
+    def test_largest_float_multiplicity_accepted(self):
+        multiplicity = 2 ** 1024 - 2 ** 971  # the largest finite float, as an integer
+        cfg = SingularityConfig(positives=[[0, 0, 0]], negatives=[[0, 0, 0.5]],
+                                multiplicity=multiplicity)
+        for route in (min_connection_assignment, min_connection_bruteforce):
+            assert route(cfg).mass == float(multiplicity) / 2
+
+    @pytest.mark.parametrize("route", [min_connection_assignment, min_connection_bruteforce])
+    def test_overflowing_mass_raises(self, route):
+        cfg = SingularityConfig(positives=[[0, 0, -1e9]], negatives=[[0, 0, 1e9]],
+                                multiplicity=10 ** 300)
+        with pytest.raises(NumericalError, match="current mass.*overflows"):
+            route(cfg)
+
     @pytest.mark.parametrize("multiplicity", [0, -1, 2.7, 2.0, True, np.True_, "2", None])
     def test_non_integer_multiplicity_rejected(self, multiplicity):
         with pytest.raises(ValueError, match="multiplicity must be an integer >= 1"):
@@ -315,6 +358,7 @@ class TestAssignment:
             brute = min_connection_bruteforce(cfg)
             fast = min_connection_assignment(cfg)
             assert fast.length == pytest.approx(brute.length, abs=1e-12)
+            assert fast.length == pytest.approx(oracle_length(cfg), abs=1e-12)
 
     def test_mass_uses_multiplicity(self):
         cfg = SingularityConfig(
@@ -345,6 +389,7 @@ class TestKantorovichDual:
             primal = min_connection_assignment(cfg).length
             dual = kantorovich_dual(cfg)
             assert dual == pytest.approx(primal, abs=1e-9)
+            assert dual == pytest.approx(oracle_length(cfg), abs=1e-9)
 
     def test_near_tie_within_lp_tolerance(self):
         # the pairings differ by 2e-8, below an LP solver's default feasibility tolerance
@@ -362,6 +407,7 @@ class TestKantorovichDual:
         dual = kantorovich_dual(cfg)
         elapsed = time.perf_counter() - t0
         assert dual == pytest.approx(min_connection_assignment(cfg).length, abs=1e-9)
+        assert dual == pytest.approx(oracle_length(cfg), abs=1e-9)
         assert elapsed < 10.0
 
     def test_large_scale_sets_certified(self):
@@ -370,18 +416,25 @@ class TestKantorovichDual:
         for seed in range(20):
             cfg = random_config(np.random.default_rng(seed), 40)
             cfg = SingularityConfig(positives=1e8 * cfg.positives, negatives=1e8 * cfg.negatives)
-            gap = abs(min_connection_assignment(cfg).length - kantorovich_dual(cfg))
+            dual = kantorovich_dual(cfg)
+            gap = abs(min_connection_assignment(cfg).length - dual)
             assert gap <= 1e-9 * cfg.distance_matrix().max()
+            assert abs(oracle_length(cfg) - dual) <= 1e-9 * cfg.distance_matrix().max()
 
-    def test_independent_of_assignment(self, monkeypatch):
+    def test_independent_of_assignment(self, monkeypatch, tmp_path):
         cfg = random_config(np.random.default_rng(40), 40)
-        primal = min_connection_assignment(cfg).length
+        expected = oracle_length(cfg)
+        path = charge_file(tmp_path, cfg)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("the dual route called the assignment solver")
+            raise AssertionError("a route called scipy's assignment solver")
 
-        monkeypatch.setattr("axisphere.connection.linear_sum_assignment", forbidden)
-        assert kantorovich_dual(cfg) == pytest.approx(primal, abs=1e-9)
+        monkeypatch.setattr("scipy.optimize.linear_sum_assignment", forbidden)
+        assert min_connection_assignment(cfg).length == pytest.approx(expected, abs=1e-9)
+        assert kantorovich_dual(cfg) == pytest.approx(expected, abs=1e-9)
+        (row,), _, code = run_sigma(ExperimentSpec(command="sigma", params={"config": str(path)}))
+        assert code == 0 and row["primal_dual_gap"] <= 1e-9
+        assert row["length"] == pytest.approx(expected, abs=1e-9)
 
     def test_violated_row_duals_raise(self, monkeypatch):
         cfg = random_config(np.random.default_rng(41), 5)
@@ -394,6 +447,60 @@ class TestKantorovichDual:
                             lambda dist: optimal)
         with pytest.raises(NumericalError, match="violate a pair constraint"):
             kantorovich_dual(cfg)
+
+
+class TestSearchOncePerConfig:
+    """Both pairing routes read one search per configuration."""
+
+    def counted_search(self, monkeypatch):
+        calls = []
+        search = connection._shortest_augmenting_paths
+
+        def counted(dist):
+            calls.append(dist.shape)
+            return search(dist)
+
+        monkeypatch.setattr("axisphere.connection._shortest_augmenting_paths", counted)
+        return calls
+
+    @pytest.mark.parametrize("k", [0, 1, 9, 40])
+    def test_routes_share_one_read_only_search(self, monkeypatch, k):
+        calls = self.counted_search(monkeypatch)
+        cfg = random_config(np.random.default_rng(43), k)
+        for _ in range(2):
+            primal = min_connection_assignment(cfg)
+            dual = kantorovich_dual(cfg)
+        assert len(calls) == (k > 0)  # a 0 x 0 matrix needs no search
+        matching, u, v = cfg._search()
+        assert all(array.shape == (k,) and not array.flags.writeable
+                   for array in (matching, u, v))
+        assert primal.matching == tuple(matching.tolist())
+        assert primal.length == pytest.approx(oracle_length(cfg), abs=1e-9)
+        assert dual == pytest.approx(primal.length, abs=1e-9)
+
+    def test_run_sigma_searches_once(self, monkeypatch, tmp_path):
+        calls = self.counted_search(monkeypatch)
+        cfg = random_config(np.random.default_rng(44), 40)
+        path = charge_file(tmp_path, cfg)
+        (row,), _, code = run_sigma(ExperimentSpec(command="sigma", params={"config": str(path)}))
+        assert code == 0 and calls == [(40, 40)]
+        assert row["length"] == pytest.approx(oracle_length(cfg), abs=1e-9)
+
+    def test_failed_certificate_is_not_kept(self, monkeypatch):
+        cfg = random_config(np.random.default_rng(45), 5)
+        v = cfg.distance_matrix().min(axis=0)
+        v[0] += 1e-6  # breaks one pair constraint by 1e-6
+        calls = []
+
+        def infeasible(dist):
+            calls.append(dist.shape)
+            return np.arange(5), np.zeros(5), v
+
+        monkeypatch.setattr("axisphere.connection._shortest_augmenting_paths", infeasible)
+        for route in (min_connection_assignment, kantorovich_dual):
+            with pytest.raises(NumericalError, match="violate a pair constraint"):
+                route(cfg)
+        assert len(calls) == 2
 
 
 def reference_search(dist):
@@ -457,6 +564,7 @@ class TestAugmentingPathSearch:
             cfg = lattice_config(rng, int(k))
             dual = kantorovich_dual(cfg)
             assert dual == pytest.approx(min_connection_assignment(cfg).length, abs=1e-9)
+            assert dual == pytest.approx(oracle_length(cfg), abs=1e-9)
             if k <= 9:
                 assert dual == pytest.approx(min_connection_bruteforce(cfg).length, abs=1e-9)
 
