@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
-from .geometry import NumericalError, geometric_grid
+from . import _lapack
+from .geometry import NumericalError, _geometric_nodes, geometric_grid
 
 __all__ = [
     "ClosedFormProfile",
@@ -257,22 +258,29 @@ def I_functional(r: np.ndarray, g: np.ndarray, n: int) -> float:
     return float(np.sum(_log_cells(r, g, n)[0]))
 
 
-def _I_and_gap(r: np.ndarray, g: np.ndarray, n: int) -> tuple[float, float]:
+def _I_and_gap(r: Sequence[np.ndarray], g: Sequence[np.ndarray], n: int) -> tuple[float, float]:
     """The discrete I of :func:`I_functional` and, on the same log-radius
     cells, the conformality defect E - A of the map generated by the chart
     profile g: 4 pi * Int (|g'| - (n/r) g)^2 / (1 + g^2)^2 r dr.
 
-    Since (1 + g^2)^2 <= 4 for g <= 1, each defect cell dominates pi times
-    the corresponding I cell.
+    ``r`` and ``g`` are sequences of consecutive parts of the nodes and of
+    their values, each part starting at the node where the one before ends;
+    the parts' cell sums are added in order.  One part gives the one-array
+    sums.  Since (1 + g^2)^2 <= 4 for g <= 1, each defect cell dominates pi
+    times the corresponding I cell.
     """
-    cells, gm = _log_cells(r, g, n)
-    return float(np.sum(cells)), 4.0 * math.pi * float(np.sum(cells / (1.0 + gm * gm) ** 2))
+    total = weighted = 0.0
+    for r_part, g_part in zip(r, g, strict=True):
+        cells, gm = _log_cells(r_part, g_part, n)
+        total += float(np.sum(cells))
+        weighted += float(np.sum(cells / (1.0 + gm * gm) ** 2))
+    return total, 4.0 * math.pi * weighted
 
 
 # KKT tolerance of the active-set solve, relative to its rounding level; the
 # residual it reaches is ~1e-15
 _KKT_TOL = 1e-10
-_gtsv, = get_lapack_funcs(("gtsv",), (np.empty(0),))  # float64 tridiagonal solve
+_gtsv = _lapack.dgtsv  # float64 tridiagonal solve
 # primal-dual rounds that start each segment solve; the primal loop finishes
 # whatever they leave open
 _ROUNDS = 8
@@ -511,8 +519,31 @@ class GapBound:
         return self.gap > self.rhs
 
 
-# the grid on which gap_lower_bound samples the explicit minimizer
+# the grid on which gap_lower_bound samples the explicit minimizer, and the
+# cell at which numpy's pairwise sum splits its 16384 or 16385 cells (half,
+# rounded down to a multiple of 8)
 _CHECK_NODES = 16385
+_CHECK_SPLIT = 8192
+
+
+def _check_grid(s: float, s_tilde: float) -> tuple[np.ndarray, np.ndarray]:
+    """``geometric_grid(s, 1, _CHECK_NODES)`` with ``s_tilde`` inserted, as
+    two parts that share node ``_CHECK_SPLIT``.
+
+    The two parts' cell sums add to the whole grid's bit for bit, and each
+    part's arrays stay under glibc's 128 KiB mmap threshold, which the whole
+    grid's (131,080 bytes and up) exceed: those would be mapped and faulted
+    in anew on every call.
+    """
+    lo = _geometric_nodes(s, 1.0, _CHECK_NODES, 0, _CHECK_SPLIT + 1)
+    hi = _geometric_nodes(s, 1.0, _CHECK_NODES, _CHECK_SPLIT, _CHECK_NODES)
+    if s_tilde in lo or s_tilde in hi:
+        return lo, hi
+    if s_tilde > lo[-1]:
+        return lo, np.insert(hi, np.searchsorted(hi, s_tilde), s_tilde)
+    # inserted into the first part, s_tilde pushes its last node to the second
+    return (np.insert(lo[:-1], np.searchsorted(lo, s_tilde), s_tilde),
+            np.concatenate((lo[-2:-1], hi)))
 
 
 def gap_lower_bound(c: ConeConstraint, n: int) -> GapBound:
@@ -529,10 +560,8 @@ def gap_lower_bound(c: ConeConstraint, n: int) -> GapBound:
     vacuous = t0 >= tau0
     log_bound = 0.0 if vacuous else math.pi * n * n * a * a * math.log(tau0 / t0)
 
-    grid = geometric_grid(s, 1.0, _CHECK_NODES)
-    if c.s_tilde not in grid:
-        grid = np.insert(grid, np.searchsorted(grid, c.s_tilde), c.s_tilde)
-    I_disc, gap = _I_and_gap(grid, g0.sample(grid), n)
+    parts = _check_grid(s, c.s_tilde)
+    I_disc, gap = _I_and_gap(parts, [g0.sample(r) for r in parts], n)
     rhs = 8.0 * math.pi * n * a * a / (1.0 + a * a)
 
     if gap < math.pi * I_disc - 1e-8 or math.pi * I_disc < log_bound - 1e-8:

@@ -714,8 +714,10 @@ class TestNumericalExit:
 
 def test_cli_import_leaves_heavy_scipy_modules_out():
     """Every command pays for what ``import axisphere.cli`` loads; scipy's
-    optimize, sparse and integrate packages are not among it."""
-    heavy = ("scipy.optimize", "scipy.sparse", "scipy.integrate")
+    optimize, sparse, integrate and linalg packages are not among it, nor
+    numpy's f2py and testing, which ``scipy.linalg``'s import brings."""
+    heavy = ("scipy.optimize", "scipy.sparse", "scipy.integrate", "scipy.linalg",
+             "numpy.f2py", "numpy.testing")
     code = f"import sys, axisphere.cli; print([m for m in {heavy!r} if m in sys.modules])"
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from axisphere.cli import _S_TILDE
-from axisphere.geometry import NumericalError
+from axisphere.geometry import NumericalError, geometric_grid
 from axisphere.variational import (
+    _CHECK_NODES,
+    _CHECK_SPLIT,
     ConeConstraint,
     I_functional,
+    _check_grid,
     _I_and_gap,
     _segment_gradient,
     _segment_quadratic,
@@ -546,6 +549,40 @@ class TestGapBound:
         grid = np.unique(np.concatenate([np.geomspace(c.s, 1.0, 513), [c.s_tilde]]))
         for _ in range(50):
             g = random_cone_profile(rng, c, grid)
-            i_disc, gap = _I_and_gap(grid, g, 2)
+            i_disc, gap = _I_and_gap([grid], [g], 2)
             assert i_disc == I_functional(grid, g, 2)
             assert gap >= math.pi * i_disc - 1e-12
+
+    @staticmethod
+    def one_array_grid(c):
+        grid = geometric_grid(c.s, 1.0, _CHECK_NODES)
+        if c.s_tilde not in grid:
+            grid = np.insert(grid, np.searchsorted(grid, c.s_tilde), c.s_tilde)
+        return grid
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("where", ["one", "node-first", "node-second", "first", "second"])
+    def test_two_part_chain_is_one_array_bit_for_bit(self, where, n):
+        s, alpha = 1e-3, 0.1
+        nodes = geometric_grid(s, 1.0, _CHECK_NODES)
+        s_tilde = {"one": 1.0, "node-first": nodes[100], "node-second": nodes[12000],
+                   "first": 0.01, "second": 0.3}[where]
+        c = ConeConstraint(s=s, s_tilde=s_tilde, a=alpha if s_tilde == 1.0 else 0.04, alpha=alpha)
+        grid = self.one_array_grid(c)
+        lo, hi = _check_grid(c.s, c.s_tilde)
+        assert len(lo) == _CHECK_SPLIT + 1 and lo[-1] == hi[0]
+        assert np.concatenate((lo, hi[1:])).tobytes() == grid.tobytes()
+        inserted = int(np.searchsorted(grid, s_tilde))
+        assert (inserted <= _CHECK_SPLIT) == (where in ("node-first", "first"))
+        assert (len(grid) > _CHECK_NODES) == (where in ("first", "second"))
+        _, gap = _I_and_gap([grid], [g0_construct(c, n).sample(grid)], n)
+        assert gap_lower_bound(c, n).gap.hex() == gap.hex()
+
+    def test_two_part_chain_on_random_cones(self):
+        rng = np.random.default_rng(83)
+        for _ in range(60):
+            c = random_cone(rng)
+            n = int(rng.integers(1, 4))
+            grid = self.one_array_grid(c)
+            _, gap = _I_and_gap([grid], [g0_construct(c, n).sample(grid)], n)
+            assert gap_lower_bound(c, n).gap.hex() == gap.hex()
