@@ -36,7 +36,6 @@ same blocks.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -450,25 +449,11 @@ _ARMIJO = 1e-4
 _MIN_STEP = 1e-12
 # Band patterns kept, one per recent mask (a dipole ladder has a few rungs).
 _PATTERNS_KEPT = 8
-# Each thread's work arrays for the Newton solves, reused from step to step:
-# at 41x21 the band (137 KB) and the LU fallback's band (400 KB) are above
-# glibc's mmap threshold, so new ones would be mapped and faulted in anew.
-_work = threading.local()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _work_array(name: str, size: int) -> np.ndarray:
-    """``size`` floats of this thread's work array ``name``, holding whatever
-    its last use left; the array grows to the largest size asked for."""
-    flat = getattr(_work, name, None)
-    if flat is None or flat.size < size:
-        flat = np.empty(size)
-        setattr(_work, name, flat)
-    return flat[:size]
 
 
 @dataclass(frozen=True)
@@ -607,10 +592,9 @@ class _MeridianSystem:
         return energy, grad, np.subtract(1.0, sin2, out=sin2)
 
     def band(self, cos2: np.ndarray, convex: bool = False,
-             active: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+             active: np.ndarray | None = None) -> np.ndarray:
         """The lower band of the Hessian over the free nodes, for cell
-        curvatures ``cos2``, as a column-major array: a new one, or a view of
-        ``out``, a flat array of ``ldab * free nodes`` floats.
+        curvatures ``cos2``, as a new column-major array.
 
         ``convex`` clips the curvature term at 0, which leaves a positive
         semidefinite sum of rank-one cell terms.  Rows and columns of the
@@ -621,10 +605,8 @@ class _MeridianSystem:
         q /= 8.0
         if convex:
             np.maximum(q, 0.0, out=q)
-        band = np.empty(self._kinetic.size) if out is None else out
-        band.fill(0.0)
-        # adds each entry's terms in list order, (k, l, cell)
-        np.add.at(band, pattern.entries, q.take(pattern.cells))
+        band = np.bincount(pattern.entries, weights=q.take(pattern.cells),
+                           minlength=self._kinetic.size)
         band += self._kinetic
         ldab, size = pattern.shape
         if active is not None and active.any():
@@ -641,19 +623,16 @@ class _MeridianSystem:
         """The Hessian ``band(cos2, convex, active)`` solved against ``g``:
         by banded Cholesky, or by banded LU where the matrix is not positive
         definite."""
-        work = _work_array("band", self._kinetic.size)
-        _, x, info = dpbsv(self.band(cos2, convex, active, work), g, lower=1, overwrite_ab=1)
+        _, x, info = dpbsv(self.band(cos2, convex, active), g, lower=1, overwrite_ab=1)
         if info == 0:
             return x
         # the failed factorization overwrote its band.  LU takes the upper
         # band too, superdiagonal d being subdiagonal d shifted right by d,
         # below ``width`` rows for the fill of pivoting; in Fortran order,
-        # which LAPACK would otherwise copy it into.  LAPACK sets the fill
-        # rows itself and reads no entry outside the matrix, so what an
-        # earlier solve left in the work array there goes unread
-        band = self.band(cos2, convex, active, work)
-        width, size = band.shape[0] - 1, band.shape[1]
-        full = _work_array("lu", (3 * width + 1) * size).reshape(size, -1).T
+        # which LAPACK would otherwise copy it into
+        band = self.band(cos2, convex, active)
+        width = band.shape[0] - 1
+        full = np.zeros((3 * width + 1, band.shape[1]), order="F")
         full[2 * width:] = band
         for d in range(1, width + 1):
             full[2 * width - d, d:] = band[d, :-d]
@@ -754,8 +733,7 @@ def minimize_meridian_energy(
         energy, grad, cos2 = e_new, g_new, c_new
         iterations += 1
     # phi, grad, cos2 and blocked are the returned state's on every exit
-    work = _work_array("band", system._kinetic.size)
-    _, info = dpbtrf(system.band(cos2, active=blocked, out=work), lower=1, overwrite_ab=1)
+    _, info = dpbtrf(system.band(cos2, active=blocked), lower=1, overwrite_ab=1)
     return MeridianRelaxResult(
         phi=phi, energy=energy, converged=grad_norm <= gtol,
         iterations=iterations, grad_norm=grad_norm, message=message,

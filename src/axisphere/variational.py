@@ -520,10 +520,11 @@ class GapBound:
 
 
 # the grid on which gap_lower_bound samples the explicit minimizer, and the
-# cell at which numpy's pairwise sum splits its 16384 or 16385 cells (half,
-# rounded down to a multiple of 8)
+# cell at which numpy's pairwise sum splits its cells: half of them, rounded
+# down to a multiple of 8.  With an odd node count the grid's cells and the
+# one more that an inserted s_tilde makes split at the same cell
 _CHECK_NODES = 16385
-_CHECK_SPLIT = 8192
+_CHECK_SPLIT = _CHECK_NODES // 2 // 8 * 8
 
 
 def _check_grid(s: float, s_tilde: float) -> tuple[np.ndarray, np.ndarray]:
@@ -541,9 +542,10 @@ def _check_grid(s: float, s_tilde: float) -> tuple[np.ndarray, np.ndarray]:
         return lo, hi
     if s_tilde > lo[-1]:
         return lo, np.insert(hi, np.searchsorted(hi, s_tilde), s_tilde)
-    # inserted into the first part, s_tilde pushes its last node to the second
-    return (np.insert(lo[:-1], np.searchsorted(lo, s_tilde), s_tilde),
-            np.concatenate((lo[-2:-1], hi)))
+    # inserted into the first part, s_tilde pushes its last node to the
+    # second, which starts where the first now ends
+    first = np.insert(lo[:-1], np.searchsorted(lo, s_tilde), s_tilde)
+    return first, np.concatenate((first[-1:], hi))
 
 
 def gap_lower_bound(c: ConeConstraint, n: int) -> GapBound:

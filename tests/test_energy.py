@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, lapack, solve_banded, solveh_banded
+from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 from scipy.optimize import minimize
 
 from axisphere import energy
@@ -1085,62 +1085,6 @@ class TestBandedNewtonSolve:
         assert lu
         for hess in lu:
             assert np.min(np.linalg.eigvalsh(hess)) < 0.0
-
-
-class TestWorkArrays:
-    """The Newton solves assemble their bands in work arrays kept per
-    thread; no solve sees what an earlier one left in them."""
-
-    @staticmethod
-    def indefinite_step():
-        # the n = 2 spindle start of the half box is indefinite
-        r, z, phi, fixed = half_box(2, 0.05, 17)
-        system = _MeridianSystem(r, z, fixed, 2)
-        _, grad, cos2 = system.evaluate(phi)
-        g = grad.ravel().take(system.index)
-        assert lapack.dpbsv(system.band(cos2), g, lower=1)[2] != 0
-        # the LU layout in a new zeroed array
-        band = system.band(cos2)
-        width = band.shape[0] - 1
-        full = np.zeros((3 * width + 1, band.shape[1]), order="F")
-        full[2 * width:] = band
-        for d in range(1, width + 1):
-            full[2 * width - d, d:] = band[d, :-d]
-        x, info = lapack.dgbsv(width, width, full, g)[2:]
-        assert info == 0
-        return system, g, cos2, x
-
-    @pytest.mark.parametrize("fill", [math.nan, 1e300, 0.0])
-    def test_left_contents_change_nothing(self, fill):
-        system, g, cos2, want = self.indefinite_step()
-        active = np.zeros(g.size, dtype=bool)
-        for name in ("band", "lu"):
-            setattr(energy._work, name, np.full(4 * system.band(cos2).size, fill))
-        assert system.solve(g, cos2, False, active).tobytes() == want.tobytes()
-        assert system.solve(g, cos2, False, active).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("convex", [False, True])
-    def test_band_into_out_is_new_band(self, convex):
-        system, _, cos2, _ = self.indefinite_step()
-        active = np.zeros(system.index.size, dtype=bool)
-        active[::5] = True
-        want = system.band(cos2, convex, active)
-        out = np.full(want.size, math.nan)
-        got = system.band(cos2, convex, active, out)
-        assert np.shares_memory(got, out)
-        assert got.tobytes(order="F") == want.tobytes(order="F")
-
-    def test_threads_share_no_work_array(self):
-        system, g, cos2, want = self.indefinite_step()
-        active = np.zeros(g.size, dtype=bool)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                got = list(pool.map(lambda _: system.solve(g, cos2, False, active), range(80)))
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(x.tobytes() == want.tobytes() for x in got)
 
 
 class TestFixedColumnOrder:

@@ -561,20 +561,25 @@ class TestGapBound:
         return grid
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("where", ["one", "node-first", "node-second", "first", "second"])
+    @pytest.mark.parametrize("where", ["one", "node-first", "node-second", "first",
+                                       "last-of-first", "second"])
     def test_two_part_chain_is_one_array_bit_for_bit(self, where, n):
         s, alpha = 1e-3, 0.1
         nodes = geometric_grid(s, 1.0, _CHECK_NODES)
+        # last-of-first: strictly between the split node and the one before,
+        # so s_tilde itself becomes the first part's last node
+        between = math.sqrt(nodes[_CHECK_SPLIT - 1] * nodes[_CHECK_SPLIT])
         s_tilde = {"one": 1.0, "node-first": nodes[100], "node-second": nodes[12000],
-                   "first": 0.01, "second": 0.3}[where]
+                   "first": 0.01, "last-of-first": between, "second": 0.3}[where]
         c = ConeConstraint(s=s, s_tilde=s_tilde, a=alpha if s_tilde == 1.0 else 0.04, alpha=alpha)
         grid = self.one_array_grid(c)
         lo, hi = _check_grid(c.s, c.s_tilde)
         assert len(lo) == _CHECK_SPLIT + 1 and lo[-1] == hi[0]
         assert np.concatenate((lo, hi[1:])).tobytes() == grid.tobytes()
         inserted = int(np.searchsorted(grid, s_tilde))
-        assert (inserted <= _CHECK_SPLIT) == (where in ("node-first", "first"))
-        assert (len(grid) > _CHECK_NODES) == (where in ("first", "second"))
+        assert (inserted <= _CHECK_SPLIT) == (where in ("node-first", "first", "last-of-first"))
+        assert (inserted == _CHECK_SPLIT) == (where == "last-of-first")
+        assert (len(grid) > _CHECK_NODES) == (where in ("first", "last-of-first", "second"))
         _, gap = _I_and_gap([grid], [g0_construct(c, n).sample(grid)], n)
         assert gap_lower_bound(c, n).gap.hex() == gap.hex()
 
