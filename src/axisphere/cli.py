@@ -19,7 +19,8 @@ with non-finite values written as null.  Exit codes: 0 success, 2 input
 error (an output file that cannot be written included, caught before any
 computation), 3 optimizer non-convergence, 4 numerical failure (a failed
 Kantorovich search or certificate, a current mass that overflows, a bound
-chain contradicting itself, or a singular segment subproblem).
+chain contradicting itself, a singular segment subproblem, or a dipole box
+whose relaxation starts from a non-finite energy).
 """
 
 from __future__ import annotations
@@ -246,6 +247,8 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
         raise InputError("C0 values must be finite and positive")
     if any(choice not in _S_TILDE for choice in choices):
         raise InputError(f"unknown s_tilde choice in {choices} (use 2s, mid, 1)")
+    if nodes < 64:
+        raise InputError("nodes must be >= 64")
 
     def one(alpha: float, frac: float, c0: float, choice: str) -> dict:
         a = frac * alpha

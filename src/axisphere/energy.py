@@ -44,7 +44,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from ._lapack import dgbsv, dpbsv, dpbtrf
-from .geometry import RadialProfile, _checked_colatitudes, _winding_number
+from .geometry import NumericalError, RadialProfile, _checked_colatitudes, _winding_number
 
 __all__ = [
     "EnergyReport",
@@ -692,11 +692,16 @@ def minimize_meridian_energy(
     the answer: it succeeds exactly when the Hessian is positive definite
     over the directions the bounds leave open.
     """
-    system = _MeridianSystem(r, z, fixed, n)
-    free = system.index
     phi = np.array(phi_init, dtype=float)
-    phi.put(free, np.clip(phi.take(free), 0.0, math.pi))
-    energy, grad, cos2 = system.evaluate(phi)
+    # cells whose sizes underflow give non-finite coefficients, and a NaN
+    # start node a NaN energy; such a start is rejected, not warned about
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        system = _MeridianSystem(r, z, fixed, n)
+        free = system.index
+        phi.put(free, np.clip(phi.take(free), 0.0, math.pi))
+        energy, grad, cos2 = system.evaluate(phi)
+    if not math.isfinite(energy):
+        raise NumericalError(f"the relaxation's start energy is {energy}")
     trial = phi.copy()
     message = "iteration limit reached"
     iterations = 0
@@ -773,13 +778,19 @@ def dipole_half_box(
     z_full = np.linspace(-delta, delta, 2 * nodes_z - 1)
     z = z_full[nodes_z - 1:]
     background = 2.0 * np.arctan(alpha * r ** n)[:, None]
-    e_base = meridian_cell_energy(r, z_full, np.broadcast_to(background, (nodes_r, z_full.size)), n)
+    # a box whose cell sizes underflow has no finite energy; its start is
+    # rejected by minimize_meridian_energy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_base = meridian_cell_energy(
+            r, z_full, np.broadcast_to(background, (nodes_r, z_full.size)), n)
     fixed = np.zeros((nodes_r, nodes_z), dtype=bool)
     fixed[[0, -1], :] = True
     fixed[:, -1] = True
     if coarse is None:
         rho = 0.5 * r_box * np.sqrt(np.maximum(0.0, 1.0 - (z / delta) ** 2))
-        with np.errstate(divide="ignore", over="ignore"):
+        # where rho^2n underflows and r^-n overflows, 0 * inf is NaN: a
+        # start that minimize_meridian_energy rejects
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             f_plug = alpha * rho[None, :] ** (2 * n) * r[:, None] ** (-float(n))
         phi = 2.0 * np.arctan(np.maximum(alpha * r[:, None] ** n, f_plug))
     else:

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from axisphere import cli, energy
 from axisphere.cli import main
+from axisphere.connection import SingularityConfig
 from axisphere.geometry import NumericalError, geometric_grid, u0_profile, u_eps_profile
 
 
@@ -216,17 +218,19 @@ class TestPropositionSweep:
 
 class TestDipole:
     def test_tiny_run_converges(self, tmp_path):
-        out = tmp_path / "dip.json"
-        code = run(["dipole-tradeoff", "--n", "2", "--alpha", "0.05",
-                    "--delta", "0.3", "--rbox-factors", "1",
-                    "--nodes-r", "33", "--nodes-z", "33",
-                    "--format", "json", "--out", str(out)])
-        assert code == 0
-        data = json.loads(out.read_text())
-        row = data["rows"][0]
-        assert row["converged"]
-        assert row["verdict"] in ("positive", "negative", "inconclusive")
-        assert row["mass_saving"] == pytest.approx(8 * math.pi * 2 * 0.3, rel=1e-12)
+        # a thin n = 2 box at 33 x 33, and both winding numbers at the
+        # default alpha at 17 x 17
+        for n, alpha, nodes in [(2, "0.05", "33"), (1, "0.25", "17"), (2, "0.25", "17")]:
+            out = tmp_path / f"dip-{n}-{alpha}.json"
+            code = run(["dipole-tradeoff", "--n", str(n), "--alpha", alpha,
+                        "--delta", "0.3", "--rbox-factors", "1",
+                        "--nodes-r", nodes, "--nodes-z", nodes,
+                        "--format", "json", "--out", str(out)])
+            assert code == 0
+            (row,) = strict_load(out)["rows"]
+            assert row["converged"] is True and row["stable"] is True
+            assert row["verdict"] in ("positive", "negative", "inconclusive")
+            assert row["mass_saving"] == pytest.approx(8 * math.pi * n * 0.3, rel=1e-12)
 
     def test_bad_delta_exit_2(self):
         assert run(["dipole-tradeoff", "--delta", "0.7"]) == 2
@@ -341,22 +345,40 @@ class TestHalfBox:
         assert all(row["stable"] is (coarse and fine) for row in rows)
 
 
+def uniform_charges(seed, k):
+    """A charge configuration of k positives, then k negatives, drawn
+    uniformly from [-1, 1]^3 with ``seed``."""
+    rng = np.random.default_rng(seed)
+    return {"positives": rng.uniform(-1, 1, (k, 3)).tolist(),
+            "negatives": rng.uniform(-1, 1, (k, 3)).tolist()}
+
+
+def assignment_length(config):
+    """The minimal length by scipy's assignment solver, an external oracle
+    that shares no code with the package's search."""
+    dist = SingularityConfig.from_json(json.dumps(config)).distance_matrix()
+    return float(dist[linear_sum_assignment(dist)].sum())
+
+
 class TestSigma:
-    def test_axis_pair(self, tmp_path, capsys):
+    @pytest.mark.parametrize("config, length", [
+        ({"multiplicity": 2, "positives": [[0.0, 0.0, -1.0]], "negatives": [[0.0, 0.0, 1.0]]},
+         2.0),
+        # the largest k the brute force takes
+        (uniform_charges(9, 9), assignment_length(uniform_charges(9, 9))),
+    ], ids=["axis-pair", "nine-charges"])
+    def test_routes_agree(self, tmp_path, config, length):
         cfg = tmp_path / "charges.json"
-        cfg.write_text(json.dumps({
-            "multiplicity": 2,
-            "positives": [[0.0, 0.0, -1.0]],
-            "negatives": [[0.0, 0.0, 1.0]],
-        }))
+        cfg.write_text(json.dumps(config))
         out = tmp_path / "sigma.json"
         code = run(["sigma", "--spec", str(cfg), "--format", "json", "--out", str(out)])
         assert code == 0
-        row = json.loads(out.read_text())["rows"][0]
-        assert row["length"] == pytest.approx(2.0, abs=1e-12)
-        assert row["mass"] == pytest.approx(4.0, abs=1e-12)
+        (row,) = strict_load(out)["rows"]
+        assert row["k"] == len(config["positives"])
+        assert row["length"] == pytest.approx(length, abs=1e-12)
+        assert row["mass"] == pytest.approx(config.get("multiplicity", 1) * length, abs=1e-12)
         assert row["primal_dual_gap"] < 1e-9
-        assert row["bruteforce"] == pytest.approx(2.0, abs=1e-12)
+        assert row["bruteforce"] == pytest.approx(length, abs=1e-12)
 
     @pytest.mark.parametrize("multiplicity", [2.7, True, "2", pytest.param(10 ** 400, id="10**400")])
     def test_non_integer_multiplicity_exit_2(self, tmp_path, capsys, multiplicity):
@@ -412,6 +434,7 @@ class TestSigma:
     @pytest.mark.parametrize("config", [
         {"Positives": [[0, 0, 1]], "Negatives": [[0, 0, -1]]},
         {"multiplicty": 2, "positives": [[0, 0, 1]], "negatives": [[0, 0, -1]]},
+        {"Positives": [[0, 0, 1]], "multiplicty": 2, "Negatives": [[0, 0, -1]]},
     ])
     def test_misspelled_key_exit_2(self, tmp_path, capsys, config):
         cfg, out = tmp_path / "charges.json", tmp_path / "sigma.csv"
@@ -514,8 +537,9 @@ class TestParameters:
     @pytest.mark.parametrize("args", [
         ["t0-energy", "--workers", "2"], ["sigma", "--r-nodes", "9"],
         ["t0-energy", "--r-nodes"], ["no-such-command"], [], ["t0-energy", "--z-nodes", "9"],
+        ["dipole-tradeoff", "--workers", "2"],
     ], ids=["removed-flag", "foreign-flag", "missing-value", "unknown-command", "no-command",
-            "removed-z-nodes"])
+            "removed-z-nodes", "removed-dipole-workers"])
     def test_usage_error_is_one_line(self, capsys, args):
         with pytest.raises(SystemExit) as exc:
             run(args)
@@ -552,18 +576,27 @@ class TestParameters:
         (["t0-energy"], {"workers": 1}),
         (["dipole-tradeoff"], {"workers": 2}),
         (["t0-energy"], {"z-nodes": 9}),
+        # too few cone nodes, with a feasible point and with none
+        (["proposition-sweep", "--nodes", "10"], None),
+        (["proposition-sweep", "--nodes", "10", "--c0", "20", "--alpha", "0.25",
+          "--a-frac", "1", "--s-tilde", "2s"], None),
     ], ids=["spec-workers-x", "spec-seed-x", "spec-command", "spec-spec", "spec-int-9.7",
             "spec-int-inf", "spec-not-object", "flag-int-abc", "flag-int-9.7",
             "flag-empty-float-list", "flag-empty-word-list", "flag-unknown-word",
             "flag-format-xml", "flag-nodes-r-2", "flag-nodes-z-2", "flag-nodes-z-even",
             "spec-jitter", "spec-seed", "spec-maxiter", "spec-b", "spec-workers-t0",
-            "spec-workers-dipole", "spec-z-nodes"])
-    def test_bad_value_exit_2(self, tmp_path, capsys, args, overrides):
+            "spec-workers-dipole", "spec-z-nodes", "flag-cone-nodes-10",
+            "flag-cone-nodes-10-infeasible"])
+    def test_bad_value_exit_2(self, tmp_path, capsys, monkeypatch, args, overrides):
+        # a bad value is rejected before the first point is computed
+        bounds = []
+        monkeypatch.setattr(cli, "gap_lower_bound", lambda *a: bounds.append(a))
         if overrides is not None:
             args = args + ["--spec", spec_file(tmp_path, overrides)]
         assert run(args) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert bounds == []
 
 
 def strict_load(path):
@@ -571,16 +604,6 @@ def strict_load(path):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
     return json.loads(path.read_text(), parse_constant=reject)
-
-
-def ten_pair_config(path):
-    rng = np.random.default_rng(5)
-    path.write_text(json.dumps({
-        "multiplicity": 1,
-        "positives": rng.uniform(-1, 1, (10, 3)).tolist(),
-        "negatives": rng.uniform(-1, 1, (10, 3)).tolist(),
-    }))
-    return path
 
 
 class TestOutputPath:
@@ -623,7 +646,9 @@ class TestStrictJson:
     def test_output_parses_strictly(self, tmp_path, args, null_column):
         out = tmp_path / "out.json"
         if args == ["sigma"]:
-            args = ["sigma", "--spec", str(ten_pair_config(tmp_path / "charges.json"))]
+            cfg = tmp_path / "charges.json"
+            cfg.write_text(json.dumps(uniform_charges(5, 10)))
+            args = ["sigma", "--spec", str(cfg)]
         assert run(args + ["--format", "json", "--out", str(out)]) in (0, 3)
         data = strict_load(out)
         assert data["rows"] and "summary" in data
@@ -711,6 +736,28 @@ class TestNumericalExit:
         monkeypatch.setattr(cli, "energy_3d", under_resolved)
         self.assert_exit_4(["t0-energy", "--r-nodes", "257"], capsys)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args", [
+        # the cells' dr^2 underflows to 0
+        ["--nodes-r", "5", "--nodes-z", "5", "--delta", "0.3", "--rbox-factors", "1e-160"],
+        # the plug's rho^2n underflows where r^-n overflows: 0 * inf
+        ["--n", "200", "--rbox-factors", "1"],
+    ], ids=["underflowing-cells", "nan-plug"])
+    def test_non_finite_dipole_box(self, tmp_path, capsys, args):
+        out = tmp_path / "dip.json"
+        self.assert_exit_4(["dipole-tradeoff", *args, "--format", "json", "--out", str(out)],
+                           capsys)
+        assert not out.exists()
+
+
+def run_python(*args):
+    """A fresh interpreter's run of ``python args``, with this package first
+    on its path; exits 0 or raises."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
 
 def test_cli_import_leaves_heavy_scipy_modules_out():
     """Every command pays for what ``import axisphere.cli`` loads; scipy's
@@ -719,8 +766,46 @@ def test_cli_import_leaves_heavy_scipy_modules_out():
     heavy = ("scipy.optimize", "scipy.sparse", "scipy.integrate", "scipy.linalg",
              "numpy.f2py", "numpy.testing")
     code = f"import sys, axisphere.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert run_python("-c", code).stdout.strip() == "[]"
+
+
+def test_module_entry_point():
+    done = run_python("-m", "axisphere", "t0-energy", "--r-nodes", "257")
+    assert done.stdout.splitlines()[0] == "t0-energy: 1 rows"
+
+
+def closed_form_agrees(data):
+    return all(row["rel_err"] <= 1e-6 for row in data["rows"])
+
+
+def quadrature_agrees_and_deficits_decrease(data):
+    monotone = data["summary"]["deficits_positive_decreasing"]
+    return (all(row["quad_rel_err"] <= 1e-5 for row in data["rows"])
+            and all(value is True for value in monotone.values()))
+
+
+def feasible_rows_converge_and_agree(data):
+    feasible = [row for row in data["rows"] if row["feasible"]]
+    return bool(feasible) and all(row["converged"] is True and row["agreement"] <= 1e-4
+                                  for row in feasible)
+
+
+def relaxed_and_stable(data):
+    return all(row["converged"] is True and row["stable"] is True for row in data["rows"])
+
+
+# each command at its defaults (proposition-sweep at 4096 cone nodes), and
+# the check its output must pass
+@pytest.mark.parametrize("args, check", [
+    (["t0-energy"], closed_form_agrees),
+    (["relaxation-check"], quadrature_agrees_and_deficits_decrease),
+    (["proposition-sweep", "--nodes", "4096"], feasible_rows_converge_and_agree),
+    (["dipole-tradeoff", "--n", "1"], relaxed_and_stable),
+    (["dipole-tradeoff", "--n", "2"], relaxed_and_stable),
+], ids=["t0-energy", "relaxation-check", "proposition-sweep-4096", "dipole-tradeoff-n1",
+        "dipole-tradeoff-n2"])
+def test_command_at_defaults(tmp_path, args, check):
+    out = tmp_path / "out.json"
+    assert run(args + ["--format", "json", "--out", str(out)]) == 0
+    data = strict_load(out)
+    assert data["rows"] and check(data)

@@ -401,19 +401,19 @@ class TestKantorovichDual:
 
     def test_large_k_matches_assignment(self):
         # k = 200: the all-pairs dense form would need over 0.5 GB here
-        rng = np.random.default_rng(2024)
-        cfg = random_config(rng, 200)
-        t0 = time.perf_counter()
-        dual = kantorovich_dual(cfg)
-        elapsed = time.perf_counter() - t0
-        assert dual == pytest.approx(min_connection_assignment(cfg).length, abs=1e-9)
-        assert dual == pytest.approx(oracle_length(cfg), abs=1e-9)
-        assert elapsed < 10.0
+        for seed, k in [(2024, 200), (120, 120)]:
+            cfg = random_config(np.random.default_rng(seed), k)
+            t0 = time.perf_counter()
+            dual = kantorovich_dual(cfg)
+            elapsed = time.perf_counter() - t0
+            assert dual == pytest.approx(min_connection_assignment(cfg).length, abs=1e-9)
+            assert dual == pytest.approx(oracle_length(cfg), abs=1e-9)
+            assert elapsed < 10.0
 
     def test_large_scale_sets_certified(self):
         # distances near 1e8 round by ~1e-8 each, past an absolute 1e-9; the
         # pair-constraint tolerance and the gap both scale with max d_ij
-        for seed in range(20):
+        for seed in [*range(20), 40]:
             cfg = random_config(np.random.default_rng(seed), 40)
             cfg = SingularityConfig(positives=1e8 * cfg.positives, negatives=1e8 * cfg.negatives)
             dual = kantorovich_dual(cfg)
@@ -560,12 +560,15 @@ class TestAugmentingPathSearch:
 
     def test_lattice_ties_match_assignment_and_bruteforce(self):
         rng = np.random.default_rng(15)
-        for k in [*range(1, 10)] * 5 + [*rng.integers(10, 120, 12)] + [120]:
-            cfg = lattice_config(rng, int(k))
+        configs = [lattice_config(rng, int(k))
+                   for k in [*range(1, 10)] * 5 + [*rng.integers(10, 120, 12)] + [120]]
+        # 120 pairs on a 7^3 lattice, some positives on top of negatives
+        configs.append(lattice_config(np.random.default_rng(120), 120))
+        for cfg in configs:
             dual = kantorovich_dual(cfg)
             assert dual == pytest.approx(min_connection_assignment(cfg).length, abs=1e-9)
             assert dual == pytest.approx(oracle_length(cfg), abs=1e-9)
-            if k <= 9:
+            if cfg.k <= 9:
                 assert dual == pytest.approx(min_connection_bruteforce(cfg).length, abs=1e-9)
 
     def test_own_matching_is_tight_permutation(self):

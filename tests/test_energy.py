@@ -29,7 +29,13 @@ from axisphere.energy import (
     minimize_meridian_energy,
     monotone_area_bound,
 )
-from axisphere.geometry import RadialProfile, geometric_grid, u0_profile, u_eps_profile
+from axisphere.geometry import (
+    NumericalError,
+    RadialProfile,
+    geometric_grid,
+    u0_profile,
+    u_eps_profile,
+)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -339,6 +345,7 @@ class TestMeridianField:
         with pytest.raises(ValueError):
             MeridianField(np.array(r), np.array(z), phi, 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [1.5, 2.7, np.float64(2.0), True, 0, "2"])
     def test_winding_number_must_be_an_integer(self, n):
         with pytest.raises(ValueError, match="winding number"):
@@ -1175,6 +1182,14 @@ class TestMeridianRelaxation:
         assert res.iterations == 1
         assert not res.converged
         assert res.grad_norm > 1e-5
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, r_box", [(2, 3e-161), (200, 0.3)],
+                             ids=["underflowing-cells", "nan-plug"])
+    def test_non_finite_start_raises(self, n, r_box):
+        r, z, phi0, fixed, _ = dipole_half_box(n, 0.25, 0.3, r_box, 5, 3)
+        with pytest.raises(NumericalError, match="start energy"):
+            minimize_meridian_energy(r, z, phi0, fixed, n)
 
 
 def half_box(n, alpha, nodes):
