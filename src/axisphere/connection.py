@@ -17,17 +17,20 @@ all-pairs 1-Lipschitz form, because any bipartite-feasible potential extends
 to the 1-Lipschitz xi(x) = min_j (xi(N_j) + |x - N_j|) (McShane), which does
 not lower the objective.
 
-The package has one assignment solver: a shortest augmenting path search
-(the Hungarian method with Dijkstra on reduced costs), run at most once per
-configuration.  It ends with a permutation and potentials, and the
-potentials are checked against every pair constraint when it runs.
+The package has one assignment solver, run at most once per
+configuration: scipy's compiled ``linear_sum_assignment`` (a shortest
+augmenting path search, Crouse 2016) pairs the charges, and a vectorised
+Bellman-Ford on the columns recovers Kantorovich potentials for that
+pairing.  The potentials are checked when the search runs: every pair
+constraint must hold, and every matched pair must be tight.
 ``min_connection_assignment`` reports the permutation's length, an upper
 bound on the minimum, and ``kantorovich_dual`` the potentials' value, a lower
-bound by weak duality.  Where the two agree, the pairing is certified
-minimal, however the search found it.  ``min_connection_bruteforce`` is a
-third, exhaustive route for k <= 9 that shares no code with the search: a
-dynamic program over the 2^k subsets of negatives (O(k 2^k) time, 2^k
-memory).  The current mass is multiplicity * length.
+bound by weak duality.  Tight matched pairs make the two equal, so the
+pairing is certified minimal, however the search found it.
+``min_connection_bruteforce`` is a third, exhaustive route for k <= 9 that
+shares no code with the search: a dynamic program over the 2^k subsets of
+negatives (O(k 2^k) time, 2^k memory).  The current mass is multiplicity *
+length.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import linear_sum_assignment
 from .geometry import NumericalError
 
 __all__ = [
@@ -134,15 +138,18 @@ class SingularityConfig:
         return self._dist
 
     def _search(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The read-only ``(matching, u, v)`` of the shortest augmenting path
-        search on the distance matrix, run on the first call and kept.
+        """The read-only ``(matching, u, v)`` of the assignment search on the
+        distance matrix, run on the first call and kept.
 
-        The search's pair constraints u_i + v_j <= d_ij are checked once, as
-        it runs, to 1e-9 * max(1, max d_ij).  The tolerance scales with the
+        The certificate is checked once, as the search runs, to 1e-9 *
+        max(1, max d_ij): the pair constraints u_i + v_j <= d_ij, and their
+        equality on the matched pairs d[i, sigma(i)] = u_i + v[sigma(i)].
+        Together they make the matching's length equal the potentials' sum,
+        so a non-optimal matching cannot pass.  The tolerance scales with the
         distances: u, v and d each carry rounding errors of order 1e-16
         max d_ij, which pass an absolute 1e-9 once the distances reach ~1e7.
-        A failed search or a violated constraint raises NumericalError and
-        keeps nothing, so the next call searches again.
+        A failed search or certificate raises NumericalError and keeps
+        nothing, so the next call searches again.
         """
         if self._found is None:
             dist = self._dist
@@ -150,11 +157,18 @@ class SingularityConfig:
                 found = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
             else:
                 found = _shortest_augmenting_paths(dist)
-                _, u, v = found
+                matching, u, v = found
+                tolerance = 1e-9 * max(1.0, float(dist.max()))
                 violation = float(np.max(u[:, None] + v[None, :] - dist))
-                if not violation <= 1e-9 * max(1.0, float(dist.max())):  # also rejects NaN
+                if not violation <= tolerance:  # also rejects NaN
                     raise NumericalError(
                         f"Kantorovich potentials violate a pair constraint by {violation:.3g}"
+                    )
+                slack = float(np.max(np.abs(dist[np.arange(self.k), matching] - u - v[matching])))
+                if not slack <= tolerance:
+                    raise NumericalError(
+                        f"a matched pair is {slack:.3g} short of tight under the Kantorovich "
+                        f"potentials: the pairing is not certified minimal"
                     )
             for array in found:
                 array.flags.writeable = False
@@ -233,10 +247,10 @@ def min_connection_bruteforce(cfg: SingularityConfig) -> ConnectionResult:
 
 
 def min_connection_assignment(cfg: SingularityConfig) -> ConnectionResult:
-    """Minimal connection: the pairing that the shortest augmenting path
-    search ends with, which ``kantorovich_dual``'s potentials from the same
-    search certify.  On tied inputs it may be another minimal pairing than
-    another solver's.  A failed search or certificate raises NumericalError.
+    """Minimal connection: the pairing that the assignment search ends
+    with, which ``kantorovich_dual``'s potentials from the same search
+    certify.  On tied inputs it may be another minimal pairing than another
+    solver's.  A failed search or certificate raises NumericalError.
     """
     matching, _, _ = cfg._search()
     return _connection(cfg, matching)
@@ -247,73 +261,38 @@ def _shortest_augmenting_paths(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     Returns ``(matching, u, v)``: positive i is paired with negative
     ``matching[i]``, and u_i + v_j <= dist[i, j] holds with equality on the
-    matched pairs.  Throughout the search the reduced costs dist[i, j] - u_i
-    - v_j are nonnegative and zero on matched pairs, and u_i = 0 on unmatched
-    rows, so only v is stored.  It starts from v_j = min_i dist[i, j] and
-    matches each row to the first column whose minimum it holds.  Each
-    unmatched row then grows a Dijkstra tree over the columns on reduced
-    costs until it reaches an unmatched column.  ``red`` holds dist[i, j] -
-    v_j, with inf in the columns the tree has reached, so each scanned row
-    takes three calls: its costs ``red[i] + offset``, their elementwise
-    minimum with the tentative distances, and the argmin.  v moves by the
-    tree's distances, which keeps the reduced costs nonnegative and makes the
-    tree's path tight; the path is flipped, and ``red`` is rebuilt from v.
-    Along the path, each column's predecessor is the first scanned row whose
-    cost equals the column's distance, the row that set it.  Finally u is
-    read off the matching, u_i = dist[i, matching[i]] - v[matching[i]], and v
-    is recomputed from u as v_j = min_i (dist[i, j] - u_i).  O(k^3) time,
-    O(k^2) memory (``dist`` and ``red``).  A non-finite tentative distance
-    raises NumericalError.
+    matched pairs.  scipy's compiled ``linear_sum_assignment`` (a shortest
+    augmenting path search, Crouse 2016) finds the matching.  The potentials
+    are then shortest-path distances on the columns: with u_i =
+    dist[i, matching[i]] - v[matching[i]], the pair constraints read v_j <=
+    v_c + w[c, j] for w[c, j] = dist[r, j] - dist[r, c], r the row matched to
+    column c.  An optimal matching leaves no negative cycle in w, so
+    Bellman-Ford from v = 0 converges within k rounds; each round relaxes
+    from the columns that the round before lowered.  Finally u is read off
+    the matching and v recomputed from u as v_j = min_i (dist[i, j] - u_i).
+    O(k^2) memory (``dist`` and ``w``).  A matrix with no finite matching, or
+    with a NaN, raises NumericalError.
     """
     k = dist.shape[0]
-    v = dist.min(axis=0)
-    matching = np.full(k, -1)
-    row_of = np.full(k, -1)
-    rows, cols = np.unique(dist.argmin(axis=0), return_index=True)
-    matching[rows], row_of[cols] = cols, rows
-    row_of = row_of.tolist()
-    red = dist - v
-    cost = np.empty(k)
-    tentative = np.empty(k)  # distance to each column not yet reached; inf once reached
-    for free in np.flatnonzero(matching < 0).tolist():
-        tentative.fill(np.inf)
-        i, offset = free, 0.0  # tree distance to row i minus u_i; u = 0 on a free row
-        scanned, offsets, reached, labels = [], [], [], []  # in scan order
-        while True:
-            scanned.append(i)
-            offsets.append(offset)
-            np.add(red[i], offset, out=cost)
-            np.minimum(tentative, cost, out=tentative)
-            j = int(tentative.argmin())
-            dj = tentative.item(j)
-            if not dj < np.inf:  # also rejects NaN
-                raise NumericalError(
-                    f"Kantorovich search found no finite augmenting path from positive {free}"
-                )
-            reached.append(j)
-            labels.append(dj)
-            tentative[j] = red[:, j] = np.inf
-            i = row_of[j]
-            if i < 0:
-                break
-            offset = dj - dist.item(i, j) + v.item(j)
-        t = len(reached) - 1
-        while True:  # flip the path back to the free row, scanned[0]
-            j, vj = reached[t], v.item(reached[t])
-            s = 0
-            while (dist.item(scanned[s], j) - vj) + offsets[s] != labels[t]:
-                s += 1
-            i = scanned[s]
-            row_of[j], matching[i] = i, j
-            if s == 0:
-                break
-            t = s - 1  # scanned[s] was reached through column reached[s - 1]
-        closed = np.array(reached)
-        v[closed] += np.array(labels) - dj
-        np.subtract(dist, v, out=red)
+    try:
+        _, matching = linear_sum_assignment(dist)
+    except ValueError as exc:  # "cost matrix is infeasible" or "invalid numeric entries"
+        raise NumericalError(f"Kantorovich search found no finite augmenting path: {exc}") from None
+    row_of = np.empty(k, dtype=np.intp)
+    row_of[matching] = np.arange(k)
+    w = dist[row_of]
+    w -= dist[row_of, np.arange(k)][:, None]
+    v = np.zeros(k)
+    lowered = np.arange(k)
+    for _ in range(k):
+        reach = (w[lowered] + v[lowered, None]).min(axis=0)
+        lowered = np.flatnonzero(reach < v)
+        if lowered.size == 0:
+            break
+        v[lowered] = reach[lowered]
     u = dist[np.arange(k), matching] - v[matching]
     # the largest v that u allows: equal to v in exact arithmetic, but the
-    # rounding of the updates above drops out of the pair constraints
+    # rounding of the path sums above drops out of the pair constraints
     v = (dist - u[:, None]).min(axis=0)
     return matching, u, v
 
@@ -322,16 +301,16 @@ def kantorovich_dual(cfg: SingularityConfig) -> float:
     """Dual value: max sum xi(P_i) - sum xi(N_j) over potentials xi with
     xi(P_i) - xi(N_j) <= |P_i - N_j| for every positive-negative pair.
 
-    The potentials u_i = xi(P_i) and v_j = -xi(N_j) come from the shortest
-    augmenting path search on d_ij = |P_i - N_j| (the Hungarian method in
-    its Dijkstra form), which keeps every reduced cost d_ij - u_i - v_j
-    nonnegative and ends with a permutation sigma on which they are zero;
-    u_i = d[i, sigma(i)] - v[sigma(i)], and v_j = min_i (d_ij - u_i) is
-    recomputed from u.  The search runs once per configuration, and its pair
-    constraints u_i + v_j <= d_ij are checked then, to 1e-9 * max(1, max
-    d_ij), so by weak duality the sum is a lower bound on every pairing;
-    ``min_connection_assignment`` reports sigma, whose length meets it.  A
-    failed search or a violated pair constraint raises NumericalError.
+    The potentials u_i = xi(P_i) and v_j = -xi(N_j) belong to the pairing
+    sigma that the assignment search on d_ij = |P_i - N_j| ends with: v is a
+    shortest-path distance on the columns, found by Bellman-Ford, u_i =
+    d[i, sigma(i)] - v[sigma(i)], and v_j = min_i (d_ij - u_i) is recomputed
+    from u.  The search runs once per configuration, and its certificate is
+    checked then, to 1e-9 * max(1, max d_ij): every pair constraint u_i + v_j
+    <= d_ij holds, so by weak duality the sum is a lower bound on every
+    pairing, and every matched pair is tight, so sigma's length, which
+    ``min_connection_assignment`` reports, meets it.  A failed search or
+    certificate raises NumericalError.
     """
     _, u, v = cfg._search()
     return float(np.sum(u) + np.sum(v))

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -354,8 +355,8 @@ def uniform_charges(seed, k):
 
 
 def assignment_length(config):
-    """The minimal length by scipy's assignment solver, an external oracle
-    that shares no code with the package's search."""
+    """The minimal length by scipy's assignment solver, the one the package
+    loads; the brute force is the route that shares no code with it."""
     dist = SingularityConfig.from_json(json.dumps(config)).distance_matrix()
     return float(dist[linear_sum_assignment(dist)].sum())
 
@@ -762,11 +763,18 @@ def run_python(*args):
 def test_cli_import_leaves_heavy_scipy_modules_out():
     """Every command pays for what ``import axisphere.cli`` loads; scipy's
     optimize, sparse, integrate and linalg packages are not among it, nor
-    numpy's f2py and testing, which ``scipy.linalg``'s import brings."""
+    numpy's f2py and testing, which ``scipy.linalg``'s import brings.  Of
+    scipy it loads what ``import scipy`` does and the two extensions, so the
+    import of any subpackage's ``__init__`` shows."""
     heavy = ("scipy.optimize", "scipy.sparse", "scipy.integrate", "scipy.linalg",
              "numpy.f2py", "numpy.testing")
-    code = f"import sys, axisphere.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    assert run_python("-c", code).stdout.strip() == "[]"
+    listed = (f"print(([m for m in {heavy!r} if m in sys.modules], "
+              "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    loaded, scipy_loaded = ast.literal_eval(
+        run_python("-c", f"import sys, axisphere.cli; {listed}").stdout)
+    _, top_level = ast.literal_eval(run_python("-c", f"import sys, scipy; {listed}").stdout)
+    assert loaded == []
+    assert scipy_loaded == sorted([*top_level, "scipy.linalg._flapack", "scipy.optimize._lsap"])
 
 
 def test_module_entry_point():

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
 
 from axisphere import connection
-from axisphere.cli import ExperimentSpec, run_sigma
+from axisphere.cli import ExperimentSpec, main, run_sigma
 from axisphere.connection import (
     ConnectionResult,
     SingularityConfig,
@@ -24,11 +23,13 @@ from axisphere.geometry import NumericalError
 
 
 def oracle_length(cfg):
-    """The minimal length by scipy's assignment solver, an external oracle
-    that shares no code with the package's search."""
+    """The minimal length by ``reference_search``, the tests' own Hungarian
+    method, an oracle that shares no code with the package's search."""
+    if cfg.k == 0:
+        return 0.0
     dist = cfg.distance_matrix()
-    rows, cols = linear_sum_assignment(dist)
-    return float(dist[rows, cols].sum())
+    matching, _, _ = reference_search(dist)
+    return float(dist[np.arange(cfg.k), matching].sum())
 
 
 def charge_file(folder, cfg):
@@ -421,20 +422,18 @@ class TestKantorovichDual:
             assert gap <= 1e-9 * cfg.distance_matrix().max()
             assert abs(oracle_length(cfg) - dual) <= 1e-9 * cfg.distance_matrix().max()
 
-    def test_independent_of_assignment(self, monkeypatch, tmp_path):
+    def test_swapped_pairing_fails_certificate(self, monkeypatch, tmp_path):
+        # the optimal pairing with two pairs swapped: no potentials make it tight
         cfg = random_config(np.random.default_rng(40), 40)
-        expected = oracle_length(cfg)
         path = charge_file(tmp_path, cfg)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a route called scipy's assignment solver")
-
-        monkeypatch.setattr("scipy.optimize.linear_sum_assignment", forbidden)
-        assert min_connection_assignment(cfg).length == pytest.approx(expected, abs=1e-9)
-        assert kantorovich_dual(cfg) == pytest.approx(expected, abs=1e-9)
-        (row,), _, code = run_sigma(ExperimentSpec(command="sigma", params={"config": str(path)}))
-        assert code == 0 and row["primal_dual_gap"] <= 1e-9
-        assert row["length"] == pytest.approx(expected, abs=1e-9)
+        rows, cols = connection.linear_sum_assignment(cfg.distance_matrix())
+        cols[[0, 1]] = cols[[1, 0]]
+        monkeypatch.setattr("axisphere.connection.linear_sum_assignment",
+                            lambda dist: (rows, cols))
+        for route in (min_connection_assignment, kantorovich_dual):
+            with pytest.raises(NumericalError, match="not certified minimal"):
+                route(cfg)
+        assert main(["sigma", "--spec", str(path)]) == 4
 
     def test_violated_row_duals_raise(self, monkeypatch):
         cfg = random_config(np.random.default_rng(41), 5)
@@ -504,7 +503,9 @@ class TestSearchOncePerConfig:
 
 
 def reference_search(dist):
-    """Reference for ``_shortest_augmenting_paths``: a fresh cost row per
+    """The tests' reference solver for ``_shortest_augmenting_paths``: the
+    Hungarian method with Dijkstra on reduced costs, in numpy.  Column minima
+    start v; each unmatched row grows a tree with a fresh cost row per
     scanned row, and a predecessor array rewritten wherever that row is
     strictly closer, so ties keep the first scanned row."""
     k = dist.shape[0]
@@ -551,12 +552,20 @@ def reference_search(dist):
 
 class TestAugmentingPathSearch:
     def test_matches_reference_search(self):
+        # on lattice ties the two may end with different minimal pairings
         rng = np.random.default_rng(18)
         for k in [*range(1, 10)] * 4 + [40, 120] * 2:
             for cfg in (lattice_config(rng, k), random_config(rng, k)):
                 dist = cfg.distance_matrix()
-                for got, want in zip(_shortest_augmenting_paths(dist), reference_search(dist)):
-                    np.testing.assert_array_equal(got, want)
+                rows = np.arange(k)
+                matching, u, v = _shortest_augmenting_paths(dist)
+                want, _, _ = reference_search(dist)
+                assert sorted(matching) == list(range(k))
+                assert dist[rows, matching].sum() == pytest.approx(dist[rows, want].sum(),
+                                                                   rel=1e-12)
+                tolerance = 1e-9 * max(1.0, dist.max())
+                assert np.max(u[:, None] + v - dist) <= tolerance
+                assert np.max(np.abs(dist[rows, matching] - u - v[matching])) <= tolerance
 
     def test_lattice_ties_match_assignment_and_bruteforce(self):
         rng = np.random.default_rng(15)
