@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 _BRUTEFORCE_MAX = 9
+# Bellman-Ford's stop margin in units of max d_ij: 4 ulps
+_TIE_ULPS = 4.0 * np.finfo(float).eps
 
 
 def _point_rows(points, name: str) -> np.ndarray:
@@ -267,11 +269,10 @@ def _shortest_augmenting_paths(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray
     dist[i, matching[i]] - v[matching[i]], the pair constraints read v_j <=
     v_c + w[c, j] for w[c, j] = dist[r, j] - dist[r, c], r the row matched to
     column c.  An optimal matching leaves no negative cycle in w, so
-    Bellman-Ford from v = 0 converges within k rounds; each round relaxes
-    from the columns that the round before lowered.  Finally u is read off
-    the matching and v recomputed from u as v_j = min_i (dist[i, j] - u_i).
-    O(k^2) memory (``dist`` and ``w``).  A matrix with no finite matching, or
-    with a NaN, raises NumericalError.
+    Bellman-Ford from v = 0 (:func:`_column_potentials`) converges within k
+    rounds.  Finally u is read off the matching and v recomputed from u as
+    v_j = min_i (dist[i, j] - u_i).  O(k^2) memory (``dist`` and ``w``).  A
+    matrix with no finite matching, or with a NaN, raises NumericalError.
     """
     k = dist.shape[0]
     try:
@@ -282,19 +283,33 @@ def _shortest_augmenting_paths(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray
     row_of[matching] = np.arange(k)
     w = dist[row_of]
     w -= dist[row_of, np.arange(k)][:, None]
-    v = np.zeros(k)
-    lowered = np.arange(k)
-    for _ in range(k):
-        reach = (w[lowered] + v[lowered, None]).min(axis=0)
-        lowered = np.flatnonzero(reach < v)
-        if lowered.size == 0:
-            break
-        v[lowered] = reach[lowered]
+    v, _ = _column_potentials(w, _TIE_ULPS * float(dist.max()))
     u = dist[np.arange(k), matching] - v[matching]
     # the largest v that u allows: equal to v in exact arithmetic, but the
     # rounding of the path sums above drops out of the pair constraints
     v = (dist - u[:, None]).min(axis=0)
     return matching, u, v
+
+
+def _column_potentials(w: np.ndarray, margin: float) -> tuple[np.ndarray, int]:
+    """Shortest-path distances v from v = 0 on the column graph ``w``, by
+    Bellman-Ford, and the number of rounds run (at most k).
+
+    Each round relaxes from the columns that the round before lowered, and a
+    column is lowered only by more than ``margin``.  On exact ties a cycle
+    of rounded weights can sum to a few ulps below 0, and without the margin
+    every lap around it would lower v again until the cap.
+    """
+    k = w.shape[0]
+    v = np.zeros(k)
+    reach = w.min(axis=0)  # the first round: every column relaxes from v = 0
+    for rounds in range(1, k + 1):
+        lowered = np.flatnonzero(reach < v - margin)
+        if lowered.size == 0:
+            break
+        v[lowered] = reach[lowered]
+        reach = (w[lowered] + v[lowered, None]).min(axis=0)
+    return v, rounds
 
 
 def kantorovich_dual(cfg: SingularityConfig) -> float:

@@ -27,14 +27,14 @@ The active constraints at the optimum are the discrete plateau.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import _lapack
-from .geometry import NumericalError, _geometric_nodes, geometric_grid
+from .geometry import NumericalError, geometric_grid
 
 __all__ = [
     "ClosedFormProfile",
@@ -51,6 +51,31 @@ __all__ = [
     "minimize_I_numerical",
     "gap_lower_bound",
 ]
+
+
+_GAUSS_ORDER = 8  # points of the defect quadrature's lower-order rule
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-1, 1] of the m- and then the 2m-point
+    Gauss-Legendre rule, m = _GAUSS_ORDER: the roots x of the Legendre
+    polynomial P_k by Newton's method on its three-term recurrence from
+    cos(pi (i - 1/4) / (k + 1/2)), and 2 / ((1 - x^2) P_k'(x)^2) at them."""
+    rules = []
+    for k in (_GAUSS_ORDER, 2 * _GAUSS_ORDER):
+        x, step = np.cos(math.pi * (np.arange(k) + 0.75) / (k + 0.5)), math.inf
+        while True:  # the pass after the last step evaluates P_k' at the roots
+            p0, p1 = np.ones(k), x
+            for j in range(2, k + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dp = k * (x * p1 - p0) / (x * x - 1.0)
+            if step <= 1e-15:
+                break
+            step = float(np.max(np.abs(p1 / dp)))
+            x = x - p1 / dp
+        rules.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
 
 
 @dataclass(frozen=True)
@@ -75,17 +100,6 @@ class ClosedFormProfile:
         r = np.asarray(r, dtype=float)
         n = self.n
         return n * self.c_plus * r ** (n - 1) - n * self.c_minus * r ** (-n - 1)
-
-    def defect_integral(self, decreasing: bool) -> float:
-        """Exact Int (|g'| - (n/r) g)^2 r dr over [r_lo, r_hi].
-
-        On an arc with g' <= 0 the integrand reduces to (2 n c_plus r^{n-1})^2 r,
-        on one with g' >= 0 to (2 n c_minus r^{-n-1})^2 r.
-        """
-        n = self.n
-        if decreasing:
-            return 2.0 * n * self.c_plus ** 2 * (self.r_hi ** (2 * n) - self.r_lo ** (2 * n))
-        return 2.0 * n * self.c_minus ** 2 * (self.r_lo ** (-2 * n) - self.r_hi ** (-2 * n))
 
 
 def eta_profile(t: float, s: float, a: float, b: float, n: int) -> ClosedFormProfile:
@@ -205,14 +219,44 @@ class PiecewiseMinimizer:
 
     def objective_closed_form(self) -> float:
         """I at the minimizer: exact arc integrals plus the plateau term
-        n^2 a^2 log(plateau_end / arc_end)."""
-        n, a = self.n, self.constraint.a
-        total = self.eta.defect_integral(decreasing=True)
+        n^2 a^2 log(plateau_end / arc_end).  The integrand (|g'| - (n/r) g)^2 r
+        reduces to (2 n c_plus r^{n-1})^2 r on the descending arc and to
+        (2 n c_minus r^{-n-1})^2 r on the ascending one."""
+        n, a, eta, zeta = self.n, self.constraint.a, self.eta, self.zeta
+        total = 2.0 * n * eta.c_plus ** 2 * (eta.r_hi ** (2 * n) - eta.r_lo ** (2 * n))
         if self.plateau_end > self.arc_end:
             total += n * n * a * a * math.log(self.plateau_end / self.arc_end)
-        if self.zeta is not None:
-            total += self.zeta.defect_integral(decreasing=False)
+        if zeta is not None:
+            total += 2.0 * n * zeta.c_minus ** 2 * (zeta.r_lo ** (-2 * n) - zeta.r_hi ** (-2 * n))
         return total
+
+    def defect(self) -> tuple[float, float]:
+        """E - A of the map generated by the minimizer, 4 pi Int e^2 /
+        (1 + g^2)^2 dx in x = log r with e = |dg/dx| - n g, and its error.
+
+        On the plateau e = -n a: exactly n^2 a^2 log(plateau_end / arc_end) /
+        (1 + a^2)^2.  On an arc e = -2 n c_plus r^n (descending) or
+        -2 n c_minus r^{-n} (ascending), a function of n x: both rules of
+        :func:`_gauss_legendre` run on panels at most min(1/2, 1/n) long in
+        x, and the error is their difference."""
+        n, a = self.n, self.constraint.a
+        nodes, weights = _gauss_legendre()
+        total = err = 0.0
+        for arc, decreasing in ((self.eta, True), (self.zeta, False)):
+            if arc is None:
+                continue
+            lo, hi = math.log(arc.r_lo), math.log(arc.r_hi)
+            panels = max(1, math.ceil((hi - lo) * max(2, n)))
+            half = (hi - lo) / (2 * panels)
+            up = np.exp(n * ((lo + half * np.arange(1, 2 * panels, 2))[:, None] + half * nodes))
+            e = 2.0 * n * (arc.c_plus * up if decreasing else arc.c_minus / up)
+            e /= 1.0 + (arc.c_plus * up + arc.c_minus / up) ** 2
+            sums = half * (e * e).sum(axis=0) * weights
+            fine = float(sums[_GAUSS_ORDER:].sum())
+            total, err = total + fine, err + abs(fine - float(sums[:_GAUSS_ORDER].sum()))
+        if self.plateau_end > self.arc_end:
+            total += n * n * a * a * math.log(self.plateau_end / self.arc_end) / (1.0 + a * a) ** 2
+        return 4.0 * math.pi * total, 4.0 * math.pi * err
 
 
 def g0_construct(c: ConeConstraint, n: int) -> PiecewiseMinimizer:
@@ -258,23 +302,16 @@ def I_functional(r: np.ndarray, g: np.ndarray, n: int) -> float:
     return float(np.sum(_log_cells(r, g, n)[0]))
 
 
-def _I_and_gap(r: Sequence[np.ndarray], g: Sequence[np.ndarray], n: int) -> tuple[float, float]:
-    """The discrete I of :func:`I_functional` and, on the same log-radius
-    cells, the conformality defect E - A of the map generated by the chart
-    profile g: 4 pi * Int (|g'| - (n/r) g)^2 / (1 + g^2)^2 r dr.
+def _I_and_gap(r: np.ndarray, g: np.ndarray, n: int) -> tuple[float, float]:
+    """The discrete I of :func:`I_functional`, bit for bit, and, on the same
+    log-radius cells, the conformality defect E - A of the map generated by
+    the chart profile g: 4 pi * Int (|g'| - (n/r) g)^2 / (1 + g^2)^2 r dr.
 
-    ``r`` and ``g`` are sequences of consecutive parts of the nodes and of
-    their values, each part starting at the node where the one before ends;
-    the parts' cell sums are added in order.  One part gives the one-array
-    sums.  Since (1 + g^2)^2 <= 4 for g <= 1, each defect cell dominates pi
-    times the corresponding I cell.
+    Since (1 + g^2)^2 <= 4 for g <= 1, each defect cell dominates pi times
+    the corresponding I cell.
     """
-    total = weighted = 0.0
-    for r_part, g_part in zip(r, g, strict=True):
-        cells, gm = _log_cells(r_part, g_part, n)
-        total += float(np.sum(cells))
-        weighted += float(np.sum(cells / (1.0 + gm * gm) ** 2))
-    return total, 4.0 * math.pi * weighted
+    cells, gm = _log_cells(r, g, n)
+    return float(np.sum(cells)), 4.0 * math.pi * float(np.sum(cells / (1.0 + gm * gm) ** 2))
 
 
 # KKT tolerance of the active-set solve, relative to its rounding level; the
@@ -493,7 +530,8 @@ class GapBound:
 
     ``log_bound`` is pi n^2 a^2 log(tau0/t0) (0 and ``vacuous`` when
     t0 >= tau0); ``gap`` is the conformality defect E - A of the map
-    generated by the explicit minimizer; ``rhs`` is the replacement-gain
+    generated by the explicit minimizer and ``gap_err`` its quadrature error
+    (:meth:`PiecewiseMinimizer.defect`); ``rhs`` is the replacement-gain
     threshold 8 pi n a^2/(1+a^2).  ``ratio_bound`` bounds t0/tau0 by
     (4 b (s/a)^n alpha a^{n-2})^{1/n}.
     """
@@ -504,6 +542,7 @@ class GapBound:
     log_bound: float
     I_closed: float
     gap: float
+    gap_err: float
     rhs: float
     ratio: float
     ratio_bound: float
@@ -519,60 +558,28 @@ class GapBound:
         return self.gap > self.rhs
 
 
-# the grid on which gap_lower_bound samples the explicit minimizer, and the
-# cell at which numpy's pairwise sum splits its cells: half of them, rounded
-# down to a multiple of 8.  With an odd node count the grid's cells and the
-# one more that an inserted s_tilde makes split at the same cell
-_CHECK_NODES = 16385
-_CHECK_SPLIT = _CHECK_NODES // 2 // 8 * 8
-
-
-def _check_grid(s: float, s_tilde: float) -> tuple[np.ndarray, np.ndarray]:
-    """``geometric_grid(s, 1, _CHECK_NODES)`` with ``s_tilde`` inserted, as
-    two parts that share node ``_CHECK_SPLIT``.
-
-    The two parts' cell sums add to the whole grid's bit for bit, and each
-    part's arrays stay under glibc's 128 KiB mmap threshold, which the whole
-    grid's (131,080 bytes and up) exceed: those would be mapped and faulted
-    in anew on every call.
-    """
-    lo = _geometric_nodes(s, 1.0, _CHECK_NODES, 0, _CHECK_SPLIT + 1)
-    hi = _geometric_nodes(s, 1.0, _CHECK_NODES, _CHECK_SPLIT, _CHECK_NODES)
-    if s_tilde in lo or s_tilde in hi:
-        return lo, hi
-    if s_tilde > lo[-1]:
-        return lo, np.insert(hi, np.searchsorted(hi, s_tilde), s_tilde)
-    # inserted into the first part, s_tilde pushes its last node to the
-    # second, which starts where the first now ends
-    first = np.insert(lo[:-1], np.searchsorted(lo, s_tilde), s_tilde)
-    return first, np.concatenate((first[-1:], hi))
-
-
 def gap_lower_bound(c: ConeConstraint, n: int) -> GapBound:
     """Evaluate the bound chain at one cone.
 
-    Computes t0, tau0 and the plateau bound pi n^2 a^2 log(tau0/t0), samples
-    the explicit minimizer on _CHECK_NODES log-spaced nodes, and verifies
-    gap >= pi I >= log_bound before returning (a failure indicates an
-    internal inconsistency and raises).
+    Computes t0, tau0, the plateau bound pi n^2 a^2 log(tau0/t0) and the
+    defect of the explicit minimizer (:meth:`PiecewiseMinimizer.defect`),
+    and verifies gap >= pi I_closed >= log_bound, each link to 1e-12
+    relative and the first also to gap_err, before returning (a failure
+    indicates an internal inconsistency and raises).
     """
     g0 = g0_construct(c, n)
     t0, tau0 = g0.t0, g0.tau0
     a, alpha, s, b = c.a, c.alpha, c.s, c.b
     vacuous = t0 >= tau0
     log_bound = 0.0 if vacuous else math.pi * n * n * a * a * math.log(tau0 / t0)
-
-    parts = _check_grid(s, c.s_tilde)
-    I_disc, gap = _I_and_gap(parts, [g0.sample(r) for r in parts], n)
-    rhs = 8.0 * math.pi * n * a * a / (1.0 + a * a)
-
-    if gap < math.pi * I_disc - 1e-8 or math.pi * I_disc < log_bound - 1e-8:
-        raise NumericalError("bound chain violated; inconsistent discretization")
-
-    ratio = t0 / tau0
-    ratio_bound = (4.0 * b * (s / a) ** n * alpha * a ** (n - 2)) ** (1.0 / n)
+    gap, gap_err = g0.defect()
+    I_closed = g0.objective_closed_form()
+    pi_I = math.pi * I_closed
+    if gap < pi_I * (1.0 - 1e-12) - gap_err or pi_I < log_bound * (1.0 - 1e-12):
+        raise NumericalError(f"bound chain violated: defect {gap:.17g}, pi I {pi_I:.17g}, "
+                             f"log bound {log_bound:.17g}")
     return GapBound(
-        t0=t0, tau0=tau0, vacuous=vacuous, log_bound=log_bound,
-        I_closed=g0.objective_closed_form(), gap=gap, rhs=rhs,
-        ratio=ratio, ratio_bound=ratio_bound,
+        t0=t0, tau0=tau0, vacuous=vacuous, log_bound=log_bound, I_closed=I_closed,
+        gap=gap, gap_err=gap_err, rhs=8.0 * math.pi * n * a * a / (1.0 + a * a),
+        ratio=t0 / tau0, ratio_bound=(4.0 * b * (s / a) ** n * alpha * a ** (n - 2)) ** (1.0 / n),
     )

@@ -10,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 from axisphere import cli, energy
 from axisphere.cli import main
 from axisphere.connection import SingularityConfig
 from axisphere.geometry import NumericalError, geometric_grid, u0_profile, u_eps_profile
+
+from assignment_reference import reference_search
 
 
 def run(args):
@@ -355,10 +356,10 @@ def uniform_charges(seed, k):
 
 
 def assignment_length(config):
-    """The minimal length by scipy's assignment solver, the one the package
-    loads; the brute force is the route that shares no code with it."""
+    """The minimal length by ``reference_search``, the tests' own Hungarian
+    method, which shares no code with the package's pairing search."""
     dist = SingularityConfig.from_json(json.dumps(config)).distance_matrix()
-    return float(dist[linear_sum_assignment(dist)].sum())
+    return float(dist[np.arange(dist.shape[0]), reference_search(dist)[0]].sum())
 
 
 class TestSigma:
@@ -691,7 +692,9 @@ class TestNumericalExit:
         assert len(err) == 1 and err[0].startswith("numerical error:")
 
     def test_bound_chain_violation(self, monkeypatch, capsys):
-        monkeypatch.setattr("axisphere.variational._I_and_gap", lambda r, g, n: (1.0, 0.0))
+        # an I of 1 puts pi I far above the cone's defect, which the chain reads
+        monkeypatch.setattr("axisphere.variational.PiecewiseMinimizer.objective_closed_form",
+                            lambda self: 1.0)
         self.assert_exit_4(["proposition-sweep", "--alpha", "0.05", "--a-frac", "1",
                             "--c0", "1", "--s-tilde", "2s", "--nodes", "64"], capsys)
 

@@ -21,6 +21,8 @@ from axisphere.connection import (
 )
 from axisphere.geometry import NumericalError
 
+from assignment_reference import reference_search
+
 
 def oracle_length(cfg):
     """The minimal length by ``reference_search``, the tests' own Hungarian
@@ -502,54 +504,6 @@ class TestSearchOncePerConfig:
         assert len(calls) == 2
 
 
-def reference_search(dist):
-    """The tests' reference solver for ``_shortest_augmenting_paths``: the
-    Hungarian method with Dijkstra on reduced costs, in numpy.  Column minima
-    start v; each unmatched row grows a tree with a fresh cost row per
-    scanned row, and a predecessor array rewritten wherever that row is
-    strictly closer, so ties keep the first scanned row."""
-    k = dist.shape[0]
-    v = dist.min(axis=0)
-    matching = np.full(k, -1)
-    row_of = np.full(k, -1)
-    rows, cols = np.unique(dist.argmin(axis=0), return_index=True)
-    matching[rows], row_of[cols] = cols, rows
-    tentative = np.empty(k)
-    reached = np.empty(k)
-    open_ = np.empty(k, dtype=bool)
-    pred = np.empty(k, dtype=np.intp)
-    for free in np.flatnonzero(matching < 0):
-        tentative.fill(np.inf)
-        open_.fill(True)
-        i, offset = free, 0.0
-        while True:
-            cost = dist[i] - v
-            cost += offset
-            closer = cost < tentative
-            closer &= open_
-            np.copyto(tentative, cost, where=closer)
-            np.copyto(pred, i, where=closer)
-            j = int(tentative.argmin())
-            dj = tentative[j]
-            assert dj < np.inf and open_[j]
-            open_[j], reached[j], tentative[j] = False, dj, np.inf
-            if row_of[j] < 0:
-                break
-            i = row_of[j]
-            offset = dj - dist[i, j] + v[j]
-        closed = ~open_
-        v[closed] += reached[closed] - dj
-        while True:
-            i = pred[j]
-            row_of[j] = i
-            matching[i], j = j, matching[i]
-            if i == free:
-                break
-    u = dist[np.arange(k), matching] - v[matching]
-    v = (dist - u[:, None]).min(axis=0)
-    return matching, u, v
-
-
 class TestAugmentingPathSearch:
     def test_matches_reference_search(self):
         # on lattice ties the two may end with different minimal pairings
@@ -579,6 +533,24 @@ class TestAugmentingPathSearch:
             assert dual == pytest.approx(oracle_length(cfg), abs=1e-9)
             if cfg.k <= 9:
                 assert dual == pytest.approx(min_connection_bruteforce(cfg).length, abs=1e-9)
+
+    def test_tied_cycle_stops_before_the_round_cap(self, monkeypatch):
+        # a 7-column cycle of rounded weights here sums to -8.9e-16: without a
+        # stop margin every lap lowers v again, for all 120 rounds
+        rounds = []
+
+        def counted(w, margin):
+            v, used = potentials(w, margin)
+            rounds.append(used)
+            return v, used
+
+        potentials = connection._column_potentials
+        monkeypatch.setattr(connection, "_column_potentials", counted)
+        cfg = lattice_config(np.random.default_rng(26), 120)
+        dual = kantorovich_dual(cfg)  # the search checks the certificate
+        assert len(rounds) == 1 and rounds[0] < cfg.k
+        assert dual == pytest.approx(min_connection_assignment(cfg).length, abs=1e-9)
+        assert dual == pytest.approx(oracle_length(cfg), abs=1e-9)
 
     def test_own_matching_is_tight_permutation(self):
         rng = np.random.default_rng(16)

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from axisphere.cli import _S_TILDE
+from axisphere.cli import _S_TILDE, ExperimentSpec, run_proposition_sweep
 from axisphere.geometry import NumericalError, geometric_grid
 from axisphere.variational import (
-    _CHECK_NODES,
-    _CHECK_SPLIT,
     ConeConstraint,
     I_functional,
-    _check_grid,
+    _gauss_legendre,
     _I_and_gap,
     _segment_gradient,
     _segment_quadratic,
@@ -549,45 +547,83 @@ class TestGapBound:
         grid = np.unique(np.concatenate([np.geomspace(c.s, 1.0, 513), [c.s_tilde]]))
         for _ in range(50):
             g = random_cone_profile(rng, c, grid)
-            i_disc, gap = _I_and_gap([grid], [g], 2)
+            i_disc, gap = _I_and_gap(grid, g, 2)
             assert i_disc == I_functional(grid, g, 2)
             assert gap >= math.pi * i_disc - 1e-12
 
     @staticmethod
-    def one_array_grid(c):
-        grid = geometric_grid(c.s, 1.0, _CHECK_NODES)
+    def one_array_gap(c, n):
+        """The defect of the explicit minimizer sampled on 16385 log-spaced
+        nodes with s_tilde inserted, criterion 5's grid."""
+        grid = geometric_grid(c.s, 1.0, 16385)
         if c.s_tilde not in grid:
             grid = np.insert(grid, np.searchsorted(grid, c.s_tilde), c.s_tilde)
-        return grid
+        return _I_and_gap(grid, g0_construct(c, n).sample(grid), n)[1]
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("where", ["one", "node-first", "node-second", "first",
-                                       "last-of-first", "second"])
-    def test_two_part_chain_is_one_array_bit_for_bit(self, where, n):
-        s, alpha = 1e-3, 0.1
-        nodes = geometric_grid(s, 1.0, _CHECK_NODES)
-        # last-of-first: strictly between the split node and the one before,
-        # so s_tilde itself becomes the first part's last node
-        between = math.sqrt(nodes[_CHECK_SPLIT - 1] * nodes[_CHECK_SPLIT])
-        s_tilde = {"one": 1.0, "node-first": nodes[100], "node-second": nodes[12000],
-                   "first": 0.01, "last-of-first": between, "second": 0.3}[where]
-        c = ConeConstraint(s=s, s_tilde=s_tilde, a=alpha if s_tilde == 1.0 else 0.04, alpha=alpha)
-        grid = self.one_array_grid(c)
-        lo, hi = _check_grid(c.s, c.s_tilde)
-        assert len(lo) == _CHECK_SPLIT + 1 and lo[-1] == hi[0]
-        assert np.concatenate((lo, hi[1:])).tobytes() == grid.tobytes()
-        inserted = int(np.searchsorted(grid, s_tilde))
-        assert (inserted <= _CHECK_SPLIT) == (where in ("node-first", "first", "last-of-first"))
-        assert (inserted == _CHECK_SPLIT) == (where == "last-of-first")
-        assert (len(grid) > _CHECK_NODES) == (where in ("first", "last-of-first", "second"))
-        _, gap = _I_and_gap([grid], [g0_construct(c, n).sample(grid)], n)
-        assert gap_lower_bound(c, n).gap.hex() == gap.hex()
-
-    def test_two_part_chain_on_random_cones(self):
+    def test_exact_gap_matches_sampled_on_random_cones(self):
         rng = np.random.default_rng(83)
         for _ in range(60):
             c = random_cone(rng)
             n = int(rng.integers(1, 4))
-            grid = self.one_array_grid(c)
-            _, gap = _I_and_gap([grid], [g0_construct(c, n).sample(grid)], n)
-            assert gap_lower_bound(c, n).gap.hex() == gap.hex()
+            gb = gap_lower_bound(c, n)
+            assert gb.gap == pytest.approx(self.one_array_gap(c, n), rel=1e-6), (c, n)
+            assert gb.gap_err <= 1e-12 * gb.gap, (c, n)
+
+    def test_tiny_alpha_cone_fails_where_sampling_held(self):
+        # a 16385-node sampled grid reads 1.48e-14 here, above rhs, and holds
+        spec = ExperimentSpec(command="proposition-sweep", params={
+            "n": 1, "alpha": [1e-8], "a_frac": [1.0], "c0": [1.0], "s_tilde": ["mid"],
+            "nodes": 512})
+        (row,), _, _ = run_proposition_sweep(spec)
+        assert row["feasible"]
+        assert row["gap"] == pytest.approx(8.71e-16, rel=1e-3)
+        assert row["rhs"] == pytest.approx(2.51e-15, rel=1e-3)
+        assert row["gap"] < row["rhs"] and not row["holds"]
+
+    def test_sampled_gap_converges_at_second_order(self):
+        # cones with a small a at alpha <= 0.05 are still pre-asymptotic at
+        # 128 nodes: with s_tilde mid, orders from 128 to 256 nodes go down
+        # to -1.0 (alpha 0.02, a_frac 0.1, C0 1)
+        params = {"n": 2, "alpha": [0.25, 0.1], "a_frac": [1.0, 0.5, 0.1],
+                  "c0": [1.0, 5.0], "s_tilde": ["2s", "mid", "1"]}
+        errors = []
+        for nodes in (128, 256, 512):
+            spec = ExperimentSpec(command="proposition-sweep", params={**params, "nodes": nodes})
+            rows = [r for r in run_proposition_sweep(spec)[0] if r["feasible"]]
+            errors.append(np.array([abs(r["gap_sampled"] - r["gap"]) for r in rows]))
+        assert errors[0].size >= 12
+        orders = np.log2(errors[:-1]) - np.log2(errors[1:])
+        assert orders.min() >= 1.8, orders
+
+    def test_defect_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(89)
+        for _ in range(3):
+            c = random_cone(rng)
+            for n in (1, 2, 5):
+                g0 = g0_construct(c, n)
+                want = n * n * mpmath.mpf(c.a) ** 2 * mpmath.log(
+                    mpmath.mpf(g0.plateau_end) / g0.arc_end) / (1 + mpmath.mpf(c.a) ** 2) ** 2
+                for arc, decreasing in ((g0.eta, True), (g0.zeta, False)):
+                    if arc is None:
+                        continue
+                    cp, cm = mpmath.mpf(arc.c_plus), mpmath.mpf(arc.c_minus)
+
+                    def integrand(x):
+                        up = mpmath.exp(n * x)
+                        e = 2 * n * (cp * up if decreasing else cm / up)
+                        return e * e / (1 + (cp * up + cm / up) ** 2) ** 2
+
+                    lo, hi = mpmath.log(arc.r_lo), mpmath.log(arc.r_hi)
+                    with mpmath.workdps(30):
+                        want += mpmath.quad(integrand, mpmath.linspace(lo, hi, 6))
+                gap, err = g0.defect()
+                assert gap == pytest.approx(float(4 * mpmath.pi * want), rel=1e-13), (c, n)
+                assert err <= 1e-12 * gap
+
+    def test_gauss_rules_integrate_their_degree_exactly(self):
+        nodes, weights = _gauss_legendre()
+        for x, w in ((nodes[:8], weights[:8]), (nodes[8:], weights[8:])):
+            for degree in range(2 * x.size):
+                exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+                assert np.sum(w * x ** degree) == pytest.approx(exact, abs=1e-14)
