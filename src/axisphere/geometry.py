@@ -67,12 +67,22 @@ def geometric_grid(r_min: float, r_max: float, nodes: int) -> np.ndarray:
         raise ValueError("need 0 < r_min < r_max < inf")
     if nodes < 2:
         raise ValueError("need at least 2 nodes")
+    return _geometric_nodes(r_min, r_max, nodes, 0, nodes)
+
+
+def _geometric_nodes(r_min: float, r_max: float, nodes: int, start: int, stop: int) -> np.ndarray:
+    """Nodes ``start`` to ``stop - 1`` of ``geometric_grid(r_min, r_max, nodes)``,
+    bit for bit: each node is formed from its own index alone, so a range
+    needs no array of the whole grid.  Arguments are not checked."""
     log_min = math.log(r_min)
-    grid = np.arange(nodes, dtype=float)
+    grid = np.arange(start, stop, dtype=float)
     grid *= (math.log(r_max) - log_min) / (nodes - 1)
     grid += log_min
     np.exp(grid, out=grid)
-    grid[0], grid[-1] = r_min, r_max
+    if start == 0:
+        grid[0] = r_min
+    if stop == nodes:
+        grid[-1] = r_max
     return grid
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from axisphere.energy import MeridianField
 from axisphere.geometry import (
     INFINITY,
+    _geometric_nodes,
     ConeDipoleMap,
     RadialProfile,
     chart_to_colatitude,
@@ -310,6 +311,13 @@ class TestGeometricGrid:
         reference = np.geomspace(r_min, r_max, nodes)
         assert np.max(np.abs(grid - reference) / reference) <= 4e-15
 
+
+    @pytest.mark.parametrize("start,stop", [(0, 16385), (0, 8193), (8192, 16385), (0, 1),
+                                            (16384, 16385), (1, 16384), (100, 101), (5000, 12000)])
+    @pytest.mark.parametrize("r_min,r_max", [(1e-6, 1.0), (1e-3, 1.0), (0.3, 0.9)])
+    def test_node_range_is_grid_slice(self, r_min, r_max, start, stop):
+        nodes = _geometric_nodes(r_min, r_max, 16385, start, stop)
+        assert nodes.tobytes() == geometric_grid(r_min, r_max, 16385)[start:stop].tobytes()
 
 
 class TestConeDipoleMap:
