@@ -54,7 +54,6 @@ from .geometry import NumericalError, geometric_grid, u0_profile, u_eps_profile
 from .variational import (
     ConeConstraint,
     _I_and_gap,
-    g0_construct,
     gap_lower_bound,
     minimize_I_numerical,
 )
@@ -252,7 +251,12 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
 
     def one(alpha: float, frac: float, c0: float, choice: str) -> dict:
         a = frac * alpha
+        if a == 0.0:
+            raise NumericalError(f"a = a_frac * alpha underflows to 0 at a_frac={frac!r}, "
+                                 f"alpha={alpha!r}")
         s = c0 * a
+        if s == 0.0:
+            raise NumericalError(f"s = C0 * a underflows to 0 at C0={c0!r}, a={a!r}")
         row: dict[str, Any] = {
             "n": n, "alpha": alpha, "a": a, "s": s, "s_tilde": float("nan"),
             "t0": float("nan"), "tau0": float("nan"),
@@ -275,7 +279,7 @@ def run_proposition_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict, int]:
         num = minimize_I_numerical(cone, n, nodes=nodes)
         # the explicit minimizer sampled on the numerical route's own nodes:
         # its discrete I for the agreement, and its defect on the same cells
-        i_g0_disc, gap_sampled = _I_and_gap(num.r, g0_construct(cone, n).sample(num.r), n)
+        i_g0_disc, gap_sampled = _I_and_gap(num.r, gb.minimizer.sample(num.r), n)
         denom = max(i_g0_disc, 1e-300)
         row.update({
             "s_tilde": s_tilde, "t0": gb.t0, "tau0": gb.tau0,

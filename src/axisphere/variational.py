@@ -27,7 +27,6 @@ The active constraints at the optimum are the discrete plateau.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -55,27 +54,30 @@ __all__ = [
 
 _GAUSS_ORDER = 8  # points of the defect quadrature's lower-order rule
 
+# The positive nodes, in descending order, and their weights of the m- and
+# the 2m-point Gauss-Legendre rule on [-1, 1], m = _GAUSS_ORDER: the roots
+# x of the Legendre polynomial P_k and 2 / ((1 - x^2) P_k'(x)^2) at them.
+# Each node is the exact root rounded to nearest; each weight is within
+# 17 ulp of its exact value.
+_GAUSS_HALVES = (
+    ((0.9602898564975363, 0.7966664774136267, 0.525532409916329, 0.1834346424956498),
+     (0.10122853629037618, 0.22238103445337437, 0.3137066458778874, 0.362683783378362)),
+    ((0.9894009349916499, 0.9445750230732326, 0.8656312023878318, 0.755404408355003,
+      0.6178762444026438, 0.45801677765722737, 0.2816035507792589, 0.09501250983763744),
+     (0.027152459411754058, 0.062253523938647776, 0.0951585116824929, 0.12462897125553395,
+      0.14959598881657682, 0.16915651939500256, 0.1826034150449236, 0.18945061045506847)),
+)
+# both rules over the whole interval, the m-point rule first: each is
+# symmetric, so its nodes descend through the mirrored positive ones
+_GAUSS_NODES = np.array([v for x, _ in _GAUSS_HALVES for v in (*x, *(-u for u in x[::-1]))])
+_GAUSS_WEIGHTS = np.array([v for _, w in _GAUSS_HALVES for v in (*w, *w[::-1])])
+_GAUSS_NODES.flags.writeable = _GAUSS_WEIGHTS.flags.writeable = False
 
-@functools.cache
+
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1] of the m- and then the 2m-point
-    Gauss-Legendre rule, m = _GAUSS_ORDER: the roots x of the Legendre
-    polynomial P_k by Newton's method on its three-term recurrence from
-    cos(pi (i - 1/4) / (k + 1/2)), and 2 / ((1 - x^2) P_k'(x)^2) at them."""
-    rules = []
-    for k in (_GAUSS_ORDER, 2 * _GAUSS_ORDER):
-        x, step = np.cos(math.pi * (np.arange(k) + 0.75) / (k + 0.5)), math.inf
-        while True:  # the pass after the last step evaluates P_k' at the roots
-            p0, p1 = np.ones(k), x
-            for j in range(2, k + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = k * (x * p1 - p0) / (x * x - 1.0)
-            if step <= 1e-15:
-                break
-            step = float(np.max(np.abs(p1 / dp)))
-            x = x - p1 / dp
-        rules.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
-    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
+    Gauss-Legendre rule, m = _GAUSS_ORDER, as read-only arrays."""
+    return _GAUSS_NODES, _GAUSS_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -379,22 +381,26 @@ def _solve_segment(r_nodes: np.ndarray, lo_val: float, hi_val: float,
     lo, hi = sign * lo_val, sign * hi_val
     dx, p, q = _segment_quadratic(r_nodes, n, sign)
     wpp, wqq, wpq = dx * p * p, dx * q * q, dx * p * q
+    fused = wpp + 2.0 * wpq  # a cell inside one block adds its cross term twice
     scale = max(abs(lo), abs(hi)) / dx.min()
-    solves, latest = 0, []
+    solves, latest = 0, None
+    solved = np.full(m, -1)  # the latest solve's blocks; no block is -1
 
-    def subproblem(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def subproblem(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Node values of the equality subproblem's solution (block values v
-        with v[0] = lo, v[-1] = hi) and the mask of active constraints; the
-        latest working set's solution is reused, not solved again."""
-        nonlocal solves
-        if latest and np.array_equal(block, latest[0]):
-            return latest[1], latest[2]
+        with v[0] = lo, v[-1] = hi) and the indices of its active and of its
+        inactive constraints; the latest working set's solution is reused,
+        not solved again."""
+        nonlocal solves, latest
+        if (block == solved).all():
+            return latest
         solves += 1
         active = block[1:] == block[:-1]
+        breaks = (~active).nonzero()[0]
         k = block[-1] + 1
-        diag = (np.bincount(block[:-1], wpp, k) + np.bincount(block[1:], wqq, k)
-                + 2.0 * np.bincount(block[:-1], wpq * active, k))
-        off = wpq[~active]  # coupling of blocks j and j + 1
+        diag = (np.bincount(block[:-1], np.where(active, fused, wpp), k)
+                + np.bincount(block[1:], wqq, k))
+        off = wpq[breaks]  # coupling of blocks j and j + 1
         v = np.empty(k)
         v[0], v[-1] = lo, hi
         if k == 3:
@@ -405,30 +411,31 @@ def _solve_segment(r_nodes: np.ndarray, lo_val: float, hi_val: float,
             _, _, _, v[1:-1], info = _gtsv(off[1:-1], diag[1:-1], off[1:-1], rhs)
             if info != 0:
                 raise NumericalError(f"singular segment subproblem (gtsv info {info})")
-        latest[:] = block.copy(), v[block], active
-        return latest[1], active
+        solved[:] = block
+        latest = v[block], active.nonzero()[0], breaks
+        return latest
 
     # a flat segment's cone holds only the constant
     h = np.full(m, lo)
+    block = np.zeros(m, dtype=np.intp)
     if lo != hi:
         working = np.zeros(m - 1, dtype=bool)
         for _ in range(_ROUNDS):
-            block = np.concatenate(([0], np.cumsum(~working)))
-            sol, _ = subproblem(block)
-            kept = working.copy()
-            if working.any():
-                kept[working] = _multipliers(dx, p, q, sol, working, block)[0] > 0.0
-            updated = kept | (sol[1:] < sol[:-1])
-            if np.array_equal(updated, working):
+            (~working).cumsum(out=block[1:])
+            sol, inner, breaks = subproblem(block)
+            updated = sol[1:] < sol[:-1]  # the broken ones; no active one is
+            if inner.size:
+                updated[inner] = _multipliers(dx, p, q, sol, inner, block, breaks)[0] > 0.0
+            if (updated == working).all():
                 break
             working = updated
         h = np.maximum.accumulate(np.clip(sol, lo, hi))
-    block = np.concatenate(([0], np.cumsum(h[1:] > h[:-1])))
+    (h[1:] > h[:-1]).cumsum(out=block[1:])
 
     max_pivots = 4 * m
     pivots, residual = 0, 0.0 if lo == hi else math.inf
     while pivots <= max_pivots and block[-1]:
-        target, active = subproblem(block)
+        target, inner, breaks = subproblem(block)
         slack, step = h[1:] - h[:-1], target[1:] - target[:-1]  # step 0 if active
         blocking = (step < 0.0).nonzero()[0]
         if blocking.size:
@@ -441,12 +448,14 @@ def _solve_segment(r_nodes: np.ndarray, lo_val: float, hi_val: float,
             continue
 
         h = target
-        lam, reduced = _multipliers(dx, p, q, h, active, block)
-        worst = float(lam.min()) if lam.size else 0.0
-        residual = max(float(np.max(np.abs(reduced), initial=0.0)), -worst, 0.0) / scale
+        lam, ends = _multipliers(dx, p, q, h, inner, block, breaks)
+        worst = float(lam.min(initial=0.0))
+        # the free blocks' reduced gradient: dF/dh summed over each block
+        reduced = ends[1:] - ends[:-1]
+        residual = max(float(np.max(np.abs(reduced), initial=0.0)), -worst) / scale
         if worst >= -_KKT_TOL * scale:
             break
-        block[active.nonzero()[0][np.argmin(lam)] + 1:] += 1
+        block[inner[np.argmin(lam)] + 1:] += 1
         pivots += 1
     e = p * h[:-1] + q * h[1:]
     # a Python bool: residual is a numpy float unless the segment is flat
@@ -463,26 +472,24 @@ def _segment_gradient(dx: np.ndarray, p: np.ndarray, q: np.ndarray, g: np.ndarra
     return grad
 
 
-def _multipliers(dx: np.ndarray, p: np.ndarray, q: np.ndarray, h: np.ndarray,
-                 active: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Multipliers of the active constraints and the reduced gradient of
-    the free blocks, at the block-constant solution h of an equality
-    subproblem.
+def _multipliers(dx: np.ndarray, p: np.ndarray, q: np.ndarray, h: np.ndarray, inner: np.ndarray,
+                 block: np.ndarray, breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multipliers of the active constraints ``inner``, and the running sum
+    of dF/dh at the last node of each block but the last, at the
+    block-constant solution h of an equality subproblem whose inactive
+    constraints are ``breaks``.
 
     With the Lagrangian F - sum lam_i (h_{i+1} - h_i), stationarity gives
     lam_i = -(sum of dF/dh over the block up to node i), summed from the
     block's left end, whose left constraint is inactive; in the block holding
-    pinned node 0 the sum runs from the right end instead.
+    pinned node 0 the sum runs from the right end instead.  The differences
+    of the running sums at the breaks are the free blocks' reduced gradient.
     """
-    cs = np.cumsum(_segment_gradient(dx, p, q, h))
-    starts = np.flatnonzero(np.concatenate(([True], ~active)))
-    ends = np.append(starts[1:] - 1, h.size - 1)
-    before = np.concatenate(([0.0], cs))[starts]
-    lam = before[block[:-1]] - cs[:-1]
-    first = block[:-1] == 0
-    lam[first] = cs[ends[0]] - cs[:-1][first]
-    reduced = cs[ends[1:-1]] - before[1:-1]
-    return lam[active], reduced
+    cs = _segment_gradient(dx, p, q, h).cumsum()
+    ends = cs[breaks]
+    # block j >= 1 starts after break j - 1, and block 0's sum ends at break
+    # 0: the clip takes its index -1 to 0
+    return ends.take(block[inner] - 1, mode="clip") - cs[inner], ends
 
 
 def minimize_I_numerical(c: ConeConstraint, n: int, nodes: int = 256) -> MinimizeIResult:
@@ -533,7 +540,8 @@ class GapBound:
     generated by the explicit minimizer and ``gap_err`` its quadrature error
     (:meth:`PiecewiseMinimizer.defect`); ``rhs`` is the replacement-gain
     threshold 8 pi n a^2/(1+a^2).  ``ratio_bound`` bounds t0/tau0 by
-    (4 b (s/a)^n alpha a^{n-2})^{1/n}.
+    (4 b (s/a)^n alpha a^{n-2})^{1/n}.  ``minimizer`` is the explicit
+    minimizer the chain was evaluated on.
     """
 
     t0: float
@@ -546,6 +554,7 @@ class GapBound:
     rhs: float
     ratio: float
     ratio_bound: float
+    minimizer: PiecewiseMinimizer
 
     @property
     def holds_fast(self) -> bool:
@@ -582,4 +591,5 @@ def gap_lower_bound(c: ConeConstraint, n: int) -> GapBound:
         t0=t0, tau0=tau0, vacuous=vacuous, log_bound=log_bound, I_closed=I_closed,
         gap=gap, gap_err=gap_err, rhs=8.0 * math.pi * n * a * a / (1.0 + a * a),
         ratio=t0 / tau0, ratio_bound=(4.0 * b * (s / a) ** n * alpha * a ** (n - 2)) ** (1.0 / n),
+        minimizer=g0,
     )

@@ -690,6 +690,7 @@ class TestNumericalExit:
         assert run(args) == cli.EXIT_NUMERICAL == 4
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("numerical error:")
+        return err[0]
 
     def test_bound_chain_violation(self, monkeypatch, capsys):
         # an I of 1 puts pi I far above the cone's defect, which the chain reads
@@ -733,6 +734,17 @@ class TestNumericalExit:
     def test_underflowing_arc(self, alpha, capsys):
         # on the s_tilde = 2s arc, t^2n - s^2n underflows to 0
         self.assert_exit_4(["proposition-sweep", "--nodes", "64", "--alpha", alpha], capsys)
+
+    @pytest.mark.parametrize("args", [
+        ["--c0", "1e-200", "--alpha", "1e-200"],
+        ["--alpha", "1e-300", "--a-frac", "1e-100"],
+        ["--c0", "1e-300"],
+    ], ids=["s", "a", "arc"])
+    def test_underflowing_cone(self, args, capsys):
+        # every value lies in its documented range, but s = C0 a, a = a_frac
+        # alpha or the arc's t^2n - s^2n underflows to 0
+        assert "underflows to 0" in self.assert_exit_4(["proposition-sweep", "--nodes", "64", *args],
+                                                       capsys)
 
     def test_under_resolved_quadrature(self, monkeypatch, capsys):
         def under_resolved(*args, **kwargs):

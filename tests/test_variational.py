@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -541,6 +542,13 @@ class TestGapBound:
             gb = gap_lower_bound(c, n)
             assert gb.ratio <= gb.ratio_bound * (1 + 1e-12)
 
+    def test_carries_the_explicit_minimizer(self):
+        rng = np.random.default_rng(71)
+        for _ in range(50):
+            c = random_cone(rng)
+            n = int(rng.integers(1, 4))
+            assert gap_lower_bound(c, n).minimizer == g0_construct(c, n), (c, n)
+
     def test_weighted_gap_dominates_pi_I(self):
         rng = np.random.default_rng(67)
         c = ConeConstraint(s=0.03, s_tilde=0.4, a=0.02, alpha=0.1)
@@ -596,7 +604,6 @@ class TestGapBound:
         assert orders.min() >= 1.8, orders
 
     def test_defect_matches_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(89)
         for _ in range(3):
             c = random_cone(rng)
@@ -620,6 +627,21 @@ class TestGapBound:
                 gap, err = g0.defect()
                 assert gap == pytest.approx(float(4 * mpmath.pi * want), rel=1e-13), (c, n)
                 assert err <= 1e-12 * gap
+
+    def test_gauss_rules_match_mpmath(self):
+        # nodes within 1 ulp of 40-digit roots of P_k, weights within 32 ulp
+        nodes, weights = _gauss_legendre()
+        for k, x, w in ((8, nodes[:8], weights[:8]), (16, nodes[8:], weights[8:])):
+            with mpmath.workdps(40):
+                for xi, wi in zip(x, w):
+                    root = mpmath.findroot(lambda t: mpmath.legendre(k, t), mpmath.mpf(xi))
+                    dp = k * (root * mpmath.legendre(k, root) - mpmath.legendre(k - 1, root)) / (
+                        root * root - 1)
+                    exact = 2 / ((1 - root * root) * dp * dp)
+                    assert abs(mpmath.mpf(xi) - root) <= np.spacing(abs(xi)), (k, xi)
+                    assert abs(mpmath.mpf(wi) - exact) <= 32 * np.spacing(wi), (k, wi)
+            # the roots found are the k distinct ones, from +1 down to -1
+            assert np.all(np.diff(x) < 0.0) and x.size == k
 
     def test_gauss_rules_integrate_their_degree_exactly(self):
         nodes, weights = _gauss_legendre()
