@@ -59,9 +59,12 @@ _TIE_ULPS = 4.0 * np.finfo(float).eps
 
 def _point_rows(points, name: str) -> np.ndarray:
     """``points`` as a read-only ``(k, 3)`` copy; an empty class has k = 0,
-    and any other shape raises ValueError rather than being re-cut into
-    rows."""
-    pts = np.array(points, dtype=float)
+    and any other shape, or a coordinate that is not a number a float can
+    hold, raises ValueError rather than being re-cut into rows."""
+    try:
+        pts = np.array(points, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a list of [x, y, z] rows of numbers: {exc}") from None
     if pts.size == 0:
         pts = pts.reshape(0, 3)
     elif pts.ndim != 2 or pts.shape[1] != 3:

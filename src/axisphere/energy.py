@@ -28,9 +28,11 @@ kernel evaluates one cosine per node and forms the angular term's sin^2 phi
 from it as (1 - cos phi)(1 + cos phi), which is accurate in absolute terms
 (~2e-16), not relative to sin^2 phi.  Its r-weights are formed per block
 too, and every block temporary stays under glibc's 128 KiB mmap threshold,
-so it reuses the heap memory of the block before instead of new pages.
-`area_radial`, which needs no other term, sums its increments over the
-same blocks.
+so it reuses the heap memory of the block before instead of new pages.  A
+block is a plain slice of cells and their end nodes; its node terms take
+trapezoid weights over its own cells, so a node on the seam of two blocks is
+counted half in each.  `area_radial`, which needs no other term, sums its
+increments over the same blocks.
 """
 
 from __future__ import annotations
@@ -153,9 +155,11 @@ def area_radial(
     Integrated exactly per grid cell: each cell contributes
     2 pi n |cos phi_i - cos phi_{i+1}|, so a monotone profile telescopes to
     the closed-form bound and a non-monotone one strictly exceeds it.
-    The increments are summed per block of ``_BLOCK_CELLS`` cells, blocks
-    sharing their seam node as in the cell kernel, so every temporary is of
-    block size; a profile of at most 16001 nodes is one block.
+    The increments are summed per block of ``_BLOCK_CELLS`` cells, each
+    block a plain slice of its cells and their end nodes as in the cell
+    kernel; the area has no node terms, so a seam node needs no weight.
+    Every temporary is of block size; a profile of at most 16001 nodes is
+    one block.
     """
     _, phi = _clamped_cells(profile.grid, profile.phi, interval)
     total = 0.0
@@ -320,42 +324,37 @@ def _cells(r: np.ndarray, phi: np.ndarray, n: int,
     not relative to sin^2 phi: a constant phi = 1e-8 gives an angular term
     of 0.
 
-    Blocks share their seam row: a block's node terms stop before its last
-    row, which the next block takes.  Temporaries, the r-weights included,
-    are of block size.
+    Each block is a plain slice of its cells and their end nodes, and its
+    node terms take trapezoid weights over those cells alone, so a seam node
+    is counted half in each of the two blocks that share it.  Temporaries,
+    the r-weights included, are of block size.
     """
     m = phi.shape[1]
     kin, ang, area = (np.zeros(m) for _ in range(3))
     e_z = 0.0
-    last = r.size - 1
     rows = max(1, _BLOCK_CELLS // m)
-    for lo in range(0, last, rows):
-        hi = min(lo + rows, last)
-        top = last + 1 if hi == last else hi  # end of the block's node rows
-        block, nodes = phi[lo:hi + 1], phi[lo:top]
-        r_cells, r_nodes = r[lo:hi + 1], r[lo:top]
-        before = max(lo - 1, 0)  # the node rows' trapezoid weights need the cell before
-        dr = np.diff(r[before:top + 1])
-        t = _trapezoid_weights(dr)[lo - before:top - before]
+    for lo in range(0, r.size - 1, rows):
+        rr, block = r[lo:lo + rows + 1], phi[lo:lo + rows + 1]
+        dr = np.diff(rr)
+        t = _trapezoid_weights(dr)
         # (r1^2 - r0^2) / (2 dr^2) without the squares, which underflow near
-        # r = 1e-160; formed in the block's cell spacings, which t no longer needs
-        w_kin = np.multiply(dr[lo - before:hi - before], 2.0, out=dr[lo - before:hi - before])
-        np.divide(r_cells[1:] + r_cells[:-1], w_kin, out=w_kin)
+        # r = 1e-160; formed in the cell spacings, which t no longer needs
+        w_kin = np.multiply(dr, 2.0, out=dr)
+        np.divide(rr[1:] + rr[:-1], w_kin, out=w_kin)
         w_ang = n ** 2 * t
-        axis = np.searchsorted(r_nodes, 0.0, side="right")  # a node at r = 0 has no angular term
+        axis = np.searchsorted(rr, 0.0, side="right")  # a node at r = 0 has no angular term
         w_ang[:axis] = 0.0
-        w_ang[axis:] /= r_nodes[axis:]
+        w_ang[axis:] /= rr[axis:]
         d = block[1:] - block[:-1]
         # einsum, not BLAS: a threaded gemv took one 32769-node column 2 -> 24 ms
         kin += np.einsum("i,ij->j", w_kin, np.multiply(d, d, out=d))
         c = np.cos(block)
         area += np.abs(np.subtract(c[1:], c[:-1], out=d), out=d).sum(axis=0)
-        c = c[:top - lo]
         s2 = np.add(1.0, c)
         ang += np.einsum("i,ij->j", w_ang, np.multiply(s2, np.subtract(1.0, c, out=c), out=s2))
         if inv_dz.size:
-            d_z = nodes[:, 1:] - nodes[:, :-1]
-            e_z += float((r_nodes * t) @ (np.multiply(d_z, d_z, out=d_z) @ inv_dz))
+            d_z = block[:, 1:] - block[:, :-1]
+            e_z += float((rr * t) @ (np.multiply(d_z, d_z, out=d_z) @ inv_dz))
     return math.pi * (kin + ang), 2.0 * math.pi * n * area, math.pi * e_z
 
 

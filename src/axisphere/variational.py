@@ -74,12 +74,6 @@ _GAUSS_WEIGHTS = np.array([v for _, w in _GAUSS_HALVES for v in (*w, *w[::-1])])
 _GAUSS_NODES.flags.writeable = _GAUSS_WEIGHTS.flags.writeable = False
 
 
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1] of the m- and then the 2m-point
-    Gauss-Legendre rule, m = _GAUSS_ORDER, as read-only arrays."""
-    return _GAUSS_NODES, _GAUSS_WEIGHTS
-
-
 @dataclass(frozen=True)
 class ClosedFormProfile:
     """A profile c_plus r^n + c_minus r^{-n} on [r_lo, r_hi].
@@ -238,11 +232,10 @@ class PiecewiseMinimizer:
 
         On the plateau e = -n a: exactly n^2 a^2 log(plateau_end / arc_end) /
         (1 + a^2)^2.  On an arc e = -2 n c_plus r^n (descending) or
-        -2 n c_minus r^{-n} (ascending), a function of n x: both rules of
-        :func:`_gauss_legendre` run on panels at most min(1/2, 1/n) long in
-        x, and the error is their difference."""
+        -2 n c_minus r^{-n} (ascending), a function of n x: both tabulated
+        Gauss-Legendre rules run on panels at most min(1/2, 1/n) long in x,
+        and the error is their difference."""
         n, a = self.n, self.constraint.a
-        nodes, weights = _gauss_legendre()
         total = err = 0.0
         for arc, decreasing in ((self.eta, True), (self.zeta, False)):
             if arc is None:
@@ -250,10 +243,11 @@ class PiecewiseMinimizer:
             lo, hi = math.log(arc.r_lo), math.log(arc.r_hi)
             panels = max(1, math.ceil((hi - lo) * max(2, n)))
             half = (hi - lo) / (2 * panels)
-            up = np.exp(n * ((lo + half * np.arange(1, 2 * panels, 2))[:, None] + half * nodes))
+            mid = lo + half * np.arange(1, 2 * panels, 2)
+            up = np.exp(n * (mid[:, None] + half * _GAUSS_NODES))
             e = 2.0 * n * (arc.c_plus * up if decreasing else arc.c_minus / up)
             e /= 1.0 + (arc.c_plus * up + arc.c_minus / up) ** 2
-            sums = half * (e * e).sum(axis=0) * weights
+            sums = half * (e * e).sum(axis=0) * _GAUSS_WEIGHTS
             fine = float(sums[_GAUSS_ORDER:].sum())
             total, err = total + fine, err + abs(fine - float(sums[:_GAUSS_ORDER].sum()))
         if self.plateau_end > self.arc_end:

@@ -459,6 +459,14 @@ class TestSigma:
         assert err == ["error: cannot load charge configuration: "
                        "non-finite coordinate in positives"]
 
+    def test_non_numeric_coordinate_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "charges.json"
+        cfg.write_text(json.dumps({"positives": [[0, 0, 0]], "negatives": [[1, 2, {}]]}))
+        assert run(["sigma", "--spec", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: cannot load charge configuration: negatives must be a list of")
+
     @pytest.mark.parametrize("x", [1e160, 1.7e308])
     def test_overflowing_distance_exit_2(self, tmp_path, capsys, x):
         cfg = tmp_path / "charges.json"
@@ -817,16 +825,21 @@ def relaxed_and_stable(data):
     return all(row["converged"] is True and row["stable"] is True for row in data["rows"])
 
 
-# each command at its defaults (proposition-sweep at 4096 cone nodes), and
-# the check its output must pass
+def fast_path_consistent(data):
+    return data["summary"]["fast_path_consistent"] is True
+
+
+# each command at its defaults (proposition-sweep also at 4096 cone nodes),
+# and the check its output must pass
 @pytest.mark.parametrize("args, check", [
     (["t0-energy"], closed_form_agrees),
     (["relaxation-check"], quadrature_agrees_and_deficits_decrease),
+    (["proposition-sweep"], fast_path_consistent),
     (["proposition-sweep", "--nodes", "4096"], feasible_rows_converge_and_agree),
     (["dipole-tradeoff", "--n", "1"], relaxed_and_stable),
     (["dipole-tradeoff", "--n", "2"], relaxed_and_stable),
-], ids=["t0-energy", "relaxation-check", "proposition-sweep-4096", "dipole-tradeoff-n1",
-        "dipole-tradeoff-n2"])
+], ids=["t0-energy", "relaxation-check", "proposition-sweep", "proposition-sweep-4096",
+        "dipole-tradeoff-n1", "dipole-tradeoff-n2"])
 def test_command_at_defaults(tmp_path, args, check):
     out = tmp_path / "out.json"
     assert run(args + ["--format", "json", "--out", str(out)]) == 0

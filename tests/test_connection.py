@@ -146,6 +146,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"non-finite coordinate in {name}"):
             SingularityConfig(**points)
 
+    @pytest.mark.parametrize("name", ["positives", "negatives"])
+    def test_non_numeric_coordinate_rejected(self, name):
+        points = {"positives": [[0, 0, 0]], "negatives": [[1, 0, 0]]}
+        points[name][0][2] = {}
+        with pytest.raises(ValueError, match=f"{name} must be a list of"):
+            SingularityConfig(**points)
+
     @pytest.mark.parametrize("x", [1e160, 1.7e308])
     def test_overflowing_distance_rejected(self, x):
         with pytest.raises(ValueError, match="distance overflows"):

@@ -9,7 +9,8 @@ from axisphere.geometry import NumericalError, geometric_grid
 from axisphere.variational import (
     ConeConstraint,
     I_functional,
-    _gauss_legendre,
+    _GAUSS_NODES,
+    _GAUSS_WEIGHTS,
     _I_and_gap,
     _segment_gradient,
     _segment_quadratic,
@@ -630,7 +631,7 @@ class TestGapBound:
 
     def test_gauss_rules_match_mpmath(self):
         # nodes within 1 ulp of 40-digit roots of P_k, weights within 32 ulp
-        nodes, weights = _gauss_legendre()
+        nodes, weights = _GAUSS_NODES, _GAUSS_WEIGHTS
         for k, x, w in ((8, nodes[:8], weights[:8]), (16, nodes[8:], weights[8:])):
             with mpmath.workdps(40):
                 for xi, wi in zip(x, w):
@@ -644,7 +645,7 @@ class TestGapBound:
             assert np.all(np.diff(x) < 0.0) and x.size == k
 
     def test_gauss_rules_integrate_their_degree_exactly(self):
-        nodes, weights = _gauss_legendre()
+        nodes, weights = _GAUSS_NODES, _GAUSS_WEIGHTS
         for x, w in ((nodes[:8], weights[:8]), (nodes[8:], weights[8:])):
             for degree in range(2 * x.size):
                 exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
